@@ -10,7 +10,6 @@ rather than scale.
 from ._kernels import HAS_NUMBA, USE_NUMBA
 from ._version import __version__
 from .bounds import (
-    BoundCurve,
     commutator_growth_bound,
     correlation_gap_bound,
     mean_field_error_bound,
@@ -74,7 +73,6 @@ from .symmetric_space import (
 
 __all__ = [
     "BoundConstants",
-    "BoundCurve",
     "ConfigError",
     "DensityMatrix",
     "ExperimentConfig",

@@ -7,33 +7,10 @@ non-decreasing in t and non-increasing in N.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._tensor import tensor_power
-
-
-@dataclass(frozen=True, eq=False)
-class BoundCurve:
-    """A measured quantity and its bound over a common time grid."""
-
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        lhs = np.asarray(self.lhs, dtype=np.float64)
-        rhs = np.asarray(self.rhs, dtype=np.float64)
-        if not (t.shape == lhs.shape == rhs.shape):
-            raise ValueError("times, lhs and rhs must have equal shapes")
-        if np.any(rhs < 0):
-            raise ValueError("rhs must be non-negative")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
 
 
 def trace_distance(rho, sigma):

@@ -32,8 +32,8 @@ def _check_times(times):
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(t < 0):
-        raise ValueError("times must be non-negative")
+    if not np.all((t >= 0) & np.isfinite(t)):
+        raise ValueError("times must be finite and non-negative")
     return t
 
 
@@ -80,7 +80,7 @@ class FullSpaceState:
                 f"amplitude length {amps.size} is not d^N = {self.d**self.n_particles}"
             )
         dev = abs(np.linalg.norm(amps) - 1.0)
-        if dev > 1e-10:
+        if not dev <= 1e-10:
             raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -85,7 +85,7 @@ def pure_state_density(phi, atol=DENSITY_ATOL):
     """|phi><phi| as an order-1 density matrix; phi must be normalized."""
     v = np.asarray(phi, dtype=np.complex128).reshape(-1)
     dev = abs(np.linalg.norm(v) - 1.0)
-    if dev > atol:
+    if not dev <= atol:
         raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
     return DensityMatrix(1, v.size, np.outer(v, v.conj()))
 
@@ -196,13 +196,13 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     """
     if gamma0.order != 1 or gamma0.d != spec.d:
         raise ValueError("gamma0 must be an order-1 density matrix matching spec.d")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be non-negative and strictly increasing")
+    if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be finite, non-negative and strictly increasing")
 
     d = spec.d
 

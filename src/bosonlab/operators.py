@@ -16,7 +16,6 @@ over all orthonormal product bases, and search >= canonical always.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -75,8 +74,10 @@ class PotentialTerm:
 
 def validate_potential(term, d, atol=DEFAULT_ATOL):
     """Return a list of human-readable invariant violations (empty = valid)."""
-    report = []
     mat = term.matrix
+    if not np.all(np.isfinite(mat)):
+        return ["non-finite entries"]  # every deviation below would read nan
+    report = []
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_dev > atol:
         report.append(f"not Hermitian (max deviation {herm_dev:.3e})")
@@ -143,10 +144,9 @@ def _coefficient_l1(matrix):
     return float(np.sum(np.abs(matrix)))
 
 
-def _search_rng(seed, order, restart):
-    # counter-based substream per (order, restart): adding restarts never
-    # perturbs earlier ones, so the search result is monotone in restarts
-    digest = hashlib.sha256(f"vtilde:{order}:{restart}".encode()).digest()
+def _substream(seed, purpose, index):
+    """Counter-based Philox stream keyed by (seed, purpose, index)."""
+    digest = hashlib.sha256(f"{purpose}:{index}".encode()).digest()
     word = int.from_bytes(digest[:8], "big")
     key = np.array([seed % _U64, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -168,7 +168,9 @@ def _conjugated_l1(vmat, us):
 
 
 def _search_one_term(vmat, d, order, seed, restart, n_iters=60):
-    rng = _search_rng(seed, order, restart)
+    # one substream per (order, restart): adding restarts never perturbs
+    # earlier ones, so the search result is monotone in restarts
+    rng = _substream(seed, f"vtilde:{order}", restart)
     if restart == 0:
         us = [np.eye(d, dtype=np.complex128) for _ in range(order)]
     else:

@@ -15,7 +15,6 @@ deterministic, so matrices built from equal inputs are bit-identical.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +39,6 @@ class OccupationBasis:
     @property
     def size(self):
         return self.vectors.shape[0]
-
-    @cached_property
-    def index(self):
-        """Occupation tuple -> basis position (bijective)."""
-        return {tuple(int(x) for x in row): i for i, row in enumerate(self.vectors)}
 
     def index_of(self, occupation):
         occ = np.asarray(occupation, dtype=np.int64)
@@ -108,7 +102,7 @@ class SymmetricState:
                 f"amplitude length {amps.size} does not match basis size {self.basis.size}"
             )
         dev = abs(np.linalg.norm(amps) - 1.0)
-        if dev > 1e-10:
+        if not dev <= 1e-10:
             raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -122,7 +116,7 @@ def embed_product_state(phi, n_particles):
     """
     v = np.asarray(phi, dtype=np.complex128).reshape(-1)
     dev = abs(np.linalg.norm(v) - 1.0)
-    if dev > 1e-10:
+    if not dev <= 1e-10:
         raise ValueError(f"phi norm deviates from 1 by {dev:.3e}")
     basis = enumerate_basis(v.size, n_particles)
     sqrt_mult = np.empty(basis.size, dtype=np.float64)

@@ -5,7 +5,6 @@ import pytest
 
 from bosonlab import (
     BoundConstants,
-    BoundCurve,
     DensityMatrix,
     build_hamiltonian,
     commutator_growth_bound,
@@ -130,20 +129,6 @@ class TestCorrelationGapBound:
             for t in np.linspace(0, 1.5, 7)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestBoundCurve:
-    def test_holds_aligned_arrays(self):
-        curve = BoundCurve(np.array([0.0, 1.0]), np.array([0.0, 0.1]), np.array([0.0, 0.5]), "N8")
-        assert curve.label == "N8"
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            BoundCurve(np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0, 0.5]), "x")
-
-    def test_negative_rhs_rejected(self):
-        with pytest.raises(ValueError):
-            BoundCurve(np.array([0.0]), np.array([0.0]), np.array([-0.1]), "x")
 
 
 class TestTelescopingResidual:

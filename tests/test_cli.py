@@ -69,6 +69,20 @@ def test_invalid_config_contents(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_nan_time_grid_exits_one_promptly(tmp_path):
+    path = tmp_path / "nan.json"
+    cfg = base_config(time_grid=[0.0, float("nan")], output_path=str(tmp_path / "out.csv"))
+    path.write_text(json.dumps(cfg))  # json writes the bare NaN token
+    out = subprocess.run(
+        [sys.executable, "-m", "bosonlab", "converge", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert out.returncode == 1
+    assert out.stderr == "error: time_grid[1]: must be finite, got nan\n"
+
+
 def test_violation_rows_exit_two(config_file, capsys, monkeypatch):
     def fake_runner(config):
         return [{"config_hash": config.config_hash, "kind": "point", "violation": 1}]

@@ -81,6 +81,13 @@ class TestEvolveExact:
         with pytest.raises(ValueError, match="non-negative"):
             evolve_exact(build_hamiltonian(spec, 2), state, [-0.5, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, rng, bad):
+        spec = random_spec(rng, 2, (1,))
+        state = embed_product_state(_unit_phi(rng, 2), 2)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_exact(build_hamiltonian(spec, 2), state, [0.0, bad])
+
 
 class TestFullSpace:
     def test_build_single_particle_only(self, rng):

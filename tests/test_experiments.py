@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,7 +48,46 @@ def base_config(**extra):
     return cfg
 
 
+def _with_nan_entry(pairs):
+    pairs[0][0] = [math.nan, 0.0]
+    return pairs
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time_grid", [0.0, math.nan]),
+            ("time_grid", [0.0, math.inf]),
+            ("integrator_tol", [1]),
+            ("integrator_tol", math.inf),
+            ("integrator_tol", True),
+            ("spec.terms.2", _with_nan_entry(_pairs(0.25 * np.kron(SX, SX)))),
+            ("initial_phi", [[math.nan, 0.0], [0.8, 0.0]]),
+            ("bbgky_dt", math.inf),
+            ("bbgky_dt", math.nan),
+        ],
+        ids=[
+            "time_grid-nan",
+            "time_grid-inf",
+            "integrator_tol-list",
+            "integrator_tol-inf",
+            "integrator_tol-bool",
+            "potential-nan",
+            "initial_phi-nan",
+            "bbgky_dt-inf",
+            "bbgky_dt-nan",
+        ],
+    )
+    def test_bad_number_rejected_naming_the_field(self, field, value):
+        cfg = base_config(scenario="bbgky")
+        if field.startswith("spec.terms."):
+            cfg["spec"]["terms"][field.rsplit(".", 1)[1]] = value
+        else:
+            cfg[field] = value
+        with pytest.raises(ConfigError, match="^" + re.escape(field)):
+            config_from_dict(cfg)
+
     def test_minimal_config_gets_defaults(self):
         config = config_from_dict(base_config())
         assert config.integrator_tol == 1e-9
@@ -105,6 +145,12 @@ class TestConfigParsing:
         cfg = base_config()
         cfg["spec"]["terms"]["pair"] = cfg["spec"]["terms"].pop("2")
         with pytest.raises(ConfigError, match="integer order"):
+            config_from_dict(cfg)
+
+    def test_duplicate_term_order_rejected(self):
+        cfg = base_config()
+        cfg["spec"]["terms"]["02"] = _pairs(np.zeros((4, 4)))
+        with pytest.raises(ConfigError, match="given twice"):
             config_from_dict(cfg)
 
     def test_overrides_take_precedence(self):

@@ -54,6 +54,8 @@ class TestDensityMatrix:
     def test_unnormalized_phi_rejected(self):
         with pytest.raises(ValueError):
             pure_state_density(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="norm deviates"):
+            pure_state_density(np.array([np.nan, 1.0]))
 
 
 class TestMeanFieldHamiltonian:
@@ -207,12 +209,18 @@ class TestHartreeEvolve:
             hartree_evolve(gamma0, spec, [-1.0, 0.5])
         with pytest.raises(ValueError):
             hartree_evolve(gamma0, spec, [])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                hartree_evolve(gamma0, spec, [0.0, bad])
 
     def test_tolerance_validated(self, rng):
         spec = random_spec(rng, 2, (1, 2))
         gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         with pytest.raises(ValueError):
             hartree_evolve(gamma0, spec, [1.0], tol=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                hartree_evolve(gamma0, spec, [1.0], tol=bad)
 
     def test_dimension_mismatch_rejected(self, rng):
         spec = random_spec(rng, 3, (1, 2))

@@ -66,6 +66,11 @@ class TestValidatePotential:
         report = validate_potential(PotentialTerm(2, np.eye(3)), 2)
         assert report and "dimension mismatch" in report[0]
 
+    def test_non_finite_entries_are_reported(self):
+        for bad in (np.nan, np.inf):
+            report = validate_potential(PotentialTerm(1, np.array([[bad, 0], [0, 0]])), 2)
+            assert report == ["non-finite entries"]
+
 
 class TestSpecConstruction:
     def test_order_below_one_rejected(self):

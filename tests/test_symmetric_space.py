@@ -102,6 +102,8 @@ class TestEmbedProductState:
     def test_unnormalized_phi_rejected(self):
         with pytest.raises(ValueError, match="norm deviates"):
             embed_product_state(np.array([1.0, 1.0]), 3)
+        with pytest.raises(ValueError, match="norm deviates"):
+            embed_product_state(np.array([np.nan, 1.0]), 3)
 
 
 class TestSymmetricState:
@@ -109,6 +111,8 @@ class TestSymmetricState:
         basis = enumerate_basis(2, 2)
         with pytest.raises(ValueError, match="norm deviates"):
             SymmetricState(basis, np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="norm deviates"):
+            SymmetricState(basis, np.array([np.nan, 1.0, 0.0]))
 
     def test_length_checked(self):
         basis = enumerate_basis(2, 2)
