@@ -3,11 +3,10 @@
 Exact N-particle dynamics on the permutation-symmetric sector, the
 nonlinear one-body mean-field flow it converges to, the finite-N hierarchy
 for reduced density matrices, and the explicit error/locality bounds that
-tie the three together — all small and dense, built for correctness checks
-rather than scale.
+tie the three together — numpy only and desk-sized, built for correctness
+checks rather than scale.
 """
 
-from ._kernels import HAS_NUMBA, USE_NUMBA
 from ._version import __version__
 from .bounds import (
     commutator_growth_bound,
@@ -63,6 +62,7 @@ from .operators import (
 from .symmetric_space import (
     MAX_BASIS_SIZE,
     OccupationBasis,
+    SparseHermitian,
     SymmetricState,
     build_hamiltonian,
     build_symmetric_operator,
@@ -78,15 +78,14 @@ __all__ = [
     "ExperimentConfig",
     "FULL_SPACE_GUARD",
     "FullSpaceState",
-    "HAS_NUMBA",
     "HamiltonianSpec",
     "HartreeTrajectory",
     "MAX_BASIS_SIZE",
     "ObservableOnSubset",
     "OccupationBasis",
     "PotentialTerm",
+    "SparseHermitian",
     "SymmetricState",
-    "USE_NUMBA",
     "bbgky_rhs",
     "bound_constants",
     "build_hamiltonian",

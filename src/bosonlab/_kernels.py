@@ -1,11 +1,11 @@
 """Hot loops: occupation-walking operator assembly and RDM contraction.
 
-Both kernels repeatedly apply ladder-operator chains to occupation tuples,
-which does not vectorize cleanly, so each ships in two interchangeable
-versions: a numba-compiled one and a numpy fallback.  The compiled path is
-used when numba imports successfully, unless the environment variable
-``BOSONLAB_NO_NUMBA`` is set to a non-empty value.  Inputs are plain arrays;
-the wrapping modules own all validation.
+Both kernels apply ladder-operator chains to every occupation tuple of the
+basis at once, vectorized over basis states with numpy, one (annihilate,
+create) index-tuple pair at a time.  Assembly emits the stored entries of
+the operator as (row, col, value) triples, so no D x D array is ever
+allocated; the RDM contraction returns the small d^k x d^k matrix.  Inputs
+are plain arrays; the wrapping modules own all validation.
 
 Encoding: an occupation vector (n_1 .. n_d) with sum N maps to the integer
 key sum_i n_i * (N+1)^(d-1-i).  Descending lexicographic tuple order is
@@ -13,27 +13,7 @@ descending key order, so lookups are a binary search over the ascending key
 array plus an index indirection.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - mirror environments without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = HAS_NUMBA and not os.environ.get("BOSONLAB_NO_NUMBA")
 
 
 def decode_digits(d, order):
@@ -51,14 +31,14 @@ def decode_digits(d, order):
     return table
 
 
-def _mbody_matrix_py(occs, keys_asc, pos_asc, base, vmat, digits, scale):
-    # Same walk as the jit kernel, vectorized over basis columns per
-    # (annihilate-tuple, create-tuple) pair.
+def mbody_triples(occs, keys_asc, pos_asc, base, vmat, digits, scale):
+    """(rows, cols, values) of scale * sum <i|V|j> a+_{i_1}..a+_{i_m} a_{j_1}..a_{j_m}:
+    at most size * d^(2m) entries, where a repeated (row, col) adds up."""
     n_basis, n_modes = occs.shape
     dim_v, order = digits.shape
     powers = base ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
-    out = np.zeros((n_basis, n_basis), dtype=np.complex128)
     cols = np.arange(n_basis)
+    out_rows, out_cols, out_vals = [cols[:0]], [cols[:0]], [np.empty(0, np.complex128)]
     for jt in range(dim_v):
         occ1 = occs.copy()
         f_ann = np.ones(n_basis, dtype=np.float64)
@@ -82,49 +62,13 @@ def _mbody_matrix_py(occs, keys_asc, pos_asc, base, vmat, digits, scale):
                 mode = digits[it, s]
                 occ2[:, mode] += 1
                 f_cre *= occ2[:, mode]
-            rows = pos_asc[np.searchsorted(keys_asc, occ2 @ powers)]
-            np.add.at(out, (rows, col_live), (scale * v) * np.sqrt(f_live * f_cre))
-    return out
+            out_rows.append(pos_asc[np.searchsorted(keys_asc, occ2 @ powers)])
+            out_cols.append(col_live)
+            out_vals.append((scale * v) * np.sqrt(f_live * f_cre))
+    return np.concatenate(out_rows), np.concatenate(out_cols), np.concatenate(out_vals)
 
 
-@njit(cache=True)
-def _mbody_matrix_jit(occs, keys_asc, pos_asc, base, vmat, digits, scale):  # pragma: no cover
-    n_basis, n_modes = occs.shape
-    dim_v, order = digits.shape
-    out = np.zeros((n_basis, n_basis), dtype=np.complex128)
-    occ1 = np.empty(n_modes, dtype=np.int64)
-    occ2 = np.empty(n_modes, dtype=np.int64)
-    for col in range(n_basis):
-        for jt in range(dim_v):
-            for q in range(n_modes):
-                occ1[q] = occs[col, q]
-            f_ann = 1.0
-            for s in range(order):
-                mode = digits[jt, s]
-                f_ann *= occ1[mode]
-                occ1[mode] -= 1
-            if f_ann <= 0.0:
-                continue
-            for it in range(dim_v):
-                v = vmat[it, jt]
-                if v.real == 0.0 and v.imag == 0.0:
-                    continue
-                f_cre = 1.0
-                for q in range(n_modes):
-                    occ2[q] = occ1[q]
-                for s in range(order):
-                    mode = digits[it, s]
-                    occ2[mode] += 1
-                    f_cre *= occ2[mode]
-                key = 0
-                for q in range(n_modes):
-                    key = key * base + occ2[q]
-                row = pos_asc[np.searchsorted(keys_asc, key)]
-                out[row, col] += (scale * v) * np.sqrt(f_ann * f_cre)
-    return out
-
-
-def _rdm_matrix_py(occs, keys_asc, pos_asc, base, amps, digits_sorted, scale):
+def rdm_matrix(occs, keys_asc, pos_asc, base, amps, digits_sorted, scale):
     n_basis, n_modes = occs.shape
     dim_k, order = digits_sorted.shape
     powers = base ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
@@ -153,45 +97,3 @@ def _rdm_matrix_py(occs, keys_asc, pos_asc, base, amps, digits_sorted, scale):
             vals = amp_live * np.conj(amps[rows]) * np.sqrt(f_live * f_cre)
             out[a, b] = scale * vals.sum()
     return out
-
-
-@njit(cache=True)
-def _rdm_matrix_jit(occs, keys_asc, pos_asc, base, amps, digits_sorted, scale):  # pragma: no cover
-    n_basis, n_modes = occs.shape
-    dim_k, order = digits_sorted.shape
-    out = np.zeros((dim_k, dim_k), dtype=np.complex128)
-    occ1 = np.empty(n_modes, dtype=np.int64)
-    occ2 = np.empty(n_modes, dtype=np.int64)
-    for a in range(dim_k):
-        for col in range(n_basis):
-            for q in range(n_modes):
-                occ1[q] = occs[col, q]
-            f_ann = 1.0
-            for s in range(order):
-                mode = digits_sorted[a, s]
-                f_ann *= occ1[mode]
-                occ1[mode] -= 1
-            if f_ann <= 0.0:
-                continue
-            for b in range(dim_k):
-                f_cre = 1.0
-                for q in range(n_modes):
-                    occ2[q] = occ1[q]
-                for s in range(order):
-                    mode = digits_sorted[b, s]
-                    occ2[mode] += 1
-                    f_cre *= occ2[mode]
-                key = 0
-                for q in range(n_modes):
-                    key = key * base + occ2[q]
-                row = pos_asc[np.searchsorted(keys_asc, key)]
-                out[a, b] += scale * amps[col] * np.conj(amps[row]) * np.sqrt(f_ann * f_cre)
-    return out
-
-
-if USE_NUMBA:
-    mbody_matrix = _mbody_matrix_jit
-    rdm_matrix = _rdm_matrix_jit
-else:
-    mbody_matrix = _mbody_matrix_py
-    rdm_matrix = _rdm_matrix_py

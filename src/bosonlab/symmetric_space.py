@@ -8,9 +8,10 @@ m-subsets of particles equals
     (1/m!) sum_{i_vec, j_vec} <i_vec|V|j_vec> a+_{i_1}..a+_{i_m} a_{j_1}..a_{j_m}
 
 restricted to the fixed-N sector, which the kernels evaluate by walking
-occupation tuples with the ladder square-root factors (no d^N objects are
-ever materialized).  Basis order is lexicographically descending and
-deterministic, so matrices built from equal inputs are bit-identical.
+occupation tuples with the ladder square-root factors into sparse (row, col,
+value) triples: no d^N object and no D x D array is ever materialized.
+Basis order is lexicographically descending and deterministic, so operators
+built from equal inputs are bit-identical.
 """
 
 import math
@@ -18,12 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import decode_digits, mbody_matrix, rdm_matrix
+from ._kernels import decode_digits, mbody_triples, rdm_matrix
 from .hartree import DensityMatrix
 
-# Dense desk-scale guard: basis enumeration refuses beyond this many states
-# rather than silently attempting a huge allocation.
+# Desk-scale guards, checked before allocating: states in a basis, and bytes
+# of operator triples.  An order-m term yields at most D * d^(2m) entries of
+# 32 bytes (int64 row and col, complex128 value); hermitization doubles them.
 MAX_BASIS_SIZE = 2_000_000
+MAX_TRIPLE_BYTES = 2**30
+_BYTES_PER_ENTRY = 2 * 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,31 +135,85 @@ def embed_product_state(phi, n_particles):
     return SymmetricState(basis, amps)
 
 
-def build_symmetric_operator(term, basis, prefactor):
-    """prefactor * sum over all m-subsets of particles of the interaction.
+@dataclass(frozen=True, eq=False)
+class SparseHermitian:
+    """Hermitian D x D matrix as unique (row, col, value) triples sorted by
+    (row, col).  ``np.asarray`` gives the dense matrix, for checks at small D."""
 
-    Returns a Hermitian (explicitly symmetrized) dense matrix on the basis.
-    """
-    m = term.order
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if np.any(np.diff(self.rows * self.size + self.cols) <= 0):
+            raise ValueError("triples must be unique and sorted by (row, col)")
+        for a in (self.rows, self.cols, self.values):
+            a.setflags(write=False)
+        # first entry of each non-empty row, for the row sums of matvec
+        object.__setattr__(self, "_row_starts", np.flatnonzero(np.diff(self.rows, prepend=-1)))
+
+    @classmethod
+    def from_triples(cls, size, rows, cols, values):
+        """(A + A^dagger)/2 for the A whose entries are the sums of the
+        values given at each (row, col)."""
+        keys = np.concatenate([rows * size + cols, cols * size + rows])
+        values = np.concatenate([values, values.conj()]) / 2
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys = keys[starts]
+        return cls(size, keys // size, keys % size, np.add.reduceat(values[order], starts))
+
+    @property
+    def shape(self):
+        return (self.size, self.size)
+
+    @property
+    def nnz(self):
+        return self.values.size
+
+    def matvec(self, x):
+        out = np.zeros(self.size, dtype=np.complex128)
+        starts = self._row_starts
+        out[self.rows[starts]] = np.add.reduceat(self.values * x[self.cols], starts)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[self.rows, self.cols] = self.values
+        return out if dtype is None else out.astype(dtype)
+
+
+def _assemble(basis, weighted_terms):
+    """Sum of prefactor * (symmetric sum of term) over (term, prefactor) pairs."""
     d = basis.d
-    if m > basis.n_particles:
-        raise ValueError("interaction order exceeds particle number")
-    if term.matrix.shape[0] != d**m:
-        raise ValueError(
-            f"potential dimension {term.matrix.shape[0]} does not match d^m = {d**m}"
-        )
-    digits = decode_digits(d, m)
-    vmat = np.ascontiguousarray(term.matrix, dtype=np.complex128)
-    out = mbody_matrix(
-        basis.vectors,
-        basis.keys_ascending,
-        basis.positions_ascending,
-        np.int64(basis.n_particles + 1),
-        vmat,
-        digits,
-        float(prefactor) / math.factorial(m),
-    )
-    return (out + out.conj().T) / 2
+    for term, _ in weighted_terms:
+        if term.order > basis.n_particles:
+            raise ValueError("interaction order exceeds particle number")
+        if term.matrix.shape[0] != d**term.order:
+            raise ValueError(
+                f"potential dimension {term.matrix.shape[0]} does not match "
+                f"d^m = {d**term.order}"
+            )
+    nbytes = _BYTES_PER_ENTRY * basis.size * sum(d ** (2 * t.order) for t, _ in weighted_terms)
+    if nbytes > MAX_TRIPLE_BYTES:
+        raise ValueError(f"triples could take {nbytes} bytes (> {MAX_TRIPLE_BYTES}); refusing")
+    base = np.int64(basis.n_particles + 1)
+    walk = (basis.vectors, basis.keys_ascending, basis.positions_ascending, base)
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
+    for term, prefactor in weighted_terms:
+        vmat = np.ascontiguousarray(term.matrix, dtype=np.complex128)
+        scale = float(prefactor) / math.factorial(term.order)
+        parts.append(mbody_triples(*walk, vmat, decode_digits(d, term.order), scale))
+    rows, cols, values = (np.concatenate(p) for p in zip(*parts))
+    return SparseHermitian.from_triples(basis.size, rows, cols, values)
+
+
+def build_symmetric_operator(term, basis, prefactor):
+    """prefactor * sum over all m-subsets of particles of the interaction,
+    as an explicitly symmetrized :class:`SparseHermitian` on the basis."""
+    return _assemble(basis, [(term, prefactor)])
 
 
 def build_hamiltonian(spec, n_particles, basis=None):
@@ -164,11 +222,8 @@ def build_hamiltonian(spec, n_particles, basis=None):
         basis = enumerate_basis(spec.d, n_particles)
     elif basis.d != spec.d or basis.n_particles != n_particles:
         raise ValueError("basis does not match spec / particle number")
-    h = np.zeros((basis.size, basis.size), dtype=np.complex128)
-    for m in spec.present_orders:
-        prefactor = 1.0 if m == 1 else float(n_particles) ** (1 - m)
-        h += build_symmetric_operator(spec.terms[m], basis, prefactor)
-    return (h + h.conj().T) / 2
+    prefactors = {m: 1.0 if m == 1 else float(n_particles) ** (1 - m) for m in spec.present_orders}
+    return _assemble(basis, [(spec.terms[m], pre) for m, pre in prefactors.items()])
 
 
 def rdm(state, k):

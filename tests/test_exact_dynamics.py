@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bosonlab import (
     fullspace_evolve,
     rdm,
 )
+from bosonlab.exact_dynamics import MAX_SUBSTEPS
 
 from .conftest import SX, SZ, random_spec, substream
 from . import oracles
@@ -72,8 +74,9 @@ class TestEvolveExact:
     def test_non_hermitian_rejected(self, rng):
         state = embed_product_state(_unit_phi(rng, 2), 2)
         bad = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            evolve_exact(bad, state, [1.0])
+        for h in (bad, np.diag([np.nan, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="Hermitian"):
+                evolve_exact(h, state, [1.0])
 
     def test_negative_times_rejected(self, rng):
         spec = random_spec(rng, 2, (1,))
@@ -87,6 +90,51 @@ class TestEvolveExact:
         state = embed_product_state(_unit_phi(rng, 2), 2)
         with pytest.raises(ValueError, match="finite"):
             evolve_exact(build_hamiltonian(spec, 2), state, [0.0, bad])
+
+
+def _eigh_states(hamiltonian, amplitudes, times):
+    w, v = np.linalg.eigh(np.asarray(hamiltonian))
+    coeff = v.conj().T @ amplitudes
+    return [v @ (np.exp(-1j * w * t) * coeff) for t in times]
+
+
+class TestTaylorPropagation:
+    """The Taylor path against a dense eigendecomposition written here."""
+
+    TIMES = [20.0, 0.3, 0.0, 7.5, 0.3, 20.0, 1e-6]  # unsorted, repeated, t = 0
+
+    @pytest.mark.parametrize("d,n,orders", [(2, 12, (1, 2)), (3, 8, (1, 2, 3)), (4, 5, (1, 2))])
+    def test_matches_dense_eigh_reference(self, d, n, orders):
+        rng = substream(61, "taylor", d)
+        spec = random_spec(rng, d, orders, unit_norm=False)
+        h = build_hamiltonian(spec, n)
+        state0 = embed_product_state(_unit_phi(rng, d), n)
+        out = evolve_exact(h, state0, self.TIMES)
+        assert len(out) == len(self.TIMES)
+        for state, ref in zip(out, _eigh_states(h, state0.amplitudes, self.TIMES)):
+            assert np.max(np.abs(state.amplitudes - ref)) <= 1e-10
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+        np.testing.assert_array_equal(out[2].amplitudes, state0.amplitudes)
+
+    @pytest.mark.parametrize("c", [0.0, 0.83, -2.5])
+    def test_scalar_hamiltonian_gives_exact_phase(self, rng, c):
+        # c = 0 is the zero Hamiltonian
+        state = embed_product_state(_unit_phi(rng, 4), 3)
+        h = c * np.eye(state.basis.size)
+        for t, out in zip(self.TIMES, evolve_exact(h, state, self.TIMES)):
+            expected = np.exp(-1j * c * t) * state.amplitudes
+            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
+            assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e9, 1e300])
+    def test_work_guard_refuses_before_propagating(self, rng, t):
+        spec = random_spec(rng, 3, (1, 2))
+        state = embed_product_state(_unit_phi(rng, 3), 6)
+        h = build_hamiltonian(spec, 6)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"\w+ Taylor substeps \(budget {MAX_SUBSTEPS}\)"):
+            evolve_exact(h, state, [0.5, t])
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFullSpace:

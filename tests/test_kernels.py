@@ -1,22 +1,10 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from bosonlab import HAS_NUMBA, enumerate_basis
-from bosonlab._kernels import (
-    _mbody_matrix_jit,
-    _mbody_matrix_py,
-    _rdm_matrix_jit,
-    _rdm_matrix_py,
-    decode_digits,
-)
+from bosonlab import enumerate_basis
+from bosonlab._kernels import decode_digits, mbody_triples, rdm_matrix
 
 from .conftest import substream
 from . import oracles
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
 
 class TestDecodeDigits:
@@ -63,53 +51,16 @@ def _rdm_args(d, n, k, seed):
     )
 
 
-@needs_numba
-class TestKernelPathsAgree:
-    @pytest.mark.parametrize("d,n,m", [(2, 4, 1), (2, 4, 2), (2, 5, 3), (3, 3, 2)])
-    def test_mbody_matrix(self, d, n, m):
-        args = _mbody_args(d, n, m, seed=7 * d + m)
-        np.testing.assert_allclose(
-            _mbody_matrix_jit(*args), _mbody_matrix_py(*args), atol=1e-13
-        )
-
-    @pytest.mark.parametrize("d,n,k", [(2, 5, 1), (2, 5, 2), (3, 4, 2), (2, 6, 3)])
-    def test_rdm_matrix(self, d, n, k):
-        args = _rdm_args(d, n, k, seed=11 * d + k)
-        np.testing.assert_allclose(
-            _rdm_matrix_jit(*args), _rdm_matrix_py(*args), atol=1e-13
-        )
-
-
 class TestPurePythonKernelProperties:
     def test_mbody_scale_is_linear(self):
         args = list(_mbody_args(2, 4, 2, seed=3))
-        base = _mbody_matrix_py(*args)
+        rows, cols, values = mbody_triples(*args)
         args[-1] = 2 * args[-1]
-        np.testing.assert_allclose(_mbody_matrix_py(*args), 2 * base, atol=1e-13)
+        rows2, cols2, values2 = mbody_triples(*args)
+        np.testing.assert_array_equal(rows2, rows)
+        np.testing.assert_array_equal(cols2, cols)
+        np.testing.assert_allclose(values2, 2 * values, atol=1e-13)
 
     def test_rdm_output_hermitian(self):
-        out = _rdm_matrix_py(*_rdm_args(2, 5, 2, seed=5))
+        out = rdm_matrix(*_rdm_args(2, 5, 2, seed=5))
         np.testing.assert_allclose(out, out.conj().T, atol=1e-13)
-
-
-def _probe_use_numba(env_value):
-    code = "import bosonlab; print(bosonlab.USE_NUMBA)"
-    import os
-
-    env = dict(os.environ)
-    env.pop("BOSONLAB_NO_NUMBA", None)
-    if env_value is not None:
-        env["BOSONLAB_NO_NUMBA"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    return out.stdout.strip()
-
-
-@needs_numba
-class TestNumbaOptOutFlag:
-    def test_flag_disables_compiled_path(self):
-        assert _probe_use_numba("1") == "False"
-
-    def test_empty_flag_keeps_compiled_path(self):
-        assert _probe_use_numba(None) == "True"

@@ -6,6 +6,7 @@ import pytest
 from bosonlab import (
     HamiltonianSpec,
     PotentialTerm,
+    SparseHermitian,
     SymmetricState,
     build_hamiltonian,
     build_symmetric_operator,
@@ -13,6 +14,7 @@ from bosonlab import (
     enumerate_basis,
     rdm,
 )
+from bosonlab.symmetric_space import MAX_TRIPLE_BYTES
 
 from .conftest import SZ, random_spec, substream
 from . import oracles
@@ -153,6 +155,13 @@ class TestBuildSymmetricOperator:
         with pytest.raises(ValueError, match="match"):
             build_symmetric_operator(PotentialTerm(2, np.eye(4)), basis, 1.0)
 
+    def test_triple_byte_budget_refuses_before_assembly(self):
+        basis = enumerate_basis(4, 60)  # 39711 states; order 3 gives d^6 = 4096 pairs
+        nbytes = 64 * basis.size * 4**6
+        assert nbytes > MAX_TRIPLE_BYTES
+        with pytest.raises(ValueError, match=f"{nbytes} bytes"):
+            build_symmetric_operator(PotentialTerm(3, np.eye(64)), basis, 1.0)
+
 
 class TestBuildHamiltonian:
     def test_single_particle_term_eigenvalues(self):
@@ -183,8 +192,28 @@ class TestBuildHamiltonian:
 
     def test_hermitian(self, rng):
         spec = random_spec(rng, 3, (1, 2), unit_norm=False)
-        h = build_hamiltonian(spec, 4)
+        h = np.asarray(build_hamiltonian(spec, 4))
         np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3)])
+    def test_sparse_matches_projected_brute_force(self, d, n):
+        rng = substream(43, "sparse-ham", d)
+        spec = random_spec(rng, d, (1, 2, 3), unit_norm=False)
+        basis = enumerate_basis(d, n)
+        h = build_hamiltonian(spec, n, basis)
+        t = oracles.symmetric_isometry(basis)
+        expected = t.conj().T @ oracles.hamiltonian_brute(spec, n) @ t
+        assert h.shape == (basis.size, basis.size)
+        assert np.max(np.abs(np.asarray(h) - expected)) <= 1e-12
+
+        keys = h.rows * basis.size + h.cols
+        assert h.nnz == keys.size and np.all(np.diff(keys) > 0)  # unique, sorted
+        x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        np.testing.assert_allclose(h.matvec(x), expected @ x, rtol=0, atol=1e-12)
+
+    def test_unsorted_triples_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            SparseHermitian(2, np.array([1, 0]), np.array([0, 1]), np.array([1.0, 1.0]))
 
 
 class TestRdm:
