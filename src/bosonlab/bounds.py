@@ -30,11 +30,8 @@ def mean_field_error_bound(constants, n_particles, t):
         raise ValueError("n_particles must be >= 1")
     if t < 0:
         raise ValueError("t must be non-negative")
-    return (
-        constants.m_max**3
-        / n_particles
-        * constants.lambda_v
-        * math.expm1(4.0 * constants.sum_l1_v * t)
+    return _grow(
+        constants.m_max**3 / n_particles * constants.lambda_v, 4.0 * constants.sum_l1_v * t
     )
 
 
@@ -42,18 +39,23 @@ def commutator_growth_bound(m, n, norm_a, norm_b, constants, n_particles, t):
     """Bound on ||[A, B(t)]|| for disjoint supports of sizes m and n:
     (4 m n |A| |B| / N) (e^{2 s1 t} - 1)."""
     _check_pair_args(m, n, norm_a, norm_b, n_particles, t)
-    return 4.0 * m * n * norm_a * norm_b / n_particles * math.expm1(
-        2.0 * constants.sum_l1_v * t
-    )
+    return _grow(4.0 * m * n * norm_a * norm_b / n_particles, 2.0 * constants.sum_l1_v * t)
 
 
 def correlation_gap_bound(m, n, norm_a, norm_b, constants, n_particles, t):
     """Bound on the product-expectation gap |<AB> - <A><B>| for initially
     uncorrelated product states: (16 m n |A| |B| / N) (e^{4 s1 t} - 1)."""
     _check_pair_args(m, n, norm_a, norm_b, n_particles, t)
-    return 16.0 * m * n * norm_a * norm_b / n_particles * math.expm1(
-        4.0 * constants.sum_l1_v * t
-    )
+    return _grow(16.0 * m * n * norm_a * norm_b / n_particles, 4.0 * constants.sum_l1_v * t)
+
+
+def _grow(prefactor, exponent):
+    """prefactor * (e^exponent - 1), or inf where e^exponent overflows: an
+    infinite bound is still a true upper bound (0 for a zero prefactor)."""
+    try:
+        return prefactor * math.expm1(exponent)
+    except OverflowError:
+        return math.inf if prefactor else 0.0
 
 
 def _check_pair_args(m, n, norm_a, norm_b, n_particles, t):

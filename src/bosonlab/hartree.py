@@ -203,6 +203,18 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
         raise ValueError("times must be a non-empty 1-d sequence")
     if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) > 0)):
         raise ValueError("times must be finite, non-negative and strictly increasing")
+    t_end = float(times[-1])
+    # ||h(gamma)|| <= L = sum_m ||V^(m)|| / (m-1)!, and every measured run takes
+    # at least 2 steps per unit of L*t (8 to 33 at tol <= 1e-9): past
+    # _MAX_STEPS units the step budget cannot suffice, so refuse up front.
+    rate = sum(
+        np.linalg.norm(term.matrix, 2) / math.factorial(m - 1) for m, term in spec.terms.items()
+    )
+    if rate * t_end > _MAX_STEPS:
+        raise ValueError(
+            f"t = {t_end:.6g} is too long for the mean-field integrator: "
+            f"L*t = {rate * t_end:.3g} > {_MAX_STEPS}, with L = {rate:.3g} bounding ||h(gamma)||"
+        )
 
     d = spec.d
 
@@ -219,7 +231,6 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
         states.append(gamma0)
         idx = 1
 
-    t_end = float(times[-1])
     rhs0_scale = float(np.max(np.abs(f(y)))) if t_end > 0 else 0.0
     dt = min(1e-2, t_end / 10.0) if t_end > 0 else 1e-2
     if rhs0_scale > 0:

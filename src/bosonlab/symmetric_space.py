@@ -7,24 +7,31 @@ m-subsets of particles equals
 
     (1/m!) sum_{i_vec, j_vec} <i_vec|V|j_vec> a+_{i_1}..a+_{i_m} a_{j_1}..a_{j_m}
 
-restricted to the fixed-N sector, which the kernels evaluate by walking
-occupation tuples with the ladder square-root factors into sparse (row, col,
-value) triples: no d^N object and no D x D array is ever materialized.
-Basis order is lexicographically descending and deterministic, so operators
-built from equal inputs are bit-identical.
+restricted to the fixed-N sector.  Creators commute with creators and
+annihilators with annihilators, so the chain depends only on the sorted
+index multisets I, J, and the sum runs over multiset pairs with the
+orbit-summed weight sum_{i_vec in I, j_vec in J} <i_vec|V|j_vec>: exact for
+any V, slot-symmetric or not.  One ladder walk (:func:`ladder_walk`) applies
+each chain a+_I a_J to every occupation vector at once; assembly turns its
+output into sparse (row, col, value) triples, and the k-RDM evaluates each
+multiset pair once and scatters it to all index tuples of the orbit.  No
+d^N object and no D x D array is ever materialized.  Basis order is
+lexicographically descending and deterministic, so operators built from
+equal inputs are bit-identical.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._kernels import decode_digits, mbody_triples, rdm_matrix
 from .hartree import DensityMatrix
 
 # Desk-scale guards, checked before allocating: states in a basis, and bytes
-# of operator triples.  An order-m term yields at most D * d^(2m) entries of
-# 32 bytes (int64 row and col, complex128 value); hermitization doubles them.
+# of operator triples.  An order-m term yields at most D * C(d+m-1, m)^2
+# entries of 32 bytes (int64 row and col, complex128 value); hermitization
+# doubles them.
 MAX_BASIS_SIZE = 2_000_000
 MAX_TRIPLE_BYTES = 2**30
 _BYTES_PER_ENTRY = 2 * 32
@@ -38,19 +45,29 @@ class OccupationBasis:
     n_particles: int
     vectors: np.ndarray  # (size, d) int64, lexicographically descending
     keys_ascending: np.ndarray = field(repr=False)
-    positions_ascending: np.ndarray = field(repr=False)
 
     @property
     def size(self):
         return self.vectors.shape[0]
 
+    def positions(self, occupations):
+        """Basis positions of occupation vectors (along the last axis).
+
+        An occupation maps to the key sum_i n_i (N+1)^(d-1-i); keys descend
+        with the basis, so a binary search in the ascending keys counts from
+        the end."""
+        keys = occupations @ _key_powers(self.d, self.n_particles)
+        return self.size - 1 - np.searchsorted(self.keys_ascending, keys)
+
     def index_of(self, occupation):
         occ = np.asarray(occupation, dtype=np.int64)
         if occ.shape != (self.d,) or occ.min() < 0 or occ.sum() != self.n_particles:
             raise KeyError(f"{occupation!r} is not an occupation of this sector")
-        key = int(occ @ (self.n_particles + 1) ** np.arange(self.d - 1, -1, -1, dtype=np.int64))
-        pos = int(np.searchsorted(self.keys_ascending, key))
-        return int(self.positions_ascending[pos])
+        return int(self.positions(occ))
+
+
+def _key_powers(d, n_particles):
+    return (n_particles + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 def _compositions_desc(total, parts):
@@ -82,14 +99,11 @@ def enumerate_basis(d, n_particles):
         dtype=np.int64,
         count=size * d,
     ).reshape(size, d)
-    powers = (n_particles + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    keys = vectors @ powers  # strictly descending by construction
+    keys = vectors @ _key_powers(d, n_particles)  # strictly descending by construction
     keys_ascending = keys[::-1].copy()
-    positions_ascending = np.arange(size - 1, -1, -1, dtype=np.int64)
     vectors.setflags(write=False)
     keys_ascending.setflags(write=False)
-    positions_ascending.setflags(write=False)
-    return OccupationBasis(d, n_particles, vectors, keys_ascending, positions_ascending)
+    return OccupationBasis(d, n_particles, vectors, keys_ascending)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +199,47 @@ class SparseHermitian:
         return out if dtype is None else out.astype(dtype)
 
 
+def multiset_map(d, k):
+    """Sorted index multisets of size k over d modes, and each linear index's multiset.
+
+    Returns the multisets in ``combinations_with_replacement`` order and, for
+    every linear index ``lin = sum_s i_s d^(k-1-s)`` of a k-slot tensor, the
+    position of the multiset of its digits (i_1 .. i_k) in that list."""
+    multisets = list(combinations_with_replacement(range(d), k))
+    powers = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    digits = np.stack(np.unravel_index(np.arange(d**k), (d,) * k), axis=1)
+    # base-d codes of sorted digits ascend in combinations_with_replacement order
+    codes = np.array(multisets) @ powers
+    return multisets, np.searchsorted(codes, np.sort(digits, axis=1) @ powers)
+
+
+def ladder_walk(basis, k):
+    """Every ladder chain a+_I a_J over sorted index multisets I, J of size k.
+
+    Yields ``(i, j, rows, cols, factor)``, with i, j the positions of I, J in
+    :func:`multiset_map` order, such that a+_I a_J |cols> = factor |rows>
+    elementwise; basis states that a_J annihilates are left out."""
+    multisets, _ = multiset_map(basis.d, k)
+    all_cols = np.arange(basis.size)
+    for j, annihilate in enumerate(multisets):
+        occ = basis.vectors.copy()
+        f_ann = np.ones(basis.size)
+        for mode in annihilate:
+            f_ann *= occ[:, mode]
+            occ[:, mode] -= 1
+        live = f_ann > 0
+        if not live.any():
+            continue
+        occ, f_ann, cols = occ[live], f_ann[live], all_cols[live]
+        for i, create in enumerate(multisets):
+            occ_out = occ.copy()
+            f_cre = np.ones(cols.size)
+            for mode in create:
+                occ_out[:, mode] += 1
+                f_cre *= occ_out[:, mode]
+            yield i, j, basis.positions(occ_out), cols, np.sqrt(f_ann * f_cre)
+
+
 def _assemble(basis, weighted_terms):
     """Sum of prefactor * (symmetric sum of term) over (term, prefactor) pairs."""
     d = basis.d
@@ -196,16 +251,22 @@ def _assemble(basis, weighted_terms):
                 f"potential dimension {term.matrix.shape[0]} does not match "
                 f"d^m = {d**term.order}"
             )
-    nbytes = _BYTES_PER_ENTRY * basis.size * sum(d ** (2 * t.order) for t, _ in weighted_terms)
+    pairs = sum(math.comb(d + t.order - 1, t.order) ** 2 for t, _ in weighted_terms)
+    nbytes = _BYTES_PER_ENTRY * basis.size * pairs
     if nbytes > MAX_TRIPLE_BYTES:
-        raise ValueError(f"triples could take {nbytes} bytes (> {MAX_TRIPLE_BYTES}); refusing")
-    base = np.int64(basis.n_particles + 1)
-    walk = (basis.vectors, basis.keys_ascending, basis.positions_ascending, base)
+        raise ValueError(
+            f"triples could take {nbytes} bytes = 64 * D * sum_m C(d+m-1, m)^2 "
+            f"(> {MAX_TRIPLE_BYTES}); refusing"
+        )
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
     for term, prefactor in weighted_terms:
-        vmat = np.ascontiguousarray(term.matrix, dtype=np.complex128)
-        scale = float(prefactor) / math.factorial(term.order)
-        parts.append(mbody_triples(*walk, vmat, decode_digits(d, term.order), scale))
+        multisets, index = multiset_map(d, term.order)
+        weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
+        np.add.at(weights, (index[:, None], index[None, :]), term.matrix)
+        weights *= float(prefactor) / math.factorial(term.order)
+        for i, j, rows, cols, factor in ladder_walk(basis, term.order):
+            if weights[i, j] != 0:
+                parts.append((rows, cols, weights[i, j] * factor))
     rows, cols, values = (np.concatenate(p) for p in zip(*parts))
     return SparseHermitian.from_triples(basis.size, rows, cols, values)
 
@@ -230,10 +291,10 @@ def rdm(state, k):
     """k-particle reduced density matrix of a symmetric state.
 
     Entry ((a_1..a_k),(b_1..b_k)) is (N-k)!/N! times the normal-ordered
-    expectation <a+_{b_1}..a+_{b_k} a_{a_1}..a_{a_k}>.  Every entry is
-    evaluated at the sorted representative of its index tuples, which makes
-    slot-permuted entries bit-identical (ladder chains commute, so all
-    orderings agree exactly in exact arithmetic).
+    expectation <a+_{b_1}..a+_{b_k} a_{a_1}..a_{a_k}>.  Each pair of sorted
+    index multisets is evaluated once and copied to every entry of its
+    orbit, which makes slot-permuted entries bit-identical (ladder chains
+    commute, so all orderings agree exactly in exact arithmetic).
     """
     basis = state.basis
     n = basis.n_particles
@@ -244,15 +305,12 @@ def rdm(state, k):
     falling = 1
     for q in range(k):
         falling *= n - q
-    digits = np.sort(decode_digits(basis.d, k), axis=1)
-    gamma = rdm_matrix(
-        basis.vectors,
-        basis.keys_ascending,
-        basis.positions_ascending,
-        np.int64(n + 1),
-        np.ascontiguousarray(state.amplitudes),
-        np.ascontiguousarray(digits),
-        1.0 / falling,
-    )
+    scale = 1.0 / falling
+    amps = state.amplitudes
+    multisets, index = multiset_map(basis.d, k)
+    folded = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
+    for i, j, rows, cols, factor in ladder_walk(basis, k):  # row: annihilated multiset
+        folded[j, i] = scale * (amps[cols] * np.conj(amps[rows]) * factor).sum()
+    gamma = folded[np.ix_(index, index)]
     gamma = (gamma + gamma.conj().T) / 2
     return DensityMatrix(order=k, d=basis.d, matrix=gamma)

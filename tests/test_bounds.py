@@ -73,6 +73,11 @@ class TestMeanFieldErrorBound:
             mean_field_error_bound(self.CONSTS, 100, 1.0) / 2
         )
 
+    def test_overflow_gives_infinite_bound(self):
+        # e^(4*2*88) still fits a double, e^(4*2*1000) does not
+        assert mean_field_error_bound(self.CONSTS, 100, 88.0) == 2**3 / 100 * 18.0 * math.expm1(704.0)
+        assert mean_field_error_bound(self.CONSTS, 100, 1000.0) == math.inf
+
 
 class TestCommutatorGrowthBound:
     CONSTS = BoundConstants(sum_l1_v=2.0, sum_l2_v=4.0, vtilde=2.0, lambda_v=18.0, m_max=2)
@@ -105,6 +110,11 @@ class TestCommutatorGrowthBound:
         with pytest.raises(ValueError):
             commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 0, 0.5)
 
+    def test_overflow_gives_infinite_bound(self):
+        assert commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 176.0) == 4.0 / 8 * math.expm1(704.0)
+        assert commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 1000.0) == math.inf
+        assert commutator_growth_bound(1, 1, 0.0, 1.0, self.CONSTS, 8, 1000.0) == 0.0
+
 
 class TestCorrelationGapBound:
     CONSTS = BoundConstants(sum_l1_v=2.0, sum_l2_v=4.0, vtilde=2.0, lambda_v=18.0, m_max=2)
@@ -129,6 +139,11 @@ class TestCorrelationGapBound:
             for t in np.linspace(0, 1.5, 7)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_overflow_gives_infinite_bound(self):
+        assert correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 88.0) == 16.0 / 8 * math.expm1(704.0)
+        assert correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 1000.0) == math.inf
+        assert correlation_gap_bound(1, 1, 1.0, 0.0, self.CONSTS, 8, 1000.0) == 0.0
 
 
 class TestTelescopingResidual:

@@ -1,13 +1,29 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bosonlab
 from bosonlab import cli as cli_module
 from bosonlab.cli import main
 
 from .test_experiments import base_config
+
+
+def run_module(*args, timeout=None):
+    """``python -m bosonlab`` in a subprocess that imports this same package."""
+    src = str(Path(bosonlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "bosonlab", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture
@@ -73,14 +89,29 @@ def test_nan_time_grid_exits_one_promptly(tmp_path):
     path = tmp_path / "nan.json"
     cfg = base_config(time_grid=[0.0, float("nan")], output_path=str(tmp_path / "out.csv"))
     path.write_text(json.dumps(cfg))  # json writes the bare NaN token
-    out = subprocess.run(
-        [sys.executable, "-m", "bosonlab", "converge", "--config", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=5,
-    )
+    out = run_module("converge", "--config", str(path), timeout=5)
     assert out.returncode == 1
     assert out.stderr == "error: time_grid[1]: must be finite, got nan\n"
+
+
+def test_overflowing_bounds_are_written_as_inf(tmp_path):
+    path = tmp_path / "long.json"
+    out_csv = tmp_path / "out.csv"
+    cfg = base_config(scenario="bounds", time_grid=[0.0, 1000.0], output_path=str(out_csv))
+    path.write_text(json.dumps(cfg))
+    out = run_module("bounds", "--config", str(path), timeout=20)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert ",1000,inf,inf,inf" in out_csv.read_text()
+
+
+def test_huge_time_refused_before_integrating(tmp_path):
+    path = tmp_path / "huge.json"
+    cfg = base_config(time_grid=[0.0, 1e9], output_path=str(tmp_path / "out.csv"))
+    path.write_text(json.dumps(cfg))
+    out = run_module("converge", "--config", str(path), timeout=5)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: t = 1e+09 is too long for the mean-field integrator")
+    assert "Traceback" not in out.stderr
 
 
 def test_violation_rows_exit_two(config_file, capsys, monkeypatch):
@@ -93,9 +124,7 @@ def test_violation_rows_exit_two(config_file, capsys, monkeypatch):
 
 
 def test_module_help_runs():
-    out = subprocess.run(
-        [sys.executable, "-m", "bosonlab", "--help"], capture_output=True, text=True
-    )
+    out = run_module("--help")
     assert out.returncode == 0
     for name in ("converge", "lr", "corr", "bbgky", "bounds"):
         assert name in out.stdout

@@ -213,6 +213,12 @@ class TestHartreeEvolve:
             with pytest.raises(ValueError, match="finite"):
                 hartree_evolve(gamma0, spec, [0.0, bad])
 
+    def test_step_budget_refuses_huge_time_up_front(self, rng):
+        spec = random_spec(rng, 2, (1, 2))  # unit norms: L = 1 + 1/1! = 2
+        gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
+        with pytest.raises(ValueError, match="L\\*t = 2e\\+06 > 1000000"):
+            hartree_evolve(gamma0, spec, [0.0, 1e6])
+
     def test_tolerance_validated(self, rng):
         spec = random_spec(rng, 2, (1, 2))
         gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))

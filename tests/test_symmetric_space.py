@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bosonlab import (
     embed_product_state,
     enumerate_basis,
     rdm,
+    slot_symmetrize,
 )
 from bosonlab.symmetric_space import MAX_TRIPLE_BYTES
 
@@ -134,16 +136,20 @@ class TestBuildSymmetricOperator:
         np.testing.assert_allclose(op, np.diag([2.0, 0.0, -2.0]), atol=1e-13)
 
     def test_matches_isometry_conjugated_brute_force(self, rng):
-        d, n = 2, 3
-        spec = random_spec(rng, d, (2,), unit_norm=False)
-        term = spec.terms[2]
-        basis = enumerate_basis(d, n)
-        op = build_symmetric_operator(term, basis, 1.0)
-        t = oracles.symmetric_isometry(basis)
-        brute = np.zeros((d**n, d**n), dtype=complex)
-        for sites in ((0, 1), (0, 2), (1, 2)):
-            brute += oracles.embed_brute(term.matrix, sites, d, n)
-        np.testing.assert_allclose(op, t.conj().T @ brute @ t, atol=1e-12)
+        terms = [(2, 3, random_spec(rng, 2, (2,), unit_norm=False).terms[2])]
+        # Hermitian but not slot-symmetric: assembly sums each multiset orbit
+        for d, n, m in ((2, 4, 2), (3, 3, 2), (2, 4, 3), (3, 3, 3)):
+            v = oracles.rand_herm(rng, d**m)
+            assert np.max(np.abs(v - slot_symmetrize(v, d, m))) > 0.1
+            terms.append((d, n, PotentialTerm(m, v)))
+        for d, n, term in terms:
+            basis = enumerate_basis(d, n)
+            op = build_symmetric_operator(term, basis, 1.0)
+            t = oracles.symmetric_isometry(basis)
+            brute = np.zeros((d**n, d**n), dtype=complex)
+            for sites in itertools.combinations(range(n), term.order):
+                brute += oracles.embed_brute(term.matrix, sites, d, n)
+            np.testing.assert_allclose(op, t.conj().T @ brute @ t, atol=1e-12)
 
     def test_order_exceeding_particle_number_rejected(self):
         basis = enumerate_basis(2, 2)
@@ -156,11 +162,11 @@ class TestBuildSymmetricOperator:
             build_symmetric_operator(PotentialTerm(2, np.eye(4)), basis, 1.0)
 
     def test_triple_byte_budget_refuses_before_assembly(self):
-        basis = enumerate_basis(4, 60)  # 39711 states; order 3 gives d^6 = 4096 pairs
-        nbytes = 64 * basis.size * 4**6
+        basis = enumerate_basis(4, 60)  # 39711 states; order 4 gives C(7, 4)^2 = 1225 pairs
+        nbytes = 64 * basis.size * math.comb(7, 4) ** 2
         assert nbytes > MAX_TRIPLE_BYTES
         with pytest.raises(ValueError, match=f"{nbytes} bytes"):
-            build_symmetric_operator(PotentialTerm(3, np.eye(64)), basis, 1.0)
+            build_symmetric_operator(PotentialTerm(4, np.eye(256)), basis, 1.0)
 
 
 class TestBuildHamiltonian:
@@ -241,18 +247,18 @@ class TestRdm:
         from bosonlab import evolve_exact
 
         rng = substream(17, "rdm")
-        d, n = 2, 4
-        spec = random_spec(rng, d, (1, 2), unit_norm=False)
-        h = build_hamiltonian(spec, n)
-        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        phi /= np.linalg.norm(phi)
-        state = evolve_exact(h, embed_product_state(phi, n), [0.9])[0]
-        t = oracles.symmetric_isometry(state.basis)
-        full = t @ state.amplitudes
-        rho = np.outer(full, full.conj())
-        for k in (1, 2):
-            expected = oracles.trace_out_last(rho, d, n, n - k)
-            np.testing.assert_allclose(rdm(state, k).matrix, expected, atol=1e-12)
+        for d, n, ks in ((2, 4, (1, 2)), (3, 4, (1, 2, 3)), (4, 3, (2,))):
+            spec = random_spec(rng, d, (1, 2), unit_norm=False)
+            h = build_hamiltonian(spec, n)
+            phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            phi /= np.linalg.norm(phi)
+            state = evolve_exact(h, embed_product_state(phi, n), [0.9])[0]
+            t = oracles.symmetric_isometry(state.basis)
+            full = t @ state.amplitudes
+            rho = np.outer(full, full.conj())
+            for k in ks:
+                expected = oracles.trace_out_last(rho, d, n, n - k)
+                np.testing.assert_allclose(rdm(state, k).matrix, expected, atol=1e-12)
 
     def test_output_is_valid_density_matrix(self, rng):
         basis = enumerate_basis(2, 6)
