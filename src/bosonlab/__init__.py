@@ -16,15 +16,13 @@ from .bounds import (
     trace_distance,
 )
 from .exact_dynamics import (
-    FULL_SPACE_GUARD,
-    FullSpaceState,
+    MAX_DENSE_BYTES,
     ObservableOnSubset,
     bbgky_rhs,
     commutator_growth,
     correlation_gap,
     evolve_exact,
     fullspace_build,
-    fullspace_evolve,
 )
 from .experiments import (
     ConfigError,
@@ -76,11 +74,10 @@ __all__ = [
     "ConfigError",
     "DensityMatrix",
     "ExperimentConfig",
-    "FULL_SPACE_GUARD",
-    "FullSpaceState",
     "HamiltonianSpec",
     "HartreeTrajectory",
     "MAX_BASIS_SIZE",
+    "MAX_DENSE_BYTES",
     "ObservableOnSubset",
     "OccupationBasis",
     "PotentialTerm",
@@ -99,7 +96,6 @@ __all__ = [
     "enumerate_basis",
     "evolve_exact",
     "fullspace_build",
-    "fullspace_evolve",
     "hartree_evolve",
     "hartree_rhs",
     "load_config",

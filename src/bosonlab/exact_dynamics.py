@@ -4,8 +4,8 @@ measurements, and the reduced-density-matrix hierarchy right-hand side.
 Symmetric-sector propagation applies truncated Taylor series of exp(-iHt)
 to the state, with sparse matrix-vector products only.  The full-space
 builders exist as a brute-force cross-check of the symmetric-subspace
-machinery: they diagonalize once per time grid (dense eigh) and refuse to
-run past d^N = 2^14.
+machinery: they diagonalize once per time grid (dense eigh) and refuse a
+dimension whose dense matrices would exceed MAX_DENSE_BYTES.
 """
 
 import math
@@ -16,9 +16,11 @@ import numpy as np
 
 from ._tensor import embed_on_sites, partial_trace_last
 from .operators import operator_norm
-from .symmetric_space import SparseHermitian, SymmetricState, rdm
+from .symmetric_space import SparseHermitian, SymmetricState
 
-FULL_SPACE_GUARD = 2**14
+# The full-space path refuses a dimension whose dense matrices would pass
+# MAX_DENSE_BYTES at their peak (see _dense_peak_bytes).
+MAX_DENSE_BYTES = 2**32
 
 # Taylor degree m and theta_m: the largest ||A||_1 * tau at which the degree-m
 # series of exp(tau A) has backward error below 2^-53 (Al-Mohy & Higham,
@@ -72,27 +74,6 @@ class ObservableOnSubset:
         mat.setflags(write=False)
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True, eq=False)
-class FullSpaceState:
-    """Unit vector on the full d^N tensor-product space."""
-
-    d: int
-    n_particles: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != self.d**self.n_particles:
-            raise ValueError(
-                f"amplitude length {amps.size} is not d^N = {self.d**self.n_particles}"
-            )
-        dev = abs(np.linalg.norm(amps) - 1.0)
-        if not dev <= 1e-10:
-            raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
 
 def evolve_exact(hamiltonian, state, times):
@@ -152,13 +133,22 @@ def _taylor_series(h, mu, psi, tau):
     return total
 
 
+def _dense_peak_bytes(dim):
+    # commutator_growth holds at most 9 dense D x D complex128 matrices at
+    # once (tracemalloc peak / 16 D^2 = 9.00 at d = 2, N = 9, 10, 11)
+    return 9 * 16 * dim * dim
+
+
 def _guard_dimension(d, n_particles):
     dim = d**n_particles
-    if dim > FULL_SPACE_GUARD:
-        max_n = int(math.floor(math.log(FULL_SPACE_GUARD) / math.log(d))) if d > 1 else n_particles
+    if _dense_peak_bytes(dim) > MAX_DENSE_BYTES:
+        max_n = 0
+        while _dense_peak_bytes(d ** (max_n + 1)) <= MAX_DENSE_BYTES:
+            max_n += 1
         raise ValueError(
-            f"full-space dimension {d}^{n_particles} = {dim} exceeds the dense guard "
-            f"{FULL_SPACE_GUARD}; largest workable N for d={d} is {max_n}"
+            f"full-space dimension {d}^{n_particles} = {dim} would hold "
+            f"{_dense_peak_bytes(dim)} bytes of dense matrices (> {MAX_DENSE_BYTES}); "
+            f"largest workable N for d={d} is {max_n}"
         )
     return dim
 
@@ -171,27 +161,11 @@ def fullspace_build(spec, n_particles):
     for m in spec.present_orders:
         if m > n_particles:
             raise ValueError("interaction order exceeds particle number")
-        prefactor = 1.0 if m == 1 else float(n_particles) ** (1 - m)
+        prefactor = float(n_particles) ** (1 - m)
         vmat = spec.terms[m].matrix
         for sites in combinations(range(n_particles), m):
             h += prefactor * embed_on_sites(vmat, sites, d, n_particles)
     return (h + h.conj().T) / 2
-
-
-def fullspace_evolve(hamiltonian, state, times):
-    """Full-space analogue of :func:`evolve_exact`."""
-    h = np.asarray(hamiltonian)
-    dim = state.d**state.n_particles
-    if h.shape != (dim, dim):
-        raise ValueError(f"Hamiltonian shape {h.shape} does not match dimension {dim}")
-    _check_hermitian(h, "Hamiltonian")
-    t = _check_times(times)
-    w, v = np.linalg.eigh(h)
-    coeff = v.conj().T @ state.amplitudes
-    return [
-        FullSpaceState(state.d, state.n_particles, v @ (np.exp(-1j * w * ti) * coeff))
-        for ti in t
-    ]
 
 
 def commutator_growth(spec, n_particles, obs_a, obs_b, times):
@@ -226,73 +200,62 @@ def commutator_growth(spec, n_particles, obs_a, obs_b, times):
     return out
 
 
-def correlation_gap(state, m, n, a_matrix, b_matrix):
-    """|tr((A (x) B) (gamma^(m+n) - gamma^(m) (x) gamma^(n)))| for a symmetric state.
+def _check_rdm(gamma, order, d):
+    if gamma.order != order or gamma.d != d:
+        raise ValueError(
+            f"expected an RDM of order {order} (d={d}), got order {gamma.order} (d={gamma.d})"
+        )
 
-    Equal, by the definition of the RDMs, to the product-expectation gap
-    |<A B> - <A><B>| with A on the first m particles and B on the next n.
+
+def correlation_gap(gamma, m, n, a_matrix, b_matrix):
+    """|tr((A (x) B) (gamma^(m+n) - gamma^(m) (x) gamma^(n)))| from the
+    order-(m+n) RDM ``gamma`` of a symmetric state.
+
+    gamma^(m) and gamma^(n) are its marginals.  Equal, by the definition of
+    the RDMs, to the product-expectation gap |<A B> - <A><B>| with A on the
+    first m particles and B on the next n.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    basis = state.basis
-    if m + n > basis.n_particles:
-        raise ValueError("m + n exceeds the particle number")
-    d = basis.d
+    d = gamma.d
+    _check_rdm(gamma, m + n, d)
     a = np.asarray(a_matrix, dtype=np.complex128)
     b = np.asarray(b_matrix, dtype=np.complex128)
     if a.shape != (d**m, d**m) or b.shape != (d**n, d**n):
         raise ValueError("observable dimensions do not match d^m / d^n")
-    g_mn = rdm(state, m + n).matrix
-    g_m = rdm(state, m).matrix
-    g_n = rdm(state, n).matrix
-    return float(abs(np.trace(np.kron(a, b) @ (g_mn - np.kron(g_m, g_n)))))
+    g_m = gamma.marginal(m).matrix
+    g_n = gamma.marginal(n).matrix
+    return float(abs(np.trace(np.kron(a, b) @ (gamma.matrix - np.kron(g_m, g_n)))))
 
 
-def _require_rdm(rdms, offset, order, d):
-    if offset not in rdms:
-        raise ValueError(f"missing reduced density matrix for offset {offset} (order {order})")
-    g = rdms[offset]
-    if g.order != order or g.d != d:
-        raise ValueError(
-            f"rdms[{offset}] has order {g.order} (d={g.d}); expected order {order} (d={d})"
-        )
-    return g.matrix
-
-
-def bbgky_rhs(spec, n_particles, k, rdms):
+def bbgky_rhs(spec, n_particles, k, gamma):
     """d(gamma^(k))/dt predicted by the finite-N hierarchy.
 
-    ``rdms`` maps the offset l to the order-(k+l) RDM, l = 0 .. max_order-1.
-    The order-m interaction enters with weight C(N-k, l)/N^(m-1) for each
-    way of placing m-l of its slots on the kept particles (the traced slots
-    are interchangeable, hence the binomial count), plus the plain one-body
-    commutator.  The result is the Hermitian, traceless matrix -i * (sum of
-    commutators).
+    ``gamma`` is the order-(k+M-1) RDM, M the highest order present in the
+    spec; the order-(k+l) RDMs the hierarchy couples to are its marginals.
+    The order-m term enters with weight C(N-k, l)/N^(m-1) for each way of
+    placing m-l of its slots on the kept particles and l on traced ones (the
+    traced slots are interchangeable, hence the binomial count); at m = 1
+    that is the plain one-body commutator.  The result is the Hermitian,
+    traceless matrix -i * (sum of commutators).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     d = spec.d
-    orders = spec.present_orders
-    max_present = max(orders, default=1)
+    max_present = max(spec.present_orders, default=1)
     if k + max_present - 1 > n_particles:
         raise ValueError(
             f"hierarchy needs RDM order k + {max_present - 1} = {k + max_present - 1}"
             f" > N = {n_particles}"
         )
+    _check_rdm(gamma, k + max_present - 1, d)
     dim_k = d**k
-    gamma_k = _require_rdm(rdms, 0, k, d)
     acc = np.zeros((dim_k, dim_k), dtype=np.complex128)
-    one_body = spec.terms.get(1)
-    if one_body is not None:
-        h1 = np.zeros((dim_k, dim_k), dtype=np.complex128)
-        for j in range(k):
-            h1 += embed_on_sites(one_body.matrix, (j,), d, k)
-        acc += h1 @ gamma_k - gamma_k @ h1
-    for m in spec.interaction_orders:
+    for m in spec.present_orders:
         vmat = spec.terms[m].matrix
         prefactor = float(n_particles) ** (1 - m)
         for offset in range(max(0, m - k), m):
-            g = _require_rdm(rdms, offset, k + offset, d)
+            g = gamma.marginal(k + offset).matrix
             coeff = math.comb(n_particles - k, offset) * prefactor
             block = np.zeros((dim_k, dim_k), dtype=np.complex128)
             for kept in combinations(range(k), m - offset):

@@ -28,7 +28,7 @@ from .bounds import (
     telescoping_residual,
 )
 from .exact_dynamics import ObservableOnSubset, bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
-from .hartree import DensityMatrix, hartree_evolve, pure_state_density
+from .hartree import hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, PotentialTerm, _substream, bound_constants, operator_norm, vtilde
 from .symmetric_space import build_hamiltonian, embed_product_state, rdm
 
@@ -393,9 +393,10 @@ def run_corr(config):
     mean_by_time = {i: [] for i in range(len(config.time_grid))}
     for n_particles, states in _exact_trajectories(config, config.time_grid):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
+            gamma = rdm(state, m + n)
             sample_lhs = []
             for s, (a, b) in enumerate(samples):
-                lhs = correlation_gap(state, m, n, a, b)
+                lhs = correlation_gap(gamma, m, n, a, b)
                 rhs = correlation_gap_bound(
                     m, n, operator_norm(a), operator_norm(b), consts, n_particles, t
                 )
@@ -419,34 +420,43 @@ def run_corr(config):
 
 
 def run_bbgky(config):
-    """Finite-difference residuals of the hierarchy RHS, plus telescoping rows."""
+    """Finite-difference residuals of the hierarchy RHS, plus telescoping rows.
+
+    Each needed time gets one rdm, at the highest order any row at that time
+    reads; every lower order is a marginal of it."""
     spec = config.spec
     dt = config.bbgky_dt
     max_present = max(spec.present_orders, default=1)
+    k_max = max(config.k_values)
     gamma0 = pure_state_density(config.initial_phi)
     traj = hartree_evolve(gamma0, spec, config.time_grid, config.integrator_tol)
     rows = []
     fd_times = [t for t in config.time_grid if t >= dt]
-    needed = list(config.time_grid)
+    # highest RDM order the residual rows read at each needed time
+    fd_order = dict.fromkeys(config.time_grid, 0)
     for t in fd_times:
-        needed.extend((t - dt, t - dt / 2, t + dt / 2, t + dt))
-    needed = sorted(set(needed))
+        for s in (t - dt, t - dt / 2, t + dt / 2, t + dt):
+            fd_order[s] = max(fd_order.get(s, 0), k_max)
+        fd_order[t] = k_max + max_present - 1
+    needed = sorted(fd_order)
     for n_particles, states in _exact_trajectories(config, needed):
-        states = dict(zip(needed, states))
         for k in config.k_values:
             if k + max_present - 1 > n_particles:
                 raise ValueError(
                     f"k_values entry {k} needs RDM order {k + max_present - 1} > N = {n_particles}"
                 )
+        telescope = [m_tel for m_tel in config.telescope_orders if m_tel + 1 <= n_particles]
+        top = dict(fd_order)
+        for t in config.time_grid:
+            top[t] = max([top[t]] + [m_tel + 1 for m_tel in telescope])
+        gammas = {t: rdm(state, top[t]) for t, state in zip(needed, states) if top[t]}
+        for k in config.k_values:
             for t in fd_times:
-                rdms_t = {
-                    offset: rdm(states[t], k + offset) for offset in range(max_present)
-                }
-                rhs = bbgky_rhs(spec, n_particles, k, rdms_t)
+                rhs = bbgky_rhs(spec, n_particles, k, gammas[t].marginal(k + max_present - 1))
                 residuals = []
                 for step in (dt, dt / 2):
                     fd = (
-                        rdm(states[t + step], k).matrix - rdm(states[t - step], k).matrix
+                        gammas[t + step].marginal(k).matrix - gammas[t - step].marginal(k).matrix
                     ) / (2 * step)
                     residuals.append(float(np.max(np.abs(fd - rhs))))
                     rows.append(
@@ -476,15 +486,10 @@ def run_bbgky(config):
                         "value": order,
                     }
                 )
-        unit = DensityMatrix(0, spec.d, np.array([[1.0 + 0.0j]]))
-        for m_tel in config.telescope_orders:
-            if m_tel + 1 > n_particles:
-                continue
+        for m_tel in telescope:
             for i, t in enumerate(config.time_grid):
-                exact = {0: unit}
-                for order in range(1, m_tel + 2):
-                    exact[order] = rdm(states[t], order)
-                value = telescoping_residual(exact, traj.states[i], m_tel)
+                family = {order: gammas[t].marginal(order) for order in range(m_tel + 2)}
+                value = telescoping_residual(family, traj.states[i], m_tel)
                 rows.append(
                     {
                         "config_hash": config.config_hash,

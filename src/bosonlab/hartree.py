@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tensor import tensor_power
+from ._tensor import partial_trace_last, tensor_power
 
 DENSITY_ATOL = 1e-10
 
@@ -72,6 +72,17 @@ class DensityMatrix:
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.matrix)
 
+    def marginal(self, order):
+        """The order-``order`` reduced density matrix, tracing the trailing
+        slots.  For a slot-symmetric matrix, such as every ``rdm`` output,
+        this is the lower-order RDM of the same state."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"marginal order {order} is not in [0, {self.order}]")
+        if order == self.order:
+            return self
+        traced = partial_trace_last(self.matrix, self.d, self.order, self.order - order)
+        return DensityMatrix(order, self.d, traced, atol=self.atol)
+
     def purity(self):
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
@@ -93,10 +104,7 @@ def pure_state_density(phi, atol=DENSITY_ATOL):
 def _mean_field_h(gmat, spec):
     d = spec.d
     h = np.zeros((d, d), dtype=np.complex128)
-    one_body = spec.terms.get(1)
-    if one_body is not None:
-        h = h + one_body.matrix
-    for m in spec.interaction_orders:
+    for m in spec.present_orders:
         rest = d ** (m - 1)
         v4 = spec.terms[m].matrix.reshape(d, rest, d, rest)
         gp = tensor_power(gmat, m - 1)
@@ -124,10 +132,7 @@ def mean_field_energy(gamma, spec):
         raise ValueError("gamma must be an order-1 density matrix matching spec.d")
     g = gamma.matrix
     e = 0.0 + 0.0j
-    one_body = spec.terms.get(1)
-    if one_body is not None:
-        e += np.trace(one_body.matrix @ g)
-    for m in spec.interaction_orders:
+    for m in spec.present_orders:
         e += np.trace(spec.terms[m].matrix @ tensor_power(g, m)) / math.factorial(m)
     return float(e.real)
 

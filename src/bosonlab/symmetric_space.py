@@ -129,24 +129,24 @@ class SymmetricState:
 def embed_product_state(phi, n_particles):
     """The N-fold product of a single-particle state, in occupation coordinates.
 
-    Amplitude on (n_1 .. n_d) is sqrt(N!/prod n_i!) * prod phi_i^{n_i};
-    multinomials are computed as exact integers before the square root.
+    Amplitude on (n_1 .. n_d) is sqrt(N!/prod n_i!) * prod phi_i^{n_i}.  The
+    magnitude is taken in log space, 0.5 (lgamma(N+1) - sum lgamma(n_i+1)) +
+    sum n_i log|phi_i|, and the phase prod (phi_i/|phi_i|)^{n_i} apart, so no
+    multinomial overflows at large N; a zero phi_i with n_i > 0 gives 0.
     """
     v = np.asarray(phi, dtype=np.complex128).reshape(-1)
     dev = abs(np.linalg.norm(v) - 1.0)
     if not dev <= 1e-10:
         raise ValueError(f"phi norm deviates from 1 by {dev:.3e}")
     basis = enumerate_basis(v.size, n_particles)
-    sqrt_mult = np.empty(basis.size, dtype=np.float64)
-    for i, occ in enumerate(basis.vectors):
-        mult = 1
-        running = 0
-        for n in occ:
-            running += int(n)
-            mult *= math.comb(running, int(n))
-        sqrt_mult[i] = math.sqrt(mult)
-    amps = sqrt_mult * np.prod(v[None, :] ** basis.vectors, axis=1)
-    return SymmetricState(basis, amps)
+    occ = basis.vectors
+    log_factorial = np.array([math.lgamma(q + 1) for q in range(n_particles + 1)])
+    magnitude = np.abs(v)
+    nonzero = magnitude > 0
+    log_amp = 0.5 * (log_factorial[n_particles] - log_factorial[occ].sum(axis=1))
+    log_amp += occ[:, nonzero] @ np.log(magnitude[nonzero])
+    log_amp[occ[:, ~nonzero].any(axis=1)] = -np.inf
+    return SymmetricState(basis, np.exp(log_amp) * np.exp(1j * (occ @ np.angle(v))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +283,8 @@ def build_hamiltonian(spec, n_particles, basis=None):
         basis = enumerate_basis(spec.d, n_particles)
     elif basis.d != spec.d or basis.n_particles != n_particles:
         raise ValueError("basis does not match spec / particle number")
-    prefactors = {m: 1.0 if m == 1 else float(n_particles) ** (1 - m) for m in spec.present_orders}
-    return _assemble(basis, [(spec.terms[m], pre) for m, pre in prefactors.items()])
+    weighted = [(spec.terms[m], float(n_particles) ** (1 - m)) for m in spec.present_orders]
+    return _assemble(basis, weighted)
 
 
 def rdm(state, k):

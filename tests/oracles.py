@@ -8,6 +8,7 @@ internals it checks.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,6 +117,42 @@ def hamiltonian_brute(spec, n_particles):
         for sites in itertools.combinations(range(n_particles), m):
             h += pre * embed_brute(spec.terms[m].matrix, sites, d, n_particles)
     return h
+
+
+@dataclass(frozen=True, eq=False)
+class FullSpaceState:
+    """Unit vector on the full d^N tensor-product space."""
+
+    d: int
+    n_particles: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
+        if amps.size != self.d**self.n_particles:
+            raise ValueError(
+                f"amplitude length {amps.size} is not d^N = {self.d**self.n_particles}"
+            )
+        dev = abs(np.linalg.norm(amps) - 1.0)
+        if not dev <= 1e-10:
+            raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
+        object.__setattr__(self, "amplitudes", amps)
+
+
+def fullspace_evolve(hamiltonian, state, times):
+    """exp(-iHt) on a full-space state at each time, by one dense eigh."""
+    h = np.asarray(hamiltonian)
+    dim = state.d**state.n_particles
+    if h.shape != (dim, dim):
+        raise ValueError(f"Hamiltonian shape {h.shape} does not match dimension {dim}")
+    if not np.max(np.abs(h - h.conj().T)) <= 1e-12:
+        raise ValueError("Hamiltonian is not Hermitian")
+    w, v = np.linalg.eigh(h)
+    coeff = v.conj().T @ state.amplitudes
+    return [
+        FullSpaceState(state.d, state.n_particles, v @ (np.exp(-1j * w * t) * coeff))
+        for t in times
+    ]
 
 
 def coefficient_l1(matrix, d, m):

@@ -17,7 +17,6 @@ import pytest
 
 from bosonlab import (
     DensityMatrix,
-    FullSpaceState,
     HamiltonianSpec,
     ObservableOnSubset,
     PotentialTerm,
@@ -32,7 +31,6 @@ from bosonlab import (
     enumerate_basis,
     evolve_exact,
     fullspace_build,
-    fullspace_evolve,
     hartree_evolve,
     hartree_rhs,
     mean_field_error_bound,
@@ -49,6 +47,7 @@ from bosonlab.experiments import _fit_slope, random_unit_hermitian
 
 from .conftest import SX, SZ, random_spec, substream
 from . import oracles
+from .oracles import FullSpaceState, fullspace_evolve
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GRID = tuple(i / 10 for i in range(11))  # 0.0, 0.1, ..., 1.0
@@ -230,7 +229,7 @@ def test_correlation_decay_rate_and_bound(pinned_data):
         b = random_unit_hermitian(substream(2026, "accept-corr-b", s), 2)
         for n, states in states_by_n.items():
             for i, t in enumerate(GRID):
-                lhs = correlation_gap(states[i], 1, 1, a, b)
+                lhs = correlation_gap(rdm(states[i], 2), 1, 1, a, b)
                 rhs = correlation_gap_bound(
                     1, 1, operator_norm(a), operator_norm(b), consts, n, t
                 )
@@ -240,7 +239,7 @@ def test_correlation_decay_rate_and_bound(pinned_data):
     slopes = {}
     for label, obs in (("zz", SZ), ("xx", SX)):
         pts = [
-            (n, correlation_gap(states[GRID.index(1.0)], 1, 1, obs, obs))
+            (n, correlation_gap(rdm(states[GRID.index(1.0)], 2), 1, 1, obs, obs))
             for n, states in states_by_n.items()
         ]
         slopes[label] = _fit_slope(*zip(*pts))
@@ -306,8 +305,7 @@ def test_hierarchy_rhs_second_order_accuracy():
     )
     orders = {}
     for k in (1, 2):
-        rdms = {offset: rdm(states[2], k + offset) for offset in range(3)}
-        rhs = bbgky_rhs(spec, n_particles, k, rdms)
+        rhs = bbgky_rhs(spec, n_particles, k, rdm(states[2], k + 2))
         residuals = []
         for lo, hi, step in ((0, 4, dt), (1, 3, dt / 2)):
             fd = (rdm(states[hi], k).matrix - rdm(states[lo], k).matrix) / (2 * step)

@@ -114,6 +114,18 @@ def test_huge_time_refused_before_integrating(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_large_n_product_state_runs_without_traceback(tmp_path):
+    # N = 2048 at d = 2: the multinomial sqrt(N!/prod n_i!) overflows a float
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "converge.json"
+    cfg = json.loads(shipped.read_text())
+    cfg.update(n_values=[2048], output_path=str(tmp_path / "out.csv"))
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(cfg))
+    out = run_module("converge", "--config", str(path), timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_violation_rows_exit_two(config_file, capsys, monkeypatch):
     def fake_runner(config):
         return [{"config_hash": config.config_hash, "kind": "point", "violation": 1}]

@@ -1,12 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bosonlab import (
     DensityMatrix,
-    FullSpaceState,
     HamiltonianSpec,
     ObservableOnSubset,
     PotentialTerm,
@@ -18,13 +18,14 @@ from bosonlab import (
     enumerate_basis,
     evolve_exact,
     fullspace_build,
-    fullspace_evolve,
     rdm,
 )
+from bosonlab import exact_dynamics
 from bosonlab.exact_dynamics import MAX_SUBSTEPS
 
 from .conftest import SX, SZ, random_spec, substream
 from . import oracles
+from .oracles import FullSpaceState, fullspace_evolve
 
 
 def _unit_phi(rng, d):
@@ -171,6 +172,19 @@ class TestFullSpace:
         with pytest.raises(ValueError, match="largest workable N"):
             fullspace_build(spec, 20)
 
+    def test_guard_is_stated_in_dense_bytes(self, rng):
+        # 9 dense 2^13 x 2^13 complex matrices would take 9 GiB > MAX_DENSE_BYTES
+        spec = random_spec(rng, 2, (1,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="largest workable N for d=2 is 12"):
+                fullspace_build(spec, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert exact_dynamics._guard_dimension(2, 12) == 2**12
+
     def test_evolve_time_zero(self, rng):
         spec = random_spec(rng, 2, (1, 2))
         h = fullspace_build(spec, 3)
@@ -269,14 +283,14 @@ class TestCorrelationGap:
         state = embed_product_state(_unit_phi(rng, 2), 5)
         a = oracles.rand_unit_herm(rng, 2)
         b = oracles.rand_unit_herm(rng, 2)
-        assert correlation_gap(state, 1, 1, a, b) == pytest.approx(0.0, abs=1e-12)
+        assert correlation_gap(rdm(state, 2), 1, 1, a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_observable_gives_zero(self, rng):
         spec = random_spec(rng, 2, (1, 2))
         state0 = embed_product_state(_unit_phi(rng, 2), 5)
         state = evolve_exact(build_hamiltonian(spec, 5), state0, [1.0])[0]
         b = oracles.rand_unit_herm(rng, 2)
-        assert correlation_gap(state, 1, 1, np.eye(2), b) == pytest.approx(0.0, abs=1e-11)
+        assert correlation_gap(rdm(state, 2), 1, 1, np.eye(2), b) == pytest.approx(0.0, abs=1e-11)
 
     def test_bounded_by_gap_envelope(self):
         from bosonlab import bound_constants, correlation_gap_bound, vtilde
@@ -290,27 +304,29 @@ class TestCorrelationGap:
         a = oracles.rand_unit_herm(rng, 2)
         b = oracles.rand_unit_herm(rng, 2)
         for t, state in zip([0.0, 0.5, 1.0], evolve_exact(h, state0, [0.0, 0.5, 1.0])):
-            lhs = correlation_gap(state, 1, 1, a, b)
+            lhs = correlation_gap(rdm(state, 2), 1, 1, a, b)
             assert lhs <= correlation_gap_bound(1, 1, 1.0, 1.0, consts, n, t) + 1e-9
+
+    def test_wrong_order_rdm_rejected(self, rng):
+        state = embed_product_state(_unit_phi(rng, 2), 4)
+        with pytest.raises(ValueError, match="order 2"):
+            correlation_gap(rdm(state, 3), 1, 1, np.eye(2), np.eye(2))
 
     def test_subset_sizes_validated(self, rng):
         state = embed_product_state(_unit_phi(rng, 2), 3)
         with pytest.raises(ValueError, match="exceeds"):
-            correlation_gap(state, 2, 2, np.eye(4), np.eye(4))
+            correlation_gap(rdm(state, 4), 2, 2, np.eye(4), np.eye(4))
         with pytest.raises(ValueError):
-            correlation_gap(state, 0, 1, np.eye(1), np.eye(2))
+            correlation_gap(rdm(state, 1), 0, 1, np.eye(1), np.eye(2))
 
 
 class TestBbgkyRhs:
-    def _rdm_family(self, state, k, n_offsets):
-        return {offset: rdm(state, k + offset) for offset in range(n_offsets)}
-
     def test_single_particle_only_reduces_to_commutator(self, rng):
         spec = random_spec(rng, 2, (1,), unit_norm=False)
         state = embed_product_state(_unit_phi(rng, 2), 4)
         k = 2
         gamma = rdm(state, k)
-        out = bbgky_rhs(spec, 4, k, {0: gamma})
+        out = bbgky_rhs(spec, 4, k, gamma)
         v1 = spec.terms[1].matrix
         h = np.kron(v1, np.eye(2)) + np.kron(np.eye(2), v1)
         expected = -1j * (h @ gamma.matrix - gamma.matrix @ h)
@@ -320,7 +336,7 @@ class TestBbgkyRhs:
         spec = random_spec(rng, 2, (1, 2, 3), unit_norm=False)
         state0 = embed_product_state(_unit_phi(rng, 2), 5)
         state = evolve_exact(build_hamiltonian(spec, 5), state0, [0.6])[0]
-        out = bbgky_rhs(spec, 5, 1, self._rdm_family(state, 1, 3))
+        out = bbgky_rhs(spec, 5, 1, rdm(state, 3))
         assert abs(np.trace(out)) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -332,24 +348,18 @@ class TestBbgkyRhs:
         state0 = embed_product_state(_unit_phi(rng, d), n)
         times = [t - dt, t, t + dt]
         back, mid, fwd = evolve_exact(h, state0, times)
-        rhs = bbgky_rhs(spec, n, k, self._rdm_family(mid, k, 3))
+        rhs = bbgky_rhs(spec, n, k, rdm(mid, k + 2))
         fd = (rdm(fwd, k).matrix - rdm(back, k).matrix) / (2 * dt)
         assert np.max(np.abs(fd - rhs)) < 50 * dt**2
-
-    def test_missing_rdm_rejected(self, rng):
-        spec = random_spec(rng, 2, (1, 2))
-        state = embed_product_state(_unit_phi(rng, 2), 4)
-        with pytest.raises(ValueError, match="missing reduced density matrix"):
-            bbgky_rhs(spec, 4, 1, {0: rdm(state, 1)})
 
     def test_wrong_order_rdm_rejected(self, rng):
         spec = random_spec(rng, 2, (1, 2))
         state = embed_product_state(_unit_phi(rng, 2), 4)
         with pytest.raises(ValueError, match="order"):
-            bbgky_rhs(spec, 4, 1, {0: rdm(state, 1), 1: rdm(state, 3)})
+            bbgky_rhs(spec, 4, 1, rdm(state, 3))
 
     def test_hierarchy_depth_guard(self, rng):
         spec = random_spec(rng, 2, (1, 2, 3))
         state = embed_product_state(_unit_phi(rng, 2), 3)
         with pytest.raises(ValueError, match="N"):
-            bbgky_rhs(spec, 3, 2, self._rdm_family(state, 2, 2))
+            bbgky_rhs(spec, 3, 2, rdm(state, 3))

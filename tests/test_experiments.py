@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from bosonlab import __version__, bound_constants, mean_field_error_bound, vtilde
+from bosonlab import __version__, bound_constants, experiments, mean_field_error_bound, rdm, vtilde
 from bosonlab.experiments import (
     VERSION,
     ConfigError,
@@ -46,6 +46,19 @@ def base_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def _count_rdm_orders(monkeypatch):
+    """Route the runners' rdm calls through a wrapper; returns the list of
+    requested orders, one entry per call."""
+    orders = []
+
+    def counting(state, k):
+        orders.append(k)
+        return rdm(state, k)
+
+    monkeypatch.setattr(experiments, "rdm", counting)
+    return orders
 
 
 def _with_nan_entry(pairs):
@@ -241,6 +254,14 @@ class TestCorrRunner:
             if r["t"] == 0.0:  # product state carries no correlations
                 assert r["lhs"] < 1e-12
 
+    def test_one_rdm_per_state(self, monkeypatch):
+        orders = _count_rdm_orders(monkeypatch)
+        config = config_from_dict(
+            base_config(scenario="corr", n_values=[4, 8], time_grid=[0.0, 0.5], n_samples=3)
+        )
+        run_corr(config)
+        assert orders == [2] * 4  # one order-(m+n) RDM per (N, t)
+
 
 class TestBbgkyRunner:
     def test_residual_order_and_telescope(self):
@@ -264,6 +285,23 @@ class TestBbgkyRunner:
         assert len(telescopes) == 2  # both grid times
         for r in telescopes:
             assert r["value"] < 1e-12
+
+    def test_one_rdm_per_needed_time(self, monkeypatch):
+        orders = _count_rdm_orders(monkeypatch)
+        config = config_from_dict(
+            base_config(
+                scenario="bbgky",
+                n_values=[4, 5],
+                time_grid=[0.0, 0.4],
+                k_values=[1, 2],
+                telescope_orders=[1, 2],
+            )
+        )
+        run_bbgky(config)
+        # per N, in time order: t = 0 (telescope m = 2 reads order 3), the
+        # stencil 0.4 - dt, 0.4 - dt/2 (order k = 2), t = 0.4 (k + M - 1 = 3)
+        # and the stencil 0.4 + dt/2, 0.4 + dt
+        assert orders == [3, 2, 2, 3, 2, 2] * 2
 
 
 class TestBoundsRunner:

@@ -51,6 +51,18 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(2, 2, oracles.rand_density(rng, 3))
 
+    def test_marginal_of_product_is_first_factor(self, rng):
+        a, b = oracles.rand_density(rng, 3), oracles.rand_density(rng, 3)
+        gamma = DensityMatrix(2, 3, np.kron(a, b))
+        np.testing.assert_allclose(gamma.marginal(1).matrix, a, atol=1e-14)
+        assert gamma.marginal(0).order == 0
+
+    def test_marginal_order_out_of_range_rejected(self):
+        gamma = DensityMatrix(2, 2, np.eye(4) / 4)
+        for order in (-1, 3):
+            with pytest.raises(ValueError, match="marginal order"):
+                gamma.marginal(order)
+
     def test_unnormalized_phi_rejected(self):
         with pytest.raises(ValueError):
             pure_state_density(np.array([1.0, 1.0]))

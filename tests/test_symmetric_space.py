@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -102,6 +104,38 @@ class TestEmbedProductState:
         phi /= np.linalg.norm(phi)
         state = embed_product_state(phi, 6)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+    def test_large_n_matches_exact_multinomials(self):
+        # sqrt(N!/prod n_i!) alone overflows a float from N = 1030 at d = 2
+        n, theta, alpha = 4096, 0.7, 1.3
+        phi = np.array([math.cos(theta), math.sin(theta) * np.exp(1j * alpha)])
+        state = embed_product_state(phi, n)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
+        peak = round(n * math.cos(theta) ** 2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for n1 in (peak - 150, peak, peak + 40):
+                magnitude = (
+                    Decimal(math.comb(n, n1)).sqrt()
+                    * Decimal(math.cos(theta)) ** n1
+                    * Decimal(math.sin(theta)) ** (n - n1)
+                )
+                expected = float(magnitude) * np.exp(1j * alpha * (n - n1))
+                got = state.amplitudes[state.basis.index_of((n1, n - n1))]
+                assert abs(got - expected) <= 1e-10 * abs(expected)
+
+    def test_zero_component_gives_zero_amplitudes_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = embed_product_state(np.array([0.0, np.exp(0.3j)]), 4096)
+            small = embed_product_state(np.array([0.6, 0.0, 0.8j]), 7)
+        expected = np.zeros(4097, dtype=complex)
+        expected[-1] = np.exp(0.3j * 4096)  # occupation (0, N) comes last
+        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-10)
+        for occ, amp in zip(small.basis.vectors, small.amplitudes):
+            n1, n2, n3 = (int(q) for q in occ)
+            exact = 0.0 if n2 else math.sqrt(math.comb(7, n1)) * 0.6**n1 * (0.8j) ** n3
+            assert abs(amp - exact) <= 1e-14
 
     def test_unnormalized_phi_rejected(self):
         with pytest.raises(ValueError, match="norm deviates"):
@@ -268,6 +302,19 @@ class TestRdm:
         gamma = rdm(state, 2)
         assert np.trace(gamma.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(gamma.matrix).min() >= -1e-10
+
+    @pytest.mark.parametrize("d,n,k", [(2, 9, 4), (3, 24, 3), (4, 6, 3)])
+    def test_marginals_match_direct_rdm(self, d, n, k):
+        rng = substream(41, "marginal", d)
+        basis = enumerate_basis(d, n)
+        amps = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        state = SymmetricState(basis, amps / np.linalg.norm(amps))
+        top = rdm(state, k)
+        for order in range(1, k):
+            direct = rdm(state, order).matrix
+            assert np.max(np.abs(top.marginal(order).matrix - direct)) <= 1e-14
+        assert top.marginal(k) is top
+        np.testing.assert_allclose(top.marginal(0).matrix, [[1.0]], atol=1e-14)
 
     def test_k_bounds_enforced(self):
         state = embed_product_state(np.array([1.0, 0.0]), 3)
