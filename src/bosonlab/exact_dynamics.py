@@ -2,25 +2,31 @@
 measurements, and the reduced-density-matrix hierarchy right-hand side.
 
 Symmetric-sector propagation applies truncated Taylor series of exp(-iHt)
-to the state, with sparse matrix-vector products only.  The full-space
-builders exist as a brute-force cross-check of the symmetric-subspace
-machinery: they diagonalize once per time grid (dense eigh) and refuse a
-dimension whose dense matrices would exceed MAX_DENSE_BYTES.
+to the state, with sparse matrix-vector products only.  Commutator growth
+needs observables pinned to particles, so it leaves the symmetric sector: at
+d = 2 it splits the space into blocks by the total spin of the spectator
+particles, at other d it uses the full tensor space (``fullspace_build``,
+also the brute-force cross-check of the symmetric-sector machinery).  Each
+block is diagonalized once (dense eigh), and a call whose blocks would pass
+MAX_DENSE_BYTES or MAX_KERNEL_WORK is refused before anything is allocated.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from ._tensor import embed_on_sites, partial_trace_last
-from .operators import operator_norm
 from .symmetric_space import SparseHermitian, SymmetricState
 
-# The full-space path refuses a dimension whose dense matrices would pass
-# MAX_DENSE_BYTES at their peak (see _dense_peak_bytes).
+# commutator_growth refuses a call whose largest block's dense matrices
+# would pass MAX_DENSE_BYTES at their peak (see _dense_peak_bytes), or whose
+# sum over blocks of dim^3 x (1 + number of times) would pass MAX_KERNEL_WORK;
+# fullspace_build applies the byte limit to the full space.
 MAX_DENSE_BYTES = 2**32
+MAX_KERNEL_WORK = 2**38
+_LIVE_MATRICES = 8
 
 # Taylor degree m and theta_m: the largest ||A||_1 * tau at which the degree-m
 # series of exp(tau A) has backward error below 2^-53 (Al-Mohy & Higham,
@@ -134,21 +140,27 @@ def _taylor_series(h, mu, psi, tau):
 
 
 def _dense_peak_bytes(dim):
-    # commutator_growth holds at most 9 dense D x D complex128 matrices at
-    # once (tracemalloc peak / 16 D^2 = 9.00 at d = 2, N = 9, 10, 11)
-    return 9 * 16 * dim * dim
+    # commutator_growth holds at most _LIVE_MATRICES dense D x D complex128
+    # matrices of its largest block at once (tracemalloc peak / 16 D^2 = 7.18
+    # and 7.24 at d = 2, N = 60 and 40 with m + n = 2 and 3; 7.00 at d = 3, N = 7)
+    return _LIVE_MATRICES * 16 * dim * dim
+
+
+def _full_dim(d, n_particles):
+    # d^N with the exponent capped at 64: past that (d >= 2) every limit here
+    # refuses, and the exact power of a huge N may be too large to build
+    return d ** min(n_particles, 64)
 
 
 def _guard_dimension(d, n_particles):
-    dim = d**n_particles
+    dim = _full_dim(d, n_particles)
     if _dense_peak_bytes(dim) > MAX_DENSE_BYTES:
         max_n = 0
         while _dense_peak_bytes(d ** (max_n + 1)) <= MAX_DENSE_BYTES:
             max_n += 1
         raise ValueError(
-            f"full-space dimension {d}^{n_particles} = {dim} would hold "
-            f"{_dense_peak_bytes(dim)} bytes of dense matrices (> {MAX_DENSE_BYTES}); "
-            f"largest workable N for d={d} is {max_n}"
+            f"full-space dimension {d}^{n_particles} would hold more than "
+            f"{MAX_DENSE_BYTES} bytes of dense matrices; largest workable N for d={d} is {max_n}"
         )
     return dim
 
@@ -168,13 +180,144 @@ def fullspace_build(spec, n_particles):
     return (h + h.conj().T) / 2
 
 
+def _block_dims(d, n_particles, n_active):
+    """Dimensions of the blocks commutator_growth diagonalizes, largest
+    first: at d = 2 one per spectator spin S = K/2, K/2 - 1, ...
+    (K = N - n_active), 2^n_active (2S+1) each; else the full space."""
+    if d != 2:
+        return [_full_dim(d, n_particles)]
+    # a range: refusing a huge N allocates nothing
+    return range(2**n_active * (n_particles - n_active + 1), 0, -(2 ** (n_active + 1)))
+
+
+def _guard_blocks(d, n_particles, n_active, n_times):
+    """Refuse, before any allocation, a commutator_growth call whose largest
+    block passes MAX_DENSE_BYTES or whose eigh and per-time products pass
+    MAX_KERNEL_WORK."""
+
+    def fits(n):
+        dims = _block_dims(d, n, n_active)
+        # the work sum only runs once the bytes fit, which bounds the block count
+        return (
+            _dense_peak_bytes(dims[0]) <= MAX_DENSE_BYTES
+            and sum(dim**3 for dim in dims) * (1 + n_times) <= MAX_KERNEL_WORK
+        )
+
+    if not fits(n_particles):
+        max_n = n_active - 1
+        while fits(max_n + 1):
+            max_n += 1
+        raise ValueError(
+            f"commutator growth at N={n_particles} would pass MAX_DENSE_BYTES = "
+            f"{MAX_DENSE_BYTES} bytes of dense matrices or MAX_KERNEL_WORK = {MAX_KERNEL_WORK}"
+            f" (sum over blocks of dim^3 x (1 + times)); largest workable N for d={d}, "
+            f"m+n={n_active} and {n_times} times is {max_n}"
+        )
+
+
+def _collective_generators(n_spectators, size):
+    """E_ab = sum over spectators of |a><b| on the spin-S irrep, 2S+1 = size:
+    E_00 = K/2 + S_z, E_11 = K/2 - S_z, E_01 = S_+, E_10 = S_-, in the basis
+    S_z = S, S - 1, ..., -S."""
+    spin = (size - 1) / 2
+    m_z = spin - np.arange(size)
+    raising = np.diag(np.sqrt(spin * (spin + 1) - m_z[1:] * (m_z[1:] + 1)), 1)
+    half = n_spectators / 2
+    return ((np.diag(half + m_z), raising), (raising.T, np.diag(half - m_z)))
+
+
+def _normal_ordered(gens, gammas, deltas, memo):
+    """Sum over distinct ordered spectators j_1..j_s of prod_i |gamma_i><delta_i|
+    at j_i, by E^(s) = E^(s-1) E_{gamma_s delta_s} minus the coincident terms."""
+    key = (gammas, deltas)
+    if key not in memo:
+        if not gammas:
+            memo[key] = np.eye(gens[0][0].shape[0])
+        else:
+            g, dl = gammas[-1], deltas[-1]
+            out = _normal_ordered(gens, gammas[:-1], deltas[:-1], memo) @ gens[g][dl]
+            for i, di in enumerate(deltas[:-1]):
+                if di == g:
+                    moved = deltas[:i] + (dl,) + deltas[i + 1 : -1]
+                    out = out - _normal_ordered(gens, gammas[:-1], moved, memo)
+            memo[key] = out
+    return memo[key]
+
+
+def _spectator_operators(n_spectators, size, labels):
+    """The normal-ordered product for each (gammas, deltas) in labels, on the
+    spin-S irrep of n_spectators particles, 2S+1 = size."""
+    gens = _collective_generators(n_spectators, size)
+    memo = {}
+    return np.array([_normal_ordered(gens, g, dl, memo) for g, dl in labels])
+
+
+def _spin_block_hamiltonians(spec, n_particles, n_active):
+    """H restricted to each spin block at d = 2, largest S first.
+
+    The block space is (C^2)^(x n_active) (x) V_S: the active particles in
+    sorted label order, then the spin-S irrep of the K = N - n_active
+    spectators.  An order-m term with r slots on active particles and
+    s = m - r on spectators sums, over spectator subsets, to (1/s!) times the
+    normal-ordered product of collective generators; the slot symmetry of
+    validated terms makes the choice of slots immaterial.
+    """
+    k = n_particles - n_active
+    # spectator (gammas, deltas) -> operator on the active particles; starts
+    # from zero so that a spec without terms gives H = 0
+    parts = {((), ()): np.zeros((2**n_active, 2**n_active), dtype=np.complex128)}
+    for m in spec.present_orders:
+        t = spec.terms[m].matrix
+        for s in range(max(0, m - n_active), min(m, k) + 1):
+            r = m - s
+            weight = float(n_particles) ** (1 - m) / math.factorial(s)
+            blocks = t.reshape(2**r, 2**s, 2**r, 2**s)
+            labels = list(product((0, 1), repeat=s))
+            for x, gammas in enumerate(labels):
+                for y, deltas in enumerate(labels):
+                    act = sum(
+                        embed_on_sites(blocks[:, x, :, y], sites, 2, n_active)
+                        for sites in combinations(range(n_active), r)
+                    )
+                    parts[gammas, deltas] = parts.get((gammas, deltas), 0) + weight * act
+    acts = np.array(list(parts.values()))
+    for size in range(k + 1, 0, -2):
+        dim = 2**n_active * size
+        h = np.tensordot(acts, _spectator_operators(k, size, parts), axes=(0, 0))
+        # the reshape copies; rebinding h frees the tensordot result before the yield
+        h = h.transpose(0, 2, 1, 3).reshape(dim, dim)
+        yield h
+
+
+def _commutator_norms(h, act_a, act_b, times):
+    """||[A, B(t)]|| on one block, where A = act_a (x) 1 and B = act_b (x) 1.
+
+    One eigh; then per time a phase product B~(t) = e^{iwt} B~ e^{-iwt}, one
+    matmul C = A~ B~(t) and the eigvalsh of the Hermitian i(C - C^+).
+    """
+    # a real block (a real spec) diagonalizes 3-5x faster as real symmetric
+    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
+    rows = v.reshape(act_a.shape[0], -1)
+    a, b = (v.conj().T @ (act @ rows).reshape(v.shape) for act in (act_a, act_b))
+    norms = np.empty(len(times))
+    for i, t in enumerate(times):
+        phase = np.exp(1j * w * t)
+        c = a @ (np.multiply.outer(phase, phase.conj()) * b)
+        norms[i] = np.max(np.abs(np.linalg.eigvalsh(1j * (c - c.conj().T))))
+    return norms
+
+
 def commutator_growth(spec, n_particles, obs_a, obs_b, times):
     """Spectral norms ||[A, B(t)]|| with B evolved in the Heisenberg picture.
 
     A and B must live on disjoint particle subsets, so the value at t = 0 is
-    exactly zero.  Runs in the full tensor space: observables pinned to
-    specific particles break permutation symmetry, so the symmetric sector
-    cannot express this quantity.
+    exactly zero.  Observables pinned to specific particles break
+    permutation symmetry, so the symmetric sector cannot express this
+    quantity; H, A and B still commute with permutations of the other N - m - n
+    (spectator) particles.  At d = 2 the norm is therefore the maximum over
+    spectator spins S of the norm on a block of dimension 2^(m+n) (2S+1)
+    (Schur-Weyl); at other d the single block is the full tensor space, with
+    the active particles relabelled first (H is invariant under relabelling).
     """
     if set(obs_a.support) & set(obs_b.support):
         raise ValueError("supports must be disjoint")
@@ -187,17 +330,23 @@ def commutator_growth(spec, n_particles, obs_a, obs_b, times):
                 f"observable dimension {obs.matrix.shape[0]} does not match "
                 f"d^|support| = {d ** len(obs.support)}"
             )
+    if max(spec.present_orders, default=0) > n_particles:
+        raise ValueError("interaction order exceeds particle number")
     t = _check_times(times)
-    h = fullspace_build(spec, n_particles)
-    w, v = np.linalg.eigh(h)
-    a_emb = embed_on_sites(obs_a.matrix, tuple(i - 1 for i in obs_a.support), d, n_particles)
-    b_emb = embed_on_sites(obs_b.matrix, tuple(i - 1 for i in obs_b.support), d, n_particles)
-    out = []
-    for ti in t:
-        u = (v * np.exp(1j * w * ti)) @ v.conj().T
-        b_t = u @ b_emb @ u.conj().T
-        out.append(operator_norm(a_emb @ b_t - b_t @ a_emb))
-    return out
+    active = sorted(obs_a.support + obs_b.support)
+    _guard_blocks(d, n_particles, len(active), len(t))
+    act_a, act_b = (
+        embed_on_sites(obs.matrix, [active.index(i) for i in obs.support], d, len(active))
+        for obs in (obs_a, obs_b)
+    )
+    if d == 2:
+        blocks = _spin_block_hamiltonians(spec, n_particles, len(active))
+    else:
+        blocks = [fullspace_build(spec, n_particles)]
+    norms = np.zeros(len(t))
+    for h in blocks:
+        norms = np.maximum(norms, _commutator_norms(h, act_a, act_b, t))
+    return [float(x) for x in norms]
 
 
 def _check_rdm(gamma, order, d):
@@ -213,7 +362,9 @@ def correlation_gap(gamma, m, n, a_matrix, b_matrix):
 
     gamma^(m) and gamma^(n) are its marginals.  Equal, by the definition of
     the RDMs, to the product-expectation gap |<A B> - <A><B>| with A on the
-    first m particles and B on the next n.
+    first m particles and B on the next n.  ``a_matrix`` and ``b_matrix`` may
+    also be equal-length stacks of observables (a leading sample axis); the
+    marginals are then taken once and the result is a list, one gap per pair.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -221,11 +372,19 @@ def correlation_gap(gamma, m, n, a_matrix, b_matrix):
     _check_rdm(gamma, m + n, d)
     a = np.asarray(a_matrix, dtype=np.complex128)
     b = np.asarray(b_matrix, dtype=np.complex128)
-    if a.shape != (d**m, d**m) or b.shape != (d**n, d**n):
+    stacked = a.ndim == 3
+    if (
+        a.shape[stacked:] != (d**m, d**m)
+        or b.shape[stacked:] != (d**n, d**n)
+        or a.shape[:stacked] != b.shape[:stacked]
+    ):
         raise ValueError("observable dimensions do not match d^m / d^n")
-    g_m = gamma.marginal(m).matrix
-    g_n = gamma.marginal(n).matrix
-    return float(abs(np.trace(np.kron(a, b) @ (gamma.matrix - np.kron(g_m, g_n)))))
+    connected = gamma.matrix - np.kron(gamma.marginal(m).matrix, gamma.marginal(n).matrix)
+    gaps = [
+        float(abs(np.trace(np.kron(x, y) @ connected)))
+        for x, y in zip(a.reshape(-1, d**m, d**m), b.reshape(-1, d**n, d**n))
+    ]
+    return gaps if stacked else gaps[0]
 
 
 def bbgky_rhs(spec, n_particles, k, gamma):

@@ -380,27 +380,27 @@ def run_corr(config):
     spec = config.spec
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
-    samples = [
-        (
-            random_unit_hermitian(_substream(config.seed, "corr:a", s), spec.d**m),
-            random_unit_hermitian(_substream(config.seed, "corr:b", s), spec.d**n),
+
+    def observables(purpose, order):
+        return np.array(
+            [
+                random_unit_hermitian(_substream(config.seed, purpose, s), spec.d**order)
+                for s in range(config.n_samples)
+            ]
         )
-        for s in range(config.n_samples)
-    ]
+
+    a_stack, b_stack = observables("corr:a", m), observables("corr:b", n)
+    norms = [(operator_norm(a), operator_norm(b)) for a, b in zip(a_stack, b_stack)]
     if m + n > config.n_values[0]:
         raise ValueError(f"obs_m + obs_n = {m + n} exceeds N = {config.n_values[0]}")
     rows = []
     mean_by_time = {i: [] for i in range(len(config.time_grid))}
     for n_particles, states in _exact_trajectories(config, config.time_grid):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
-            gamma = rdm(state, m + n)
-            sample_lhs = []
-            for s, (a, b) in enumerate(samples):
-                lhs = correlation_gap(gamma, m, n, a, b)
-                rhs = correlation_gap_bound(
-                    m, n, operator_norm(a), operator_norm(b), consts, n_particles, t
-                )
-                sample_lhs.append(lhs)
+            # one RDM walk and one pair of marginals per state, for every sample
+            sample_lhs = correlation_gap(rdm(state, m + n), m, n, a_stack, b_stack)
+            for s, (lhs, (norm_a, norm_b)) in enumerate(zip(sample_lhs, norms)):
+                rhs = correlation_gap_bound(m, n, norm_a, norm_b, consts, n_particles, t)
                 rows.append(
                     {
                         "config_hash": config.config_hash,

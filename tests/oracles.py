@@ -119,6 +119,39 @@ def hamiltonian_brute(spec, n_particles):
     return h
 
 
+def expm_taylor(matrix):
+    """exp(matrix) by scaling and squaring of the plain Taylor series."""
+    x = np.asarray(matrix, dtype=np.complex128)
+    norm = np.max(np.sum(np.abs(x), axis=0))
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0 else 0
+    x = x / 2**squarings
+    term = total = np.eye(x.shape[0], dtype=np.complex128)
+    for j in range(1, 40):  # ||x||_1 <= 1/2: about 20 terms reach roundoff
+        term = term @ x / j
+        total = total + term
+        if np.max(np.abs(term)) < 1e-18:
+            break
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+def commutator_norms_brute(h, d, n_particles, obs_a, obs_b, times):
+    """||[A, U(t)^+ B U(t)]|| with U(t) = expm(-iHt) of a full-space H (say
+    hamiltonian_brute), each norm the largest singular value; no eigenbasis,
+    no symmetry."""
+    a, b = (
+        embed_brute(obs.matrix, [i - 1 for i in obs.support], d, n_particles)
+        for obs in (obs_a, obs_b)
+    )
+    out = []
+    for t in times:
+        u = expm_taylor(-1j * t * h)
+        b_t = u.conj().T @ b @ u
+        out.append(float(np.linalg.norm(a @ b_t - b_t @ a, 2)))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FullSpaceState:
     """Unit vector on the full d^N tensor-product space."""

@@ -218,6 +218,52 @@ def test_commutator_growth_never_exceeds_envelope():
     assert ok, detail
 
 
+def test_commutator_growth_envelope_at_large_n():
+    # the spin-block path at N where the full space (2^N) is out of reach;
+    # one sample per case.  N = 128 with m + n = 3 keeps one time: each time
+    # there costs about as much as the rest of the test together
+    start = time.monotonic()
+    spec = _pinned_spec(2)
+    free = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SX)})
+    consts = bound_constants(spec, vtilde(spec, "canonical"))
+    cases = (
+        (64, 1, 1, (0.0, 0.5, 1.0)),
+        (64, 2, 1, (0.0, 0.5, 1.0)),
+        (128, 1, 1, (0.0, 0.5, 1.0)),
+        (128, 2, 1, (1.0,)),
+    )
+    checked = violations = 0
+    worst_margin = -np.inf
+    worst_start = worst_free = 0.0
+    for n_particles, m, n, times in cases:
+        tag = f"{m}{n}:{n_particles}"
+        a = random_unit_hermitian(substream(2026, f"accept-lr-large-a:{tag}"), 2**m)
+        b = random_unit_hermitian(substream(2026, f"accept-lr-large-b:{tag}"), 2**n)
+        obs_a = ObservableOnSubset(tuple(range(n + 1, n + m + 1)), a)
+        obs_b = ObservableOnSubset(tuple(range(1, n + 1)), b)
+        lhs_values = commutator_growth(spec, n_particles, obs_a, obs_b, times)
+        for t, lhs in zip(times, lhs_values):
+            rhs = commutator_growth_bound(
+                m, n, operator_norm(a), operator_norm(b), consts, n_particles, t
+            )
+            checked += 1
+            worst_margin = max(worst_margin, lhs - rhs)
+            violations += int(lhs > rhs + 1e-9)
+            if t == 0.0:
+                worst_start = max(worst_start, lhs)
+        if m == 1:
+            worst_free = max(worst_free, *commutator_growth(free, n_particles, obs_a, obs_b, [1.0]))
+    elapsed = time.monotonic() - start
+    ok = violations == 0 and worst_start < 1e-12 and worst_free < 1e-11
+    detail = (
+        f"{violations} violations in {checked} samples at N = 64, 128, worst lhs-rhs = "
+        f"{worst_margin:.3e}; largest value at t = 0 {worst_start:.1e}, without "
+        f"interactions {worst_free:.1e}; {elapsed:.1f}s"
+    )
+    _report("commutator-envelope-large-n", ok, detail)
+    assert ok, detail
+
+
 def test_correlation_decay_rate_and_bound(pinned_data):
     spec = pinned_data[2]["spec"]
     consts = pinned_data[2]["consts"]

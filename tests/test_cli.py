@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +126,35 @@ def test_large_n_product_state_runs_without_traceback(tmp_path):
     out = run_module("converge", "--config", str(path), timeout=60)
     assert out.returncode == 0, out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _shipped_lr(tmp_path, **changes):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "lr.json"
+    cfg = json.loads(shipped.read_text())
+    cfg.update(output_path=str(tmp_path / "out.csv"), **changes)
+    path = tmp_path / "lr.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_hopeless_lr_size_refused_quickly(tmp_path):
+    path = _shipped_lr(tmp_path, n_values=[100000])
+    out = run_module("lr", "--config", str(path), timeout=30)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: commutator growth at N=100000 would pass")
+    assert re.search(r"largest workable N for d=2, m\+n=2 and 5 times is \d+\n$", out.stderr)
+    assert "Traceback" not in out.stderr
+    start = time.perf_counter()
+    assert main(["lr", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_lr_runs_past_the_full_space_limit(tmp_path, capsys):
+    # d = 2, N = 64: 2^64 in the full space, 32 spin blocks of dimension <= 252
+    path = _shipped_lr(tmp_path, n_values=[64], n_samples=1)
+    assert main(["lr", "--config", str(path)]) == 0
+    assert "lr: wrote 5 rows" in capsys.readouterr().out
 
 
 def test_violation_rows_exit_two(config_file, capsys, monkeypatch):

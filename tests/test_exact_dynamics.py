@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -263,6 +264,97 @@ class TestCommutatorGrowth:
         for t, lhs in zip(times, commutator_growth(spec, 6, a, b, times)):
             assert lhs <= commutator_growth_bound(1, 1, 1.0, 1.0, consts, 6, t) + 1e-9
 
+    @pytest.mark.parametrize("orders", [(1,), (1, 2), (1, 2, 3)])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_dense_oracle(self, n, orders):
+        # random supports: mostly non-contiguous, often in decreasing order
+        rng = substream(40, f"lr-oracle:{n}:{orders}")
+        spec = random_spec(rng, 2, orders, unit_norm=False)
+        h = oracles.hamiltonian_brute(spec, n)
+        times = [0.0, 0.4, 1.3]
+        for m, k in ((1, 1), (2, 1), (1, 2)):
+            labels = [int(x) + 1 for x in rng.permutation(n)[: m + k]]
+            a = ObservableOnSubset(tuple(labels[:m]), oracles.rand_unit_herm(rng, 2**m))
+            b = ObservableOnSubset(tuple(labels[m:]), oracles.rand_unit_herm(rng, 2**k))
+            want = oracles.commutator_norms_brute(h, 2, n, a, b, times)
+            np.testing.assert_allclose(
+                commutator_growth(spec, n, a, b, times), want, rtol=0, atol=1e-10
+            )
+
+    @pytest.mark.parametrize(
+        "d, n, orders, support_a, support_b",
+        [
+            (2, 5, (1, 2, 3), (5,), (2,)),
+            (2, 6, (1, 2), (6, 2), (4,)),
+            (2, 6, (1, 2, 3), (3,), (5, 1)),
+            (2, 9, (1, 2, 3), (9,), (4, 2)),
+            (2, 10, (1, 2), (10, 3), (7,)),
+            (3, 4, (1, 2, 3), (4, 2), (1,)),
+        ],
+    )
+    def test_reversed_and_spread_supports_match_dense_oracle(
+        self, d, n, orders, support_a, support_b
+    ):
+        rng = substream(41, f"lr-oracle:{d}:{n}:{orders}")
+        spec = random_spec(rng, d, orders, unit_norm=False)
+        a = ObservableOnSubset(support_a, oracles.rand_unit_herm(rng, d ** len(support_a)))
+        b = ObservableOnSubset(support_b, oracles.rand_unit_herm(rng, d ** len(support_b)))
+        times = [0.9]  # t = 0 is covered above; each time is a 1024^2 expm at N = 10
+        want = oracles.commutator_norms_brute(
+            oracles.hamiltonian_brute(spec, n), d, n, a, b, times
+        )
+        np.testing.assert_allclose(
+            commutator_growth(spec, n, a, b, times), want, rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("n, n_active", [(3, 1), (4, 2), (5, 2), (5, 3)])
+    def test_spin_blocks_rebuild_the_full_spectrum(self, n, n_active):
+        # each block's spectrum, repeated by the multiplicity of its spin
+        # among the spectators, gives the full-space spectrum: none is missing
+        spec = random_spec(substream(42, f"blocks:{n}"), 2, (1, 2, 3), unit_norm=False)
+        k = n - n_active
+        got = []
+        blocks = exact_dynamics._spin_block_hamiltonians(spec, n, n_active)
+        for j, h in enumerate(blocks):  # spin S = k/2 - j
+            multiplicity = math.comb(k, j) - (math.comb(k, j - 1) if j else 0)
+            got.extend(list(np.linalg.eigvalsh(h)) * multiplicity)
+        want = np.linalg.eigvalsh(oracles.hamiltonian_brute(spec, n))
+        np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=1e-12)
+
+    def test_work_and_byte_guard_refuse_before_allocating(self, rng):
+        spec = random_spec(rng, 2, (1, 2))
+        a = ObservableOnSubset((2,), oracles.rand_unit_herm(rng, 2))
+        b = ObservableOnSubset((1,), oracles.rand_unit_herm(rng, 2))
+        times = [0.0, 0.25, 0.5, 0.75, 1.0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="largest workable N") as err:
+                commutator_growth(spec, 100_000, a, b, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        max_n = int(re.search(r"m\+n=2 and 5 times is (\d+)$", str(err.value)).group(1))
+        exact_dynamics._guard_blocks(2, max_n, 2, len(times))
+        with pytest.raises(ValueError, match=f"is {max_n}$"):
+            exact_dynamics._guard_blocks(2, max_n + 1, 2, len(times))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"is {max_n}$"):
+            commutator_growth(spec, 10**18, a, b, times)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [9, 10_000, 10**18])
+    def test_full_space_path_keeps_the_byte_guard(self, rng, n):
+        # 3^N at the larger N is too long to print or even to build: the
+        # refusal must come out all the same
+        spec = random_spec(rng, 3, (1,))
+        a = ObservableOnSubset((1,), np.eye(3))
+        b = ObservableOnSubset((2,), np.eye(3))
+        with pytest.raises(ValueError, match="largest workable N for d=3, m\\+n=2 and 1 times is 7"):
+            commutator_growth(spec, n, a, b, [0.5])
+        with pytest.raises(ValueError, match="largest workable N for d=3 is 7"):
+            fullspace_build(spec, n)
+
     def test_overlapping_supports_rejected(self, rng):
         spec = random_spec(rng, 2, (1, 2))
         a = ObservableOnSubset((1,), np.eye(2))
@@ -306,6 +398,24 @@ class TestCorrelationGap:
         for t, state in zip([0.0, 0.5, 1.0], evolve_exact(h, state0, [0.0, 0.5, 1.0])):
             lhs = correlation_gap(rdm(state, 2), 1, 1, a, b)
             assert lhs <= correlation_gap_bound(1, 1, 1.0, 1.0, consts, n, t) + 1e-9
+
+    def test_stacked_observables_match_one_pair_at_a_time(self, rng):
+        spec = random_spec(rng, 3, (1, 2))
+        state0 = embed_product_state(_unit_phi(rng, 3), 6)
+        gamma = rdm(evolve_exact(build_hamiltonian(spec, 6), state0, [0.7])[0], 3)
+        a = np.array([oracles.rand_unit_herm(rng, 3) for _ in range(4)])
+        b = np.array([oracles.rand_unit_herm(rng, 9) for _ in range(4)])
+        gaps = correlation_gap(gamma, 1, 2, a, b)
+        assert gaps == [correlation_gap(gamma, 1, 2, x, y) for x, y in zip(a, b)]
+        assert max(gaps) > 1e-3
+
+    def test_stack_shapes_validated(self, rng):
+        gamma = rdm(embed_product_state(_unit_phi(rng, 2), 4), 2)
+        eye = np.eye(2)
+        with pytest.raises(ValueError, match="dimensions"):
+            correlation_gap(gamma, 1, 1, np.array([eye] * 3), np.array([eye] * 2))
+        with pytest.raises(ValueError, match="dimensions"):
+            correlation_gap(gamma, 1, 1, np.array([eye] * 2), eye)
 
     def test_wrong_order_rdm_rejected(self, rng):
         state = embed_product_state(_unit_phi(rng, 2), 4)

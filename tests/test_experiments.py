@@ -5,7 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from bosonlab import __version__, bound_constants, experiments, mean_field_error_bound, rdm, vtilde
+from bosonlab import (
+    __version__,
+    bound_constants,
+    correlation_gap,
+    experiments,
+    mean_field_error_bound,
+    rdm,
+    vtilde,
+)
 from bosonlab.experiments import (
     VERSION,
     ConfigError,
@@ -261,6 +269,21 @@ class TestCorrRunner:
         )
         run_corr(config)
         assert orders == [2] * 4  # one order-(m+n) RDM per (N, t)
+
+    def test_one_correlation_gap_call_per_state(self, monkeypatch):
+        stack_sizes = []
+
+        def counting(gamma, m, n, a, b):
+            stack_sizes.append(len(a))
+            return correlation_gap(gamma, m, n, a, b)
+
+        monkeypatch.setattr(experiments, "correlation_gap", counting)
+        config = config_from_dict(
+            base_config(scenario="corr", n_values=[4, 8], time_grid=[0.0, 0.5], n_samples=3)
+        )
+        rows = run_corr(config)
+        assert stack_sizes == [3] * 4  # every sample in one call per (N, t)
+        assert len([r for r in rows if r["kind"] == "point"]) == 3 * 4
 
 
 class TestBbgkyRunner:
