@@ -22,7 +22,6 @@ from .exact_dynamics import (
     commutator_growth,
     correlation_gap,
     evolve_exact,
-    fullspace_build,
 )
 from .experiments import (
     ConfigError,
@@ -95,7 +94,6 @@ __all__ = [
     "embed_product_state",
     "enumerate_basis",
     "evolve_exact",
-    "fullspace_build",
     "hartree_evolve",
     "hartree_rhs",
     "load_config",

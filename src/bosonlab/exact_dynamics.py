@@ -1,14 +1,13 @@
-"""Exact unitary dynamics, the full-tensor-space oracle, correlation
-measurements, and the reduced-density-matrix hierarchy right-hand side.
+"""Exact unitary dynamics, commutator growth, correlation measurements, and
+the reduced-density-matrix hierarchy right-hand side.
 
 Symmetric-sector propagation applies truncated Taylor series of exp(-iHt)
 to the state, with sparse matrix-vector products only.  Commutator growth
-needs observables pinned to particles, so it leaves the symmetric sector: at
-d = 2 it splits the space into blocks by the total spin of the spectator
-particles, at other d it uses the full tensor space (``fullspace_build``,
-also the brute-force cross-check of the symmetric-sector machinery).  Each
-block is diagonalized once (dense eigh), and a call whose blocks would pass
-MAX_DENSE_BYTES or MAX_KERNEL_WORK is refused before anything is allocated.
+needs observables pinned to particles, so it leaves the symmetric sector for
+dense blocks, all built by one function: at d = 2 one per total spin of the
+spectator particles, at other d the full tensor space as the one block.  Each block is
+diagonalized once (dense eigh), and one guard refuses a call whose blocks
+would pass MAX_DENSE_BYTES or MAX_KERNEL_WORK before anything is allocated.
 """
 
 import math
@@ -18,12 +17,11 @@ from itertools import combinations, product
 import numpy as np
 
 from ._tensor import embed_on_sites, partial_trace_last
-from .symmetric_space import SparseHermitian, SymmetricState
+from .symmetric_space import SymmetricState
 
 # commutator_growth refuses a call whose largest block's dense matrices
 # would pass MAX_DENSE_BYTES at their peak (see _dense_peak_bytes), or whose
-# sum over blocks of dim^3 x (1 + number of times) would pass MAX_KERNEL_WORK;
-# fullspace_build applies the byte limit to the full space.
+# sum over blocks of dim^3 x (1 + number of times) would pass MAX_KERNEL_WORK.
 MAX_DENSE_BYTES = 2**32
 MAX_KERNEL_WORK = 2**38
 _LIVE_MATRICES = 8
@@ -37,12 +35,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 MAX_SUBSTEPS = 100_000
 
 _HERM_ATOL = 1e-12
-
-
-def _check_hermitian(matrix, what):
-    dev = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if not dev <= _HERM_ATOL:  # NaN entries fail too
-        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
 
 
 def _check_times(times):
@@ -76,7 +68,9 @@ class ObservableOnSubset:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("observable matrix must be square")
-        _check_hermitian(mat, "observable")
+        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        if not dev <= _HERM_ATOL:  # NaN entries fail too
+            raise ValueError(f"observable is not Hermitian (max deviation {dev:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "matrix", mat)
@@ -85,19 +79,14 @@ class ObservableOnSubset:
 def evolve_exact(hamiltonian, state, times):
     """Propagate a symmetric state to each requested time, in any order.
 
-    ``hamiltonian`` is a :class:`SparseHermitian` or a dense Hermitian array.
+    ``hamiltonian`` is a :class:`SparseHermitian` on the state's basis.
     Each gap dt between sorted distinct times takes ceil(||H - mu||_1 dt /
     theta) substeps of Taylor series in H - mu, mu = tr(H)/D; a call that
     would take more than MAX_SUBSTEPS is refused before any of them.
     """
-    h = hamiltonian if isinstance(hamiltonian, SparseHermitian) else np.asarray(hamiltonian)
-    basis = state.basis
+    h, basis = hamiltonian, state.basis
     if h.shape != (basis.size, basis.size):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis size {basis.size}")
-    if isinstance(h, np.ndarray):
-        _check_hermitian(h, "Hamiltonian")
-        rows, cols = np.nonzero(h)
-        h = SparseHermitian.from_triples(basis.size, rows, cols, h[rows, cols].astype(complex))
     t = _check_times(times)
     grid, slot = np.unique(t, return_inverse=True)
     gaps = np.diff(grid, prepend=0.0)
@@ -141,53 +130,28 @@ def _taylor_series(h, mu, psi, tau):
 
 def _dense_peak_bytes(dim):
     # commutator_growth holds at most _LIVE_MATRICES dense D x D complex128
-    # matrices of its largest block at once (tracemalloc peak / 16 D^2 = 7.18
-    # and 7.24 at d = 2, N = 60 and 40 with m + n = 2 and 3; 7.00 at d = 3, N = 7)
+    # matrices of its largest block at once, block building included
+    # (tracemalloc peak / 16 D^2 = 7.17 and 7.11 at d = 2, N = 60 and 40 with
+    # m + n = 2 and 3; 7.02 and 7.00 at d = 3, N = 6 and 7)
     return _LIVE_MATRICES * 16 * dim * dim
 
 
-def _full_dim(d, n_particles):
-    # d^N with the exponent capped at 64: past that (d >= 2) every limit here
-    # refuses, and the exact power of a huge N may be too large to build
-    return d ** min(n_particles, 64)
-
-
-def _guard_dimension(d, n_particles):
-    dim = _full_dim(d, n_particles)
-    if _dense_peak_bytes(dim) > MAX_DENSE_BYTES:
-        max_n = 0
-        while _dense_peak_bytes(d ** (max_n + 1)) <= MAX_DENSE_BYTES:
-            max_n += 1
-        raise ValueError(
-            f"full-space dimension {d}^{n_particles} would hold more than "
-            f"{MAX_DENSE_BYTES} bytes of dense matrices; largest workable N for d={d} is {max_n}"
-        )
-    return dim
-
-
-def fullspace_build(spec, n_particles):
-    """Literal Hamiltonian on (C^d)^(x N): brute-force oracle, no symmetry used."""
-    d = spec.d
-    dim = _guard_dimension(d, n_particles)
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for m in spec.present_orders:
-        if m > n_particles:
-            raise ValueError("interaction order exceeds particle number")
-        prefactor = float(n_particles) ** (1 - m)
-        vmat = spec.terms[m].matrix
-        for sites in combinations(range(n_particles), m):
-            h += prefactor * embed_on_sites(vmat, sites, d, n_particles)
-    return (h + h.conj().T) / 2
+def _tensor_slots(d, n_particles, n_active):
+    """How many particles the blocks keep as C^d tensor slots, the active ones
+    first: at d = 2 only the active ones (the K = N - n_active spectators form
+    the collective spin-S irreps), at other d every particle (K = 0)."""
+    return n_active if d == 2 else n_particles
 
 
 def _block_dims(d, n_particles, n_active):
     """Dimensions of the blocks commutator_growth diagonalizes, largest
-    first: at d = 2 one per spectator spin S = K/2, K/2 - 1, ...
-    (K = N - n_active), 2^n_active (2S+1) each; else the full space."""
-    if d != 2:
-        return [_full_dim(d, n_particles)]
-    # a range: refusing a huge N allocates nothing
-    return range(2**n_active * (n_particles - n_active + 1), 0, -(2 ** (n_active + 1)))
+    first: d^slots (2S+1) for each spectator spin S = K/2, K/2 - 1, ...
+    (K = N - slots); one block, the full space, when K = 0."""
+    n_slots = _tensor_slots(d, n_particles, n_active)
+    # exponent capped at 64, past which every limit refuses (d >= 2); a range,
+    # so refusing a huge N builds neither d^N nor a list
+    slot_dim = d ** min(n_slots, 64)
+    return range(slot_dim * (n_particles - n_slots + 1), 0, -2 * slot_dim)
 
 
 def _guard_blocks(d, n_particles, n_active, n_times):
@@ -252,38 +216,46 @@ def _spectator_operators(n_spectators, size, labels):
     return np.array([_normal_ordered(gens, g, dl, memo) for g, dl in labels])
 
 
-def _spin_block_hamiltonians(spec, n_particles, n_active):
-    """H restricted to each spin block at d = 2, largest S first.
+def _block_hamiltonians(spec, n_particles, n_active):
+    """H restricted to each block of commutator_growth, largest first.
 
-    The block space is (C^2)^(x n_active) (x) V_S: the active particles in
-    sorted label order, then the spin-S irrep of the K = N - n_active
-    spectators.  An order-m term with r slots on active particles and
+    The block space is (C^d)^(x slots) (x) V_S: the tensor slots (see
+    _tensor_slots), then the spin-S irrep of the K = N - slots spectators,
+    S = K/2, K/2 - 1, ...  An order-m term with r slots on tensor slots and
     s = m - r on spectators sums, over spectator subsets, to (1/s!) times the
     normal-ordered product of collective generators; the slot symmetry of
-    validated terms makes the choice of slots immaterial.
+    validated terms makes the choice of slots immaterial.  At K = 0 only
+    s = 0 occurs, and the one block is the full space.
     """
-    k = n_particles - n_active
-    # spectator (gammas, deltas) -> operator on the active particles; starts
-    # from zero so that a spec without terms gives H = 0
-    parts = {((), ()): np.zeros((2**n_active, 2**n_active), dtype=np.complex128)}
+    d = spec.d
+    n_slots = _tensor_slots(d, n_particles, n_active)
+    k = n_particles - n_slots
+    # spectator (gammas, deltas) -> operator on the slots; starts from zero so
+    # that a spec without terms gives H = 0
+    parts = {((), ()): np.zeros((d**n_slots, d**n_slots), dtype=np.complex128)}
     for m in spec.present_orders:
         t = spec.terms[m].matrix
-        for s in range(max(0, m - n_active), min(m, k) + 1):
+        for s in range(max(0, m - n_slots), min(m, k) + 1):
             r = m - s
             weight = float(n_particles) ** (1 - m) / math.factorial(s)
-            blocks = t.reshape(2**r, 2**s, 2**r, 2**s)
-            labels = list(product((0, 1), repeat=s))
+            blocks = t.reshape(d**r, d**s, d**r, d**s)
+            labels = list(product(range(d), repeat=s))
             for x, gammas in enumerate(labels):
                 for y, deltas in enumerate(labels):
-                    act = sum(
-                        embed_on_sites(blocks[:, x, :, y], sites, 2, n_active)
-                        for sites in combinations(range(n_active), r)
+                    parts[gammas, deltas] = parts.get((gammas, deltas), 0) + weight * sum(
+                        embed_on_sites(blocks[:, x, :, y], sites, d, n_slots)
+                        for sites in combinations(range(n_slots), r)
                     )
-                    parts[gammas, deltas] = parts.get((gammas, deltas), 0) + weight * act
-    acts = np.array(list(parts.values()))
-    for size in range(k + 1, 0, -2):
-        dim = 2**n_active * size
-        h = np.tensordot(acts, _spectator_operators(k, size, parts), axes=(0, 0))
+    # at K = 0 parts and acts are D x D each: none may stay alive while the
+    # kernel runs on the last block, or the call passes _LIVE_MATRICES
+    keys, acts = list(parts), np.array(list(parts.values()))
+    del parts
+    sizes = range(k + 1, 0, -2)
+    for size in sizes:
+        dim = d**n_slots * size
+        h = np.tensordot(acts, _spectator_operators(k, size, keys), axes=(0, 0))
+        if size == sizes[-1]:
+            del acts
         # the reshape copies; rebinding h frees the tensordot result before the yield
         h = h.transpose(0, 2, 1, 3).reshape(dim, dim)
         yield h
@@ -316,8 +288,9 @@ def commutator_growth(spec, n_particles, obs_a, obs_b, times):
     quantity; H, A and B still commute with permutations of the other N - m - n
     (spectator) particles.  At d = 2 the norm is therefore the maximum over
     spectator spins S of the norm on a block of dimension 2^(m+n) (2S+1)
-    (Schur-Weyl); at other d the single block is the full tensor space, with
-    the active particles relabelled first (H is invariant under relabelling).
+    (Schur-Weyl); at other d the single block is the full tensor space.  The
+    active particles come first in sorted label order (H is invariant under
+    relabelling).
     """
     if set(obs_a.support) & set(obs_b.support):
         raise ValueError("supports must be disjoint")
@@ -339,12 +312,8 @@ def commutator_growth(spec, n_particles, obs_a, obs_b, times):
         embed_on_sites(obs.matrix, [active.index(i) for i in obs.support], d, len(active))
         for obs in (obs_a, obs_b)
     )
-    if d == 2:
-        blocks = _spin_block_hamiltonians(spec, n_particles, len(active))
-    else:
-        blocks = [fullspace_build(spec, n_particles)]
     norms = np.zeros(len(t))
-    for h in blocks:
+    for h in _block_hamiltonians(spec, n_particles, len(active)):
         norms = np.maximum(norms, _commutator_norms(h, act_a, act_b, t))
     return [float(x) for x in norms]
 

@@ -28,6 +28,7 @@ from .bounds import (
     telescoping_residual,
 )
 from .exact_dynamics import ObservableOnSubset, bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
+from .exact_dynamics import MAX_DENSE_BYTES, _dense_peak_bytes
 from .hartree import hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, PotentialTerm, _substream, bound_constants, operator_norm, vtilde
 from .symmetric_space import build_hamiltonian, embed_product_state, rdm
@@ -243,12 +244,44 @@ def config_from_dict(data, overrides=None):
     norm_dev = abs(np.linalg.norm(phi) - 1.0)
     if not norm_dev <= 1e-10:
         raise ConfigError(f"initial_phi: norm deviates from 1 by {norm_dev:.3e}")
+    for path, order in _dense_orders(values):
+        if not _fits_dense(d, order):
+            max_order = next(k for k in range(order) if not _fits_dense(d, k + 1))
+            raise ConfigError(
+                f"{path}: the dense d^k x d^k matrices at this order k would pass "
+                f"MAX_DENSE_BYTES = {MAX_DENSE_BYTES} bytes; the largest workable order "
+                f"for d={d} is {max_order}"
+            )
 
     hashed = {f.name: _canonical(values[f.name]) for f in _KEYS if f.metadata["hashed"]}
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
     return ExperimentConfig(**values, config_hash=digest)
+
+
+def _dense_orders(values):
+    """(what sets k, k) for each order k of the dense d^k x d^k matrices the
+    scenario forms from its observables or RDMs."""
+    scenario = values["scenario"]
+    if scenario in ("lr", "corr"):
+        return [("obs_m + obs_n", values["obs_m"] + values["obs_n"])]
+    if scenario == "bbgky":
+        max_present = max(values["spec"].present_orders, default=1)
+        # telescope orders past N are skipped by run_bbgky
+        telescope = min(max(values["telescope_orders"]) + 1, max(values["n_values"]))
+        return [
+            (f"max(k_values) + {max_present - 1}", max(values["k_values"]) + max_present - 1),
+            ("max(telescope_orders) + 1", telescope),
+        ]
+    return []
+
+
+def _fits_dense(d, order):
+    # the observable draws, rdm, correlation_gap, bbgky_rhs and telescopes peak
+    # at 3.0 to 4.2 live d^k x d^k matrices (tracemalloc, d = 2..4), within the
+    # count of _dense_peak_bytes; past an exponent of 64 every d >= 2 refuses
+    return _dense_peak_bytes(d ** min(order, 64)) <= MAX_DENSE_BYTES
 
 
 def load_config(text, overrides=None):
@@ -265,6 +298,25 @@ def random_unit_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2
     return h / operator_norm(h)
+
+
+def _observable_stacks(config, scenario):
+    """Stacks of n_samples random unit Hermitians on obs_m and obs_n
+    particles, sample s from substream s of "<scenario>:a" and ":b", and each
+    pair's norms; drawn once for every N."""
+    m, n = config.obs_m, config.obs_n
+    if m + n > config.n_values[0]:
+        raise ValueError(f"obs_m + obs_n = {m + n} exceeds N = {config.n_values[0]}")
+    a, b = (
+        np.array(
+            [
+                random_unit_hermitian(_substream(config.seed, purpose, s), config.spec.d**order)
+                for s in range(config.n_samples)
+            ]
+        )
+        for purpose, order in ((f"{scenario}:a", m), (f"{scenario}:b", n))
+    )
+    return a, b, [(operator_norm(x), operator_norm(y)) for x, y in zip(a, b)]
 
 
 def _fit_slope(ns, values):
@@ -339,24 +391,14 @@ def run_lr(config):
     spec = config.spec
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
+    a_stack, b_stack, norms = _observable_stacks(config, "lr")
     support_b = tuple(range(1, n + 1))
     support_a = tuple(range(n + 1, n + m + 1))
     rows = []
     for n_particles in config.n_values:
-        if m + n > n_particles:
-            raise ValueError(f"obs_m + obs_n = {m + n} exceeds N = {n_particles}")
-        for s in range(config.n_samples):
-            a = random_unit_hermitian(_substream(config.seed, "lr:a", s), spec.d**m)
-            b = random_unit_hermitian(_substream(config.seed, "lr:b", s), spec.d**n)
-            norm_a = operator_norm(a)
-            norm_b = operator_norm(b)
-            lhs_values = commutator_growth(
-                spec,
-                n_particles,
-                ObservableOnSubset(support_a, a),
-                ObservableOnSubset(support_b, b),
-                config.time_grid,
-            )
+        for s, (a, b, (norm_a, norm_b)) in enumerate(zip(a_stack, b_stack, norms)):
+            obs_a, obs_b = ObservableOnSubset(support_a, a), ObservableOnSubset(support_b, b)
+            lhs_values = commutator_growth(spec, n_particles, obs_a, obs_b, config.time_grid)
             for t, lhs in zip(config.time_grid, lhs_values):
                 rhs = commutator_growth_bound(m, n, norm_a, norm_b, consts, n_particles, t)
                 rows.append(
@@ -380,19 +422,7 @@ def run_corr(config):
     spec = config.spec
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
-
-    def observables(purpose, order):
-        return np.array(
-            [
-                random_unit_hermitian(_substream(config.seed, purpose, s), spec.d**order)
-                for s in range(config.n_samples)
-            ]
-        )
-
-    a_stack, b_stack = observables("corr:a", m), observables("corr:b", n)
-    norms = [(operator_norm(a), operator_norm(b)) for a, b in zip(a_stack, b_stack)]
-    if m + n > config.n_values[0]:
-        raise ValueError(f"obs_m + obs_n = {m + n} exceeds N = {config.n_values[0]}")
+    a_stack, b_stack, norms = _observable_stacks(config, "corr")
     rows = []
     mean_by_time = {i: [] for i in range(len(config.time_grid))}
     for n_particles, states in _exact_trajectories(config, config.time_grid):

@@ -30,7 +30,6 @@ from bosonlab import (
     embed_product_state,
     enumerate_basis,
     evolve_exact,
-    fullspace_build,
     hartree_evolve,
     hartree_rhs,
     mean_field_error_bound,
@@ -107,7 +106,7 @@ def test_symmetric_sector_matches_full_space():
         isometry = oracles.symmetric_isometry(basis)
 
         h_sym = build_hamiltonian(spec, n, basis)
-        h_full = fullspace_build(spec, n)
+        h_full = oracles.hamiltonian_brute(spec, n)
         worst["hamiltonian"] = max(
             worst["hamiltonian"],
             float(np.max(np.abs(isometry.conj().T @ h_full @ isometry - h_sym))),

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -128,17 +129,17 @@ def test_large_n_product_state_runs_without_traceback(tmp_path):
     assert "Traceback" not in out.stderr
 
 
-def _shipped_lr(tmp_path, **changes):
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "lr.json"
+def _shipped(tmp_path, scenario, **changes):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{scenario}.json"
     cfg = json.loads(shipped.read_text())
     cfg.update(output_path=str(tmp_path / "out.csv"), **changes)
-    path = tmp_path / "lr.json"
+    path = tmp_path / f"{scenario}.json"
     path.write_text(json.dumps(cfg))
     return path
 
 
 def test_hopeless_lr_size_refused_quickly(tmp_path):
-    path = _shipped_lr(tmp_path, n_values=[100000])
+    path = _shipped(tmp_path, "lr", n_values=[100000])
     out = run_module("lr", "--config", str(path), timeout=30)
     assert out.returncode == 1
     assert out.stderr.startswith("error: commutator growth at N=100000 would pass")
@@ -152,9 +153,38 @@ def test_hopeless_lr_size_refused_quickly(tmp_path):
 
 def test_lr_runs_past_the_full_space_limit(tmp_path, capsys):
     # d = 2, N = 64: 2^64 in the full space, 32 spin blocks of dimension <= 252
-    path = _shipped_lr(tmp_path, n_values=[64], n_samples=1)
+    path = _shipped(tmp_path, "lr", n_values=[64], n_samples=1)
     assert main(["lr", "--config", str(path)]) == 0
     assert "lr: wrote 5 rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "scenario, changes, field",
+    [
+        ("lr", {"obs_m": 14}, "obs_m + obs_n"),
+        ("corr", {"obs_m": 14}, "obs_m + obs_n"),
+        ("bbgky", {"k_values": [40]}, "max(k_values) + 2"),
+        ("bbgky", {"n_values": [64], "telescope_orders": [1, 40]}, "max(telescope_orders) + 1"),
+    ],
+)
+def test_oversized_dense_orders_refused_before_allocating(
+    tmp_path, capsys, scenario, changes, field
+):
+    # at d = 2 each would ask for dense 2^k x 2^k matrices of GiBs each
+    path = _shipped(tmp_path, scenario, **changes)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main([scenario, "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "largest workable order for d=2 is 12" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_violation_rows_exit_two(config_file, capsys, monkeypatch):

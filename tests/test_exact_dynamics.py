@@ -11,6 +11,7 @@ from bosonlab import (
     HamiltonianSpec,
     ObservableOnSubset,
     PotentialTerm,
+    SparseHermitian,
     bbgky_rhs,
     build_hamiltonian,
     commutator_growth,
@@ -18,7 +19,6 @@ from bosonlab import (
     embed_product_state,
     enumerate_basis,
     evolve_exact,
-    fullspace_build,
     rdm,
 )
 from bosonlab import exact_dynamics
@@ -34,6 +34,17 @@ def _unit_phi(rng, d):
     return phi / np.linalg.norm(phi)
 
 
+def _scalar_hamiltonian(c, size):
+    diag = np.arange(size)
+    return SparseHermitian.from_triples(size, diag, diag, np.full(size, c, dtype=complex))
+
+
+def _full_space_hamiltonian(spec, n):
+    # every particle active: no spectators, so the one block is the full space
+    (h,) = exact_dynamics._block_hamiltonians(spec, n, n)
+    return h
+
+
 class TestEvolveExact:
     def test_time_zero_is_identity(self, rng):
         spec = random_spec(rng, 2, (1, 2))
@@ -46,7 +57,7 @@ class TestEvolveExact:
         basis = enumerate_basis(2, 3)
         state = embed_product_state(_unit_phi(rng, 2), 3)
         c = 0.83
-        out = evolve_exact(c * np.eye(basis.size), state, [1.3])[0]
+        out = evolve_exact(_scalar_hamiltonian(c, basis.size), state, [1.3])[0]
         np.testing.assert_allclose(
             out.amplitudes, np.exp(-1j * c * 1.3) * state.amplitudes, atol=1e-13
         )
@@ -73,12 +84,16 @@ class TestEvolveExact:
         for out in evolve_exact(build_hamiltonian(spec, 4), state, [0.5, 1.0, 2.0]):
             assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
-    def test_non_hermitian_rejected(self, rng):
+    def test_non_finite_hamiltonian_rejected(self, rng):
         state = embed_product_state(_unit_phi(rng, 2), 2)
-        bad = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        for h in (bad, np.diag([np.nan, 0.0, 0.0])):
-            with pytest.raises(ValueError, match="Hermitian"):
-                evolve_exact(h, state, [1.0])
+        for c in (np.nan, np.inf):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Taylor substeps"):
+                evolve_exact(_scalar_hamiltonian(c, 3), state, [1.0])
+
+    def test_shape_mismatch_rejected(self, rng):
+        state = embed_product_state(_unit_phi(rng, 2), 2)
+        with pytest.raises(ValueError, match="does not match basis size 3"):
+            evolve_exact(_scalar_hamiltonian(1.0, 4), state, [1.0])
 
     def test_negative_times_rejected(self, rng):
         spec = random_spec(rng, 2, (1,))
@@ -122,7 +137,7 @@ class TestTaylorPropagation:
     def test_scalar_hamiltonian_gives_exact_phase(self, rng, c):
         # c = 0 is the zero Hamiltonian
         state = embed_product_state(_unit_phi(rng, 4), 3)
-        h = c * np.eye(state.basis.size)
+        h = _scalar_hamiltonian(c, state.basis.size)
         for t, out in zip(self.TIMES, evolve_exact(h, state, self.TIMES)):
             expected = np.exp(-1j * c * t) * state.amplitudes
             assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
@@ -140,9 +155,12 @@ class TestTaylorPropagation:
 
 
 class TestFullSpace:
+    """The full space as the one block without spectators, and the guard
+    on its dense bytes."""
+
     def test_build_single_particle_only(self, rng):
         spec = random_spec(rng, 2, (1,), unit_norm=False)
-        h = fullspace_build(spec, 3)
+        h = _full_space_hamiltonian(spec, 3)
         expected = sum(
             oracles.embed_brute(spec.terms[1].matrix, (j,), 2, 3) for j in range(3)
         )
@@ -151,13 +169,13 @@ class TestFullSpace:
     def test_build_two_particles_closed_form(self, rng):
         spec = random_spec(rng, 2, (1, 2), unit_norm=False)
         v1, v2 = spec.terms[1].matrix, spec.terms[2].matrix
-        h = fullspace_build(spec, 2)
+        h = _full_space_hamiltonian(spec, 2)
         expected = np.kron(v1, np.eye(2)) + np.kron(np.eye(2), v1) + v2 / 2
         np.testing.assert_allclose(h, expected, atol=1e-13)
 
     def test_build_commutes_with_symmetrizer(self, rng):
         spec = random_spec(rng, 2, (1, 2, 3), unit_norm=False)
-        h = fullspace_build(spec, 3)
+        h = _full_space_hamiltonian(spec, 3)
         p = oracles.symmetrizer(2, 3)
         np.testing.assert_allclose(h @ p, p @ h, atol=1e-12)
 
@@ -165,30 +183,36 @@ class TestFullSpace:
         rng = substream(31, "full")
         spec = random_spec(rng, 3, (1, 2), unit_norm=False)
         np.testing.assert_allclose(
-            fullspace_build(spec, 3), oracles.hamiltonian_brute(spec, 3), atol=1e-12
+            _full_space_hamiltonian(spec, 3), oracles.hamiltonian_brute(spec, 3), atol=1e-12
         )
 
     def test_guard_blocks_oversized_systems(self, rng):
-        spec = random_spec(rng, 2, (1,))
+        spec = random_spec(rng, 3, (1,))
+        a = ObservableOnSubset((1,), np.eye(3))
+        b = ObservableOnSubset((2,), np.eye(3))
         with pytest.raises(ValueError, match="largest workable N"):
-            fullspace_build(spec, 20)
+            commutator_growth(spec, 20, a, b, [0.5])
 
     def test_guard_is_stated_in_dense_bytes(self, rng):
-        # 9 dense 2^13 x 2^13 complex matrices would take 9 GiB > MAX_DENSE_BYTES
-        spec = random_spec(rng, 2, (1,))
+        # 8 dense 3^8 x 3^8 complex matrices would take 5.5 GB > MAX_DENSE_BYTES
+        spec = random_spec(rng, 3, (1,))
+        a = ObservableOnSubset((1,), np.eye(3))
+        b = ObservableOnSubset((2,), np.eye(3))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="largest workable N for d=2 is 12"):
-                fullspace_build(spec, 13)
+            with pytest.raises(ValueError, match="largest workable N for d=3, .* is 7$"):
+                commutator_growth(spec, 8, a, b, [0.5])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert exact_dynamics._guard_dimension(2, 12) == 2**12
+        assert list(exact_dynamics._block_dims(3, 7, 2)) == [3**7]
+        assert exact_dynamics._dense_peak_bytes(3**7) <= exact_dynamics.MAX_DENSE_BYTES
+        assert exact_dynamics._dense_peak_bytes(3**8) > exact_dynamics.MAX_DENSE_BYTES
 
     def test_evolve_time_zero(self, rng):
         spec = random_spec(rng, 2, (1, 2))
-        h = fullspace_build(spec, 3)
+        h = oracles.hamiltonian_brute(spec, 3)
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         state = FullSpaceState(2, 3, amps / np.linalg.norm(amps))
         out = fullspace_evolve(h, state, [0.0])[0]
@@ -200,7 +224,9 @@ class TestFullSpace:
         phi = _unit_phi(rng, 2)
         full0 = np.kron(np.kron(phi, phi), phi)
         t = 1.1
-        out = fullspace_evolve(fullspace_build(spec, 3), FullSpaceState(2, 3, full0), [t])[0]
+        out = fullspace_evolve(
+            oracles.hamiltonian_brute(spec, 3), FullSpaceState(2, 3, full0), [t]
+        )[0]
         w, v = np.linalg.eigh(v1)
         phi_t = v @ (np.exp(-1j * w * t) * (v.conj().T @ phi))
         np.testing.assert_allclose(
@@ -218,7 +244,9 @@ class TestFullSpace:
         full0 = phi
         for _ in range(n - 1):
             full0 = np.kron(full0, phi)
-        full = fullspace_evolve(fullspace_build(spec, n), FullSpaceState(d, n, full0), [t])[0]
+        full = fullspace_evolve(
+            oracles.hamiltonian_brute(spec, n), FullSpaceState(d, n, full0), [t]
+        )[0]
         iso = oracles.symmetric_isometry(sym.basis)
         np.testing.assert_allclose(iso @ sym.amplitudes, full.amplitudes, atol=1e-11)
 
@@ -290,6 +318,8 @@ class TestCommutatorGrowth:
             (2, 9, (1, 2, 3), (9,), (4, 2)),
             (2, 10, (1, 2), (10, 3), (7,)),
             (3, 4, (1, 2, 3), (4, 2), (1,)),
+            (3, 5, (1, 2, 3), (2,), (5, 3)),
+            (4, 4, (1, 2), (3,), (1,)),
         ],
     )
     def test_reversed_and_spread_supports_match_dense_oracle(
@@ -310,16 +340,37 @@ class TestCommutatorGrowth:
     @pytest.mark.parametrize("n, n_active", [(3, 1), (4, 2), (5, 2), (5, 3)])
     def test_spin_blocks_rebuild_the_full_spectrum(self, n, n_active):
         # each block's spectrum, repeated by the multiplicity of its spin
-        # among the spectators, gives the full-space spectrum: none is missing
-        spec = random_spec(substream(42, f"blocks:{n}"), 2, (1, 2, 3), unit_norm=False)
-        k = n - n_active
-        got = []
-        blocks = exact_dynamics._spin_block_hamiltonians(spec, n, n_active)
-        for j, h in enumerate(blocks):  # spin S = k/2 - j
-            multiplicity = math.comb(k, j) - (math.comb(k, j - 1) if j else 0)
-            got.extend(list(np.linalg.eigvalsh(h)) * multiplicity)
-        want = np.linalg.eigvalsh(oracles.hamiltonian_brute(spec, n))
-        np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=1e-12)
+        # among the spectators, gives the full-space spectrum: none is missing;
+        # at d = 3 there are no spectators and the one block is the full space
+        for d in (2, 3):
+            spec = random_spec(substream(42, f"blocks:{n}", d), d, (1, 2, 3), unit_norm=False)
+            k = n - exact_dynamics._tensor_slots(d, n, n_active)
+            got = []
+            blocks = exact_dynamics._block_hamiltonians(spec, n, n_active)
+            for j, h in enumerate(blocks):  # spin S = k/2 - j
+                multiplicity = math.comb(k, j) - (math.comb(k, j - 1) if j else 0)
+                got.extend(list(np.linalg.eigvalsh(h)) * multiplicity)
+            want = np.linalg.eigvalsh(oracles.hamiltonian_brute(spec, n))
+            np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "d, n, support_a, support_b", [(2, 40, (3, 1), (2,)), (3, 6, (5,), (2,))]
+    )
+    def test_peak_memory_stays_within_the_byte_guard(self, d, n, support_a, support_b):
+        # the guard counts _LIVE_MATRICES dense matrices of the largest block;
+        # the call, block building included, must hold no more than that
+        rng = substream(43, f"peak:{d}:{n}")
+        spec = random_spec(rng, d, (1, 2), unit_norm=False)
+        a = ObservableOnSubset(support_a, oracles.rand_unit_herm(rng, d ** len(support_a)))
+        b = ObservableOnSubset(support_b, oracles.rand_unit_herm(rng, d ** len(support_b)))
+        largest = exact_dynamics._block_dims(d, n, len(support_a) + len(support_b))[0]
+        tracemalloc.start()
+        try:
+            commutator_growth(spec, n, a, b, [0.0, 0.5, 1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= exact_dynamics._dense_peak_bytes(largest)
 
     def test_work_and_byte_guard_refuse_before_allocating(self, rng):
         spec = random_spec(rng, 2, (1, 2))
@@ -352,8 +403,6 @@ class TestCommutatorGrowth:
         b = ObservableOnSubset((2,), np.eye(3))
         with pytest.raises(ValueError, match="largest workable N for d=3, m\\+n=2 and 1 times is 7"):
             commutator_growth(spec, n, a, b, [0.5])
-        with pytest.raises(ValueError, match="largest workable N for d=3 is 7"):
-            fullspace_build(spec, n)
 
     def test_overlapping_supports_rejected(self, rng):
         spec = random_spec(rng, 2, (1, 2))
