@@ -69,31 +69,22 @@ def _check_pair_args(m, n, norm_a, norm_b, n_particles, t):
         raise ValueError("t must be non-negative")
 
 
-def telescoping_residual(exact_rdms, hartree_gamma, m):
+def telescoping_residual(gamma, hartree_gamma, m):
     """Max-entry residual of the order-(m+1) telescoping identity.
 
-    ``exact_rdms`` maps the order l (0 .. m+1) to the corresponding RDM of
-    one fixed state, order 0 being the scalar 1; ``hartree_gamma`` is any
-    one-particle density matrix.  The identity rewrites
-    gamma^(m+1) - g^(x (m+1)) as nearest-neighbour factorization defects
-    plus one-particle defects, and holds exactly for any consistent family,
-    so the residual is pure floating-point noise (<= ~1e-12 at desk scale).
+    ``gamma`` is an RDM of one fixed state of order at least m+1, read
+    through its marginals of order l = 0 .. m+1 (order 0 being the scalar
+    1); ``hartree_gamma`` is any one-particle density matrix.  The identity
+    rewrites gamma^(m+1) - g^(x (m+1)) as nearest-neighbour factorization
+    defects plus one-particle defects, and holds exactly for any consistent
+    family, so the residual is pure floating-point noise (<= ~1e-12 at desk
+    scale).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    d = hartree_gamma.d
-    if hartree_gamma.order != 1:
-        raise ValueError("hartree_gamma must have order 1")
-    a = {}
-    for order in range(m + 2):
-        if order not in exact_rdms:
-            raise ValueError(f"missing exact RDM of order {order}")
-        g = exact_rdms[order]
-        if g.order != order or g.d != d:
-            raise ValueError(
-                f"exact_rdms[{order}] has order {g.order} (d={g.d}); expected {order} (d={d})"
-            )
-        a[order] = g.matrix
+    if not 1 <= m < gamma.order:
+        raise ValueError(f"m = {m} is not in [1, {gamma.order - 1}] for an order-{gamma.order} RDM")
+    if hartree_gamma.order != 1 or hartree_gamma.d != gamma.d:
+        raise ValueError(f"hartree_gamma must be an order-1 density matrix with d = {gamma.d}")
+    a = [gamma.marginal(order).matrix for order in range(m + 2)]
     g1 = a[1]
     mf = hartree_gamma.matrix
     lhs = a[m + 1] - tensor_power(mf, m + 1)

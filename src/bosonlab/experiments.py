@@ -278,9 +278,11 @@ def _dense_orders(values):
 
 
 def _fits_dense(d, order):
-    # the observable draws, rdm, correlation_gap, bbgky_rhs and telescopes peak
-    # at 3.0 to 4.2 live d^k x d^k matrices (tracemalloc, d = 2..4), within the
-    # count of _dense_peak_bytes; past an exponent of 64 every d >= 2 refuses
+    # at order k, rdm peaks at 4.0 live d^k x d^k matrices; correlation_gap,
+    # bbgky_rhs and telescoping_residual at 3.0 to 5.0 beside their input RDM;
+    # a whole run_bbgky, which holds one grid time's RDMs at once, at 4.3 to
+    # 7.0 (M = 3 down to 1; tracemalloc, d = 2 and 3). All are within the 8 of
+    # _dense_peak_bytes; past an exponent of 64 every d >= 2 refuses
     return _dense_peak_bytes(d ** min(order, 64)) <= MAX_DENSE_BYTES
 
 
@@ -336,7 +338,7 @@ def _slope_rows(config, by_time):
             continue
         pts = [(n, v) for n, v in by_time[i] if n >= min_n and v > SLOPE_FLOOR]
         slope = _fit_slope(*zip(*pts)) if len(pts) >= 2 else float("nan")
-        rows.append({"config_hash": config.config_hash, "kind": "slope", "t": t, "slope": slope})
+        rows.append({"kind": "slope", "t": t, "slope": slope})
     return rows
 
 
@@ -373,7 +375,6 @@ def run_convergence(config):
             by_time[i].append((n, dist))
             rows.append(
                 {
-                    "config_hash": config.config_hash,
                     "kind": "point",
                     "N": n,
                     "t": t,
@@ -403,7 +404,6 @@ def run_lr(config):
                 rhs = commutator_growth_bound(m, n, norm_a, norm_b, consts, n_particles, t)
                 rows.append(
                     {
-                        "config_hash": config.config_hash,
                         "N": n_particles,
                         "m": m,
                         "n": n,
@@ -433,7 +433,6 @@ def run_corr(config):
                 rhs = correlation_gap_bound(m, n, norm_a, norm_b, consts, n_particles, t)
                 rows.append(
                     {
-                        "config_hash": config.config_hash,
                         "kind": "point",
                         "N": n_particles,
                         "m": m,
@@ -452,85 +451,71 @@ def run_corr(config):
 def run_bbgky(config):
     """Finite-difference residuals of the hierarchy RHS, plus telescoping rows.
 
-    Each needed time gets one rdm, at the highest order any row at that time
-    reads; every lower order is a marginal of it."""
+    One grid time at a time: one rdm at the highest order its rows read, the
+    lower orders being its marginals, then one rdm at max(k_values) for each
+    stencil point, a +-step pair at a time; no RDM outlives its grid time."""
     spec = config.spec
     dt = config.bbgky_dt
     max_present = max(spec.present_orders, default=1)
     k_max = max(config.k_values)
     gamma0 = pure_state_density(config.initial_phi)
     traj = hartree_evolve(gamma0, spec, config.time_grid, config.integrator_tol)
+    steps = (dt, dt / 2)
+    stencil = {t + s for t in config.time_grid if t >= dt for s in (-dt, -dt / 2, dt / 2, dt)}
+    needed = sorted(stencil.union(config.time_grid))
     rows = []
-    fd_times = [t for t in config.time_grid if t >= dt]
-    # highest RDM order the residual rows read at each needed time
-    fd_order = dict.fromkeys(config.time_grid, 0)
-    for t in fd_times:
-        for s in (t - dt, t - dt / 2, t + dt / 2, t + dt):
-            fd_order[s] = max(fd_order.get(s, 0), k_max)
-        fd_order[t] = k_max + max_present - 1
-    needed = sorted(fd_order)
     for n_particles, states in _exact_trajectories(config, needed):
         for k in config.k_values:
             if k + max_present - 1 > n_particles:
                 raise ValueError(
                     f"k_values entry {k} needs RDM order {k + max_present - 1} > N = {n_particles}"
                 )
-        telescope = [m_tel for m_tel in config.telescope_orders if m_tel + 1 <= n_particles]
-        top = dict(fd_order)
-        for t in config.time_grid:
-            top[t] = max([top[t]] + [m_tel + 1 for m_tel in telescope])
-        gammas = {t: rdm(state, top[t]) for t, state in zip(needed, states) if top[t]}
-        for k in config.k_values:
-            for t in fd_times:
-                rhs = bbgky_rhs(spec, n_particles, k, gammas[t].marginal(k + max_present - 1))
-                residuals = []
-                for step in (dt, dt / 2):
-                    fd = (
-                        gammas[t + step].marginal(k).matrix - gammas[t - step].marginal(k).matrix
-                    ) / (2 * step)
-                    residuals.append(float(np.max(np.abs(fd - rhs))))
-                    rows.append(
-                        {
-                            "config_hash": config.config_hash,
-                            "kind": "residual",
-                            "N": n_particles,
-                            "k": k,
-                            "t": t,
-                            "dt": step,
-                            "value": residuals[-1],
-                        }
-                    )
-                order = (
-                    math.log2(residuals[0] / residuals[1])
-                    if residuals[1] > 0
-                    else float("nan")
-                )
-                rows.append(
-                    {
-                        "config_hash": config.config_hash,
-                        "kind": "order",
-                        "N": n_particles,
-                        "k": k,
-                        "t": t,
-                        "dt": dt,
-                        "value": order,
-                    }
-                )
-        for m_tel in telescope:
-            for i, t in enumerate(config.time_grid):
-                family = {order: gammas[t].marginal(order) for order in range(m_tel + 2)}
-                value = telescoping_residual(family, traj.states[i], m_tel)
-                rows.append(
-                    {
-                        "config_hash": config.config_hash,
-                        "kind": "telescope",
-                        "N": n_particles,
-                        "m": m_tel,
-                        "t": t,
-                        "value": value,
-                    }
-                )
+        state_at = dict(zip(needed, states))
+        telescope = [m for m in config.telescope_orders if m + 1 <= n_particles]
+        at_n = []
+        for i, t in enumerate(config.time_grid):
+            fd = t >= dt
+            top = max([m + 1 for m in telescope] + [k_max + max_present - 1 if fd else 0])
+            if not top:
+                continue
+            gamma = rdm(state_at[t], top)
+            for m in telescope:
+                value = telescoping_residual(gamma, traj.states[i], m)
+                at_n.append({"kind": "telescope", "N": n_particles, "m": m, "t": t, "value": value})
+            if fd:
+                rhs = [
+                    bbgky_rhs(spec, n_particles, k, gamma.marginal(k + max_present - 1))
+                    for k in config.k_values
+                ]
+            del gamma  # no RDM outlives its grid time
+            if not fd:
+                continue
+            residuals = [
+                _fd_residuals(state_at[t + step], state_at[t - step], step, config.k_values, rhs)
+                for step in steps
+            ]
+            for k, (res, res_half) in zip(config.k_values, zip(*residuals)):
+                at = {"N": n_particles, "k": k, "t": t}
+                at_n.append({**at, "kind": "residual", "dt": dt, "value": res})
+                at_n.append({**at, "kind": "residual", "dt": dt / 2, "value": res_half})
+                order = math.log2(res / res_half) if res_half > 0 else float("nan")
+                at_n.append({**at, "kind": "order", "dt": dt, "value": order})
+        # residual and order rows by k then t, then telescope rows by m then t
+        at_n.sort(key=lambda row: (row["kind"] == "telescope", row.get("k", row.get("m"))))
+        rows += at_n
     return rows
+
+
+def _fd_residuals(later, earlier, step, k_values, rhs):
+    """For each k of k_values, the max-entry defect of the central difference
+    of the order-k RDMs of the states step after and before a grid time
+    against the matching entry of rhs."""
+    k_max = max(k_values)
+    hi, lo = rdm(later, k_max), rdm(earlier, k_max)
+    return [
+        float(np.max(np.abs((hi.marginal(k).matrix - lo.marginal(k).matrix) / (2 * step) - r)))
+        for k, r in zip(k_values, rhs)
+    ]
 
 
 def run_bounds(config):
@@ -541,7 +526,6 @@ def run_bounds(config):
         c = constants[strategy]
         rows.append(
             {
-                "config_hash": config.config_hash,
                 "kind": "constants",
                 "strategy": strategy,
                 "m_max": c.m_max,
@@ -556,7 +540,6 @@ def run_bounds(config):
         for t in config.time_grid:
             rows.append(
                 {
-                    "config_hash": config.config_hash,
                     "kind": "curve",
                     "strategy": config.vtilde_strategy,
                     "N": n_particles,
@@ -648,7 +631,8 @@ def write_rows(path, config, rows):
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(col)) for col in columns])
+            # config_hash, the first column of every scenario, comes from the config
+            writer.writerow([config.config_hash] + [_cell(row.get(col)) for col in columns[1:]])
 
 
 def count_violations(rows):

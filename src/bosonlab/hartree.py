@@ -112,24 +112,32 @@ def _mean_field_h(gmat, spec):
     return (h + h.conj().T) / 2
 
 
+def _rhs(g, spec):
+    # -i [h(g), g] for a raw d x d matrix g
+    h = _mean_field_h(g, spec)
+    return -1j * (h @ g - g @ h)
+
+
+def _check_one_body(gamma, spec, name="gamma"):
+    if gamma.order != 1 or gamma.d != spec.d:
+        raise ValueError(f"{name} must be an order-1 density matrix matching spec.d")
+
+
 def mean_field_hamiltonian(gamma, spec):
     """Effective one-particle Hamiltonian h(gamma); Hermitian by construction."""
-    if gamma.order != 1 or gamma.d != spec.d:
-        raise ValueError("gamma must be an order-1 density matrix matching spec.d")
+    _check_one_body(gamma, spec)
     return _mean_field_h(gamma.matrix, spec)
 
 
 def hartree_rhs(gamma, spec):
     """Time derivative of gamma: -i [h(gamma), gamma]."""
-    h = mean_field_hamiltonian(gamma, spec)
-    g = gamma.matrix
-    return -1j * (h @ g - g @ h)
+    _check_one_body(gamma, spec)
+    return _rhs(gamma.matrix, spec)
 
 
 def mean_field_energy(gamma, spec):
     """Conserved energy tr(V1 gamma) + sum_m (1/m!) tr(V^(m) gamma^(x m))."""
-    if gamma.order != 1 or gamma.d != spec.d:
-        raise ValueError("gamma must be an order-1 density matrix matching spec.d")
+    _check_one_body(gamma, spec)
     g = gamma.matrix
     e = 0.0 + 0.0j
     for m in spec.present_orders:
@@ -199,8 +207,7 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     states.  Local error per step is held at or below ``tol`` (mixed
     absolute/relative, RMS over matrix entries).
     """
-    if gamma0.order != 1 or gamma0.d != spec.d:
-        raise ValueError("gamma0 must be an order-1 density matrix matching spec.d")
+    _check_one_body(gamma0, spec, "gamma0")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     times = np.asarray(times, dtype=np.float64)
@@ -224,9 +231,7 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     d = spec.d
 
     def f(y):
-        g = y.reshape(d, d)
-        h = _mean_field_h(g, spec)
-        return (-1j * (h @ g - g @ h)).reshape(-1)
+        return _rhs(y.reshape(d, d), spec).reshape(-1)
 
     y = gamma0.matrix.astype(np.complex128).reshape(-1).copy()
     t = 0.0
@@ -273,9 +278,8 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
                     DensityMatrix(1, d, y.reshape(d, d).copy(), atol=TRAJECTORY_ATOL)
                 )
                 idx += 1
-        if clipped and err <= 1.0:
-            pass  # a clamped step says nothing about the natural step size
-        else:
+        # an accepted clamped step says nothing about the natural step size
+        if not (clipped and err <= 1.0):
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
             dt = dt_try * factor
 

@@ -147,28 +147,16 @@ class TestCorrelationGapBound:
 
 
 class TestTelescopingResidual:
-    def _family_from_state(self, state, top_order):
-        family = {0: DensityMatrix(0, state.basis.d, np.array([[1.0 + 0.0j]]))}
-        for order in range(1, top_order + 1):
-            family[order] = rdm(state, order)
-        return family
-
     def test_two_term_telescope_is_exact(self):
         rng = substream(91, "tel")
         gamma = _density(rng, 2)
-        family = {
-            0: DensityMatrix(0, 2, np.array([[1.0 + 0.0j]])),
-            1: _density(rng, 2),
-            2: _density(rng, 2, order=2),
-        }
-        assert telescoping_residual(family, gamma, 1) < 1e-12
+        assert telescoping_residual(_density(rng, 2, order=2), gamma, 1) < 1e-12
 
     def test_product_state_with_matching_gamma_vanishes(self, rng):
         phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         phi /= np.linalg.norm(phi)
         state = embed_product_state(phi, 5)
-        family = self._family_from_state(state, 3)
-        assert telescoping_residual(family, pure_state_density(phi), 2) < 1e-13
+        assert telescoping_residual(rdm(state, 3), pure_state_density(phi), 2) < 1e-13
 
     def test_evolved_state_identity(self):
         rng = substream(92, "tel")
@@ -178,25 +166,29 @@ class TestTelescopingResidual:
         state = evolve_exact(
             build_hamiltonian(spec, 5), embed_product_state(phi, 5), [0.8]
         )[0]
-        family = self._family_from_state(state, 3)
         gamma = _density(rng, 2)  # identity holds for ANY comparison state
-        assert telescoping_residual(family, gamma, 2) < 1e-12
+        assert telescoping_residual(rdm(state, 3), gamma, 2) < 1e-12
 
-    def test_random_families_satisfy_identity(self):
+    def test_random_densities_satisfy_identity(self):
         for i in range(20):
             rng = substream(93, "tel", i)
             d = int(rng.integers(2, 4))
             m = int(rng.integers(1, 4))
-            family = {0: DensityMatrix(0, d, np.array([[1.0 + 0.0j]]))}
-            for order in range(1, m + 2):
-                family[order] = _density(rng, d, order=order)
+            exact = _density(rng, d, order=m + 1)
             gamma = _density(rng, d)
-            assert telescoping_residual(family, gamma, m) < 1e-12
+            assert telescoping_residual(exact, gamma, m) < 1e-12
 
-    def test_missing_order_rejected(self, rng):
-        family = {
-            0: DensityMatrix(0, 2, np.array([[1.0 + 0.0j]])),
-            1: _density(rng, 2),
-        }
-        with pytest.raises(ValueError, match="missing exact RDM of order 2"):
-            telescoping_residual(family, _density(rng, 2), 1)
+    def test_higher_order_rdm_is_read_through_marginals(self, rng):
+        exact = _density(rng, 2, order=4)
+        gamma = _density(rng, 2)
+        for m in (1, 2, 3):
+            assert telescoping_residual(exact, gamma, m) < 1e-12
+
+    @pytest.mark.parametrize("m", [0, 2, 3])
+    def test_m_out_of_range_rejected(self, rng, m):
+        with pytest.raises(ValueError, match=rf"m = {m} is not in \[1, 1\] for an order-2 RDM"):
+            telescoping_residual(_density(rng, 2, order=2), _density(rng, 2), m)
+
+    def test_mismatched_hartree_gamma_rejected(self, rng):
+        with pytest.raises(ValueError, match="hartree_gamma must be an order-1"):
+            telescoping_residual(_density(rng, 2, order=2), _density(rng, 3), 1)

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from bosonlab.experiments import (
 )
 
 from .conftest import SX, SZ
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _pairs(matrix):
@@ -67,6 +71,13 @@ def _count_rdm_orders(monkeypatch):
 
     monkeypatch.setattr(experiments, "rdm", counting)
     return orders
+
+
+def _shipped(scenario, **changes):
+    """The shipped config of a scenario, as a mapping, with changes."""
+    cfg = json.loads((CONFIG_DIR / f"{scenario}.json").read_text())
+    cfg.update(changes)
+    return cfg
 
 
 def _with_nan_entry(pairs):
@@ -321,10 +332,50 @@ class TestBbgkyRunner:
             )
         )
         run_bbgky(config)
-        # per N, in time order: t = 0 (telescope m = 2 reads order 3), the
-        # stencil 0.4 - dt, 0.4 - dt/2 (order k = 2), t = 0.4 (k + M - 1 = 3)
-        # and the stencil 0.4 + dt/2, 0.4 + dt
-        assert orders == [3, 2, 2, 3, 2, 2] * 2
+        # per N, one grid time at a time: t = 0 (telescope m = 2 reads order
+        # 3), t = 0.4 (k + M - 1 = 3), then its four stencil points (k = 2)
+        assert orders == [3, 3, 2, 2, 2, 2] * 2
+
+    def test_rdm_order_above_n_refused(self):
+        config = config_from_dict(_shipped("bbgky", n_values=[5], k_values=[4]))
+        with pytest.raises(ValueError, match=r"k_values entry 4 needs RDM order 6 > N = 5"):
+            run_bbgky(config)
+
+    @staticmethod
+    def _peak(config):
+        """tracemalloc peak of run_bbgky in bytes, and the highest RDM order K
+        it forms."""
+        max_present = max(config.spec.present_orders)
+        top = max(max(config.k_values) + max_present - 1, max(config.telescope_orders) + 1)
+        tracemalloc.start()
+        try:
+            run_bbgky(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, top
+
+    def test_peak_does_not_grow_with_grid_times(self):
+        ratios = []
+        for n_times in (6, 11):
+            grid = [0.1 * i for i in range(n_times)]
+            config = config_from_dict(
+                _shipped("bbgky", n_values=[10], k_values=[5], time_grid=grid)
+            )
+            peak, top = self._peak(config)
+            # within what the config guard charges for the order-K matrices
+            assert peak <= experiments._dense_peak_bytes(2**top)
+            ratios.append(peak / (16 * 4**top))
+        assert abs(ratios[1] - ratios[0]) <= 0.5
+
+    @pytest.mark.parametrize("max_order, k", [(1, 9), (2, 8)])
+    def test_peak_within_guard_for_lower_body_orders(self, max_order, k):
+        cfg = _shipped("bbgky", n_values=[10], k_values=[k])
+        terms = {m: v for m, v in cfg["spec"]["terms"].items() if int(m) <= max_order}
+        cfg["spec"] = {"d": 2, "max_order": max_order, "terms": terms}
+        peak, top = self._peak(config_from_dict(cfg))
+        assert top == 9
+        assert peak <= experiments._dense_peak_bytes(2**top)
 
 
 class TestBoundsRunner:
