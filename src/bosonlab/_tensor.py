@@ -24,14 +24,17 @@ def partial_trace_last(matrix, d, n_slots, n_traced):
     return np.einsum("ajbj->ab", t)
 
 
+def permute_slots(matrix, d, order, perm):
+    """Conjugate an order-slot operator by a permutation of its slots."""
+    mat = np.asarray(matrix)
+    t = mat.reshape((d,) * (2 * order))
+    axes = tuple(perm) + tuple(order + p for p in perm)
+    return t.transpose(axes).reshape(mat.shape)
+
+
 def embed_on_sites(matrix, sites, d, n_slots):
     """Extend an operator to n_slots slots, acting on `sites` (0-based, in
     the order of the operator's own slots) and as identity elsewhere."""
-    m = len(sites)
-    full = np.kron(np.asarray(matrix, dtype=np.complex128), np.eye(d ** (n_slots - m)))
-    t = full.reshape((d,) * (2 * n_slots))
-    rest = [q for q in range(n_slots) if q not in sites]
-    cur = list(sites) + rest
-    perm = [cur.index(q) for q in range(n_slots)]
-    axes = perm + [n_slots + p for p in perm]
-    return t.transpose(axes).reshape(d**n_slots, d**n_slots)
+    cur = list(sites) + [q for q in range(n_slots) if q not in sites]
+    full = np.kron(np.asarray(matrix, dtype=np.complex128), np.eye(d ** (n_slots - len(sites))))
+    return permute_slots(full, d, n_slots, [cur.index(q) for q in range(n_slots)])

@@ -21,7 +21,7 @@ from .symmetric_space import SymmetricState
 
 # commutator_growth refuses a call whose largest block's dense matrices
 # would pass MAX_DENSE_BYTES at their peak (see _dense_peak_bytes), or whose
-# sum over blocks of dim^3 x (1 + number of times) would pass MAX_KERNEL_WORK.
+# sum over blocks of dim^3 x (1 + pairs x times) would pass MAX_KERNEL_WORK.
 MAX_DENSE_BYTES = 2**32
 MAX_KERNEL_WORK = 2**38
 _LIVE_MATRICES = 8
@@ -51,7 +51,8 @@ class ObservableOnSubset:
     """A Hermitian observable acting on an explicit ordered set of particles.
 
     ``support`` uses 1-based particle labels; slot s of ``matrix`` acts on
-    particle support[s].
+    particle support[s].  ``matrix`` may also be a stack of observables on
+    the same support (a leading sample axis); every member is validated.
     """
 
     support: tuple
@@ -66,9 +67,9 @@ class ObservableOnSubset:
         if min(sup) < 1:
             raise ValueError("support uses 1-based particle labels")
         mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
             raise ValueError("observable matrix must be square")
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        dev = float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))))
         if not dev <= _HERM_ATOL:  # NaN entries fail too
             raise ValueError(f"observable is not Hermitian (max deviation {dev:.3e})")
         mat.setflags(write=False)
@@ -130,9 +131,9 @@ def _taylor_series(h, mu, psi, tau):
 
 def _dense_peak_bytes(dim):
     # commutator_growth holds at most _LIVE_MATRICES dense D x D complex128
-    # matrices of its largest block at once, block building included
-    # (tracemalloc peak / 16 D^2 = 7.17 and 7.11 at d = 2, N = 60 and 40 with
-    # m + n = 2 and 3; 7.02 and 7.00 at d = 3, N = 6 and 7)
+    # matrices of its largest block at once, block building included, for one
+    # pair or a stack (tracemalloc peak / 16 D^2 = 7.17 and 7.11 at d = 2,
+    # N = 60 and 40 with m + n = 2 and 3; 7.02 and 7.00 at d = 3, N = 6 and 7)
     return _LIVE_MATRICES * 16 * dim * dim
 
 
@@ -154,27 +155,28 @@ def _block_dims(d, n_particles, n_active):
     return range(slot_dim * (n_particles - n_slots + 1), 0, -2 * slot_dim)
 
 
-def _guard_blocks(d, n_particles, n_active, n_times):
+def _guard_blocks(d, n_particles, n_active, n_times, n_pairs):
     """Refuse, before any allocation, a commutator_growth call whose largest
-    block passes MAX_DENSE_BYTES or whose eigh and per-time products pass
-    MAX_KERNEL_WORK."""
+    block passes MAX_DENSE_BYTES or whose eigh and per-pair, per-time
+    products pass MAX_KERNEL_WORK."""
 
     def fits(n):
         dims = _block_dims(d, n, n_active)
         # the work sum only runs once the bytes fit, which bounds the block count
         return (
             _dense_peak_bytes(dims[0]) <= MAX_DENSE_BYTES
-            and sum(dim**3 for dim in dims) * (1 + n_times) <= MAX_KERNEL_WORK
+            and sum(dim**3 for dim in dims) * (1 + n_pairs * n_times) <= MAX_KERNEL_WORK
         )
 
     if not fits(n_particles):
         max_n = n_active - 1
         while fits(max_n + 1):
             max_n += 1
+        pairs = "" if n_pairs == 1 else f"{n_pairs} pairs x "
         raise ValueError(
             f"commutator growth at N={n_particles} would pass MAX_DENSE_BYTES = "
             f"{MAX_DENSE_BYTES} bytes of dense matrices or MAX_KERNEL_WORK = {MAX_KERNEL_WORK}"
-            f" (sum over blocks of dim^3 x (1 + times)); largest workable N for d={d}, "
+            f" (sum over blocks of dim^3 x (1 + {pairs}times)); largest workable N for d={d}, "
             f"m+n={n_active} and {n_times} times is {max_n}"
         )
 
@@ -261,14 +263,19 @@ def _block_hamiltonians(spec, n_particles, n_active):
         yield h
 
 
-def _commutator_norms(h, act_a, act_b, times):
-    """||[A, B(t)]|| on one block, where A = act_a (x) 1 and B = act_b (x) 1.
-
-    One eigh; then per time a phase product B~(t) = e^{iwt} B~ e^{-iwt}, one
-    matmul C = A~ B~(t) and the eigvalsh of the Hermitian i(C - C^+).
-    """
+def _commutator_norms(h, acts_a, acts_b, times):
+    """||[A, B(t)]|| on one block for each pair, A = act_a (x) 1 and
+    B = act_b (x) 1: one eigh for every pair; a row of norms per pair."""
     # a real block (a real spec) diagonalizes 3-5x faster as real symmetric
     w, v = np.linalg.eigh(h if h.imag.any() else h.real)
+    return np.array([_pair_norms(w, v, a, b, times) for a, b in zip(acts_a, acts_b)])
+
+
+def _pair_norms(w, v, act_a, act_b, times):
+    """One pair's norms on the block with eigenpairs (w, v): A~ = V^+ A V and
+    B~ = V^+ B V, then per time a phase product B~(t) = e^{iwt} B~ e^{-iwt},
+    one matmul C = A~ B~(t) and the eigvalsh of the Hermitian i(C - C^+).
+    A function of its own so that no pair's D x D matrices outlive it."""
     rows = v.reshape(act_a.shape[0], -1)
     a, b = (v.conj().T @ (act @ rows).reshape(v.shape) for act in (act_a, act_b))
     norms = np.empty(len(times))
@@ -290,7 +297,9 @@ def commutator_growth(spec, n_particles, obs_a, obs_b, times):
     spectator spins S of the norm on a block of dimension 2^(m+n) (2S+1)
     (Schur-Weyl); at other d the single block is the full tensor space.  The
     active particles come first in sorted label order (H is invariant under
-    relabelling).
+    relabelling).  ``obs_a`` and ``obs_b`` may hold equal-length stacks: each
+    block is then built and diagonalized once for every pair, and the result
+    is a list of norms per pair.
     """
     if set(obs_a.support) & set(obs_b.support):
         raise ValueError("supports must be disjoint")
@@ -298,24 +307,30 @@ def commutator_growth(spec, n_particles, obs_a, obs_b, times):
     for obs in (obs_a, obs_b):
         if max(obs.support) > n_particles:
             raise ValueError("support index exceeds particle number")
-        if obs.matrix.shape[0] != d ** len(obs.support):
+        if obs.matrix.shape[-1] != d ** len(obs.support):
             raise ValueError(
-                f"observable dimension {obs.matrix.shape[0]} does not match "
+                f"observable dimension {obs.matrix.shape[-1]} does not match "
                 f"d^|support| = {d ** len(obs.support)}"
             )
+    if obs_a.matrix.shape[:-2] != obs_b.matrix.shape[:-2]:
+        raise ValueError("observable stacks must have equal length")
     if max(spec.present_orders, default=0) > n_particles:
         raise ValueError("interaction order exceeds particle number")
     t = _check_times(times)
+    stacked = obs_a.matrix.ndim == 3
+    # a single pair is a stack of one
+    mats_a, mats_b = (obs.matrix.reshape((-1,) + obs.matrix.shape[-2:]) for obs in (obs_a, obs_b))
     active = sorted(obs_a.support + obs_b.support)
-    _guard_blocks(d, n_particles, len(active), len(t))
-    act_a, act_b = (
-        embed_on_sites(obs.matrix, [active.index(i) for i in obs.support], d, len(active))
-        for obs in (obs_a, obs_b)
+    _guard_blocks(d, n_particles, len(active), len(t), len(mats_a))
+    acts_a, acts_b = (
+        [embed_on_sites(x, [active.index(i) for i in obs.support], d, len(active)) for x in mats]
+        for obs, mats in ((obs_a, mats_a), (obs_b, mats_b))
     )
-    norms = np.zeros(len(t))
+    norms = np.zeros((len(mats_a), len(t)))
     for h in _block_hamiltonians(spec, n_particles, len(active)):
-        norms = np.maximum(norms, _commutator_norms(h, act_a, act_b, t))
-    return [float(x) for x in norms]
+        norms = np.maximum(norms, _commutator_norms(h, acts_a, acts_b, t))
+    per_pair = [[float(x) for x in row] for row in norms]
+    return per_pair if stacked else per_pair[0]
 
 
 def _check_rdm(gamma, order, d):

@@ -244,7 +244,7 @@ def config_from_dict(data, overrides=None):
     norm_dev = abs(np.linalg.norm(phi) - 1.0)
     if not norm_dev <= 1e-10:
         raise ConfigError(f"initial_phi: norm deviates from 1 by {norm_dev:.3e}")
-    for path, order in _dense_orders(values):
+    for path, order, max_n in _dense_orders(values):
         if not _fits_dense(d, order):
             max_order = next(k for k in range(order) if not _fits_dense(d, k + 1))
             raise ConfigError(
@@ -252,6 +252,8 @@ def config_from_dict(data, overrides=None):
                 f"MAX_DENSE_BYTES = {MAX_DENSE_BYTES} bytes; the largest workable order "
                 f"for d={d} is {max_order}"
             )
+        if order > max_n:
+            raise ConfigError(f"{path}: order {order} exceeds N = {max_n} in n_values")
 
     hashed = {f.name: _canonical(values[f.name]) for f in _KEYS if f.metadata["hashed"]}
     digest = hashlib.sha256(
@@ -261,18 +263,20 @@ def config_from_dict(data, overrides=None):
 
 
 def _dense_orders(values):
-    """(what sets k, k) for each order k of the dense d^k x d^k matrices the
-    scenario forms from its observables or RDMs."""
+    """(what sets k, k, the N that k may not pass) for each order k of the
+    dense d^k x d^k matrices the scenario forms from its observables or RDMs."""
     scenario = values["scenario"]
+    n_min, n_max = values["n_values"][0], values["n_values"][-1]
     if scenario in ("lr", "corr"):
-        return [("obs_m + obs_n", values["obs_m"] + values["obs_n"])]
+        return [("obs_m + obs_n", values["obs_m"] + values["obs_n"], n_min)]
     if scenario == "bbgky":
         max_present = max(values["spec"].present_orders, default=1)
-        # telescope orders past N are skipped by run_bbgky
-        telescope = min(max(values["telescope_orders"]) + 1, max(values["n_values"]))
+        hierarchy = max(values["k_values"]) + max_present - 1
+        # telescope orders past N are skipped by run_bbgky, so only the largest N caps them
+        telescope = min(max(values["telescope_orders"]) + 1, n_max)
         return [
-            (f"max(k_values) + {max_present - 1}", max(values["k_values"]) + max_present - 1),
-            ("max(telescope_orders) + 1", telescope),
+            (f"max(k_values) + {max_present - 1}", hierarchy, n_min),
+            ("max(telescope_orders) + 1", telescope, n_max),
         ]
     return []
 
@@ -307,8 +311,6 @@ def _observable_stacks(config, scenario):
     particles, sample s from substream s of "<scenario>:a" and ":b", and each
     pair's norms; drawn once for every N."""
     m, n = config.obs_m, config.obs_n
-    if m + n > config.n_values[0]:
-        raise ValueError(f"obs_m + obs_n = {m + n} exceeds N = {config.n_values[0]}")
     a, b = (
         np.array(
             [
@@ -387,39 +389,36 @@ def run_convergence(config):
     return rows + _slope_rows(config, by_time)
 
 
+def _pair_row(config, bound, consts, norms, n_particles, sample, t, lhs):
+    """One lr or corr point row: lhs against bound(m, n, ||A||, ||B||, ...)
+    for the pair with operator norms ``norms``."""
+    m, n = config.obs_m, config.obs_n
+    rhs = bound(m, n, *norms, consts, n_particles, t)
+    at = {"kind": "point", "N": n_particles, "m": m, "n": n, "sample": sample, "t": t}
+    return {**at, "lhs": lhs, "rhs": rhs, "violation": int(lhs > rhs + VIOLATION_ATOL)}
+
+
 def run_lr(config):
     """Heisenberg commutator growth against its closed-form bound."""
-    spec = config.spec
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
     a_stack, b_stack, norms = _observable_stacks(config, "lr")
-    support_b = tuple(range(1, n + 1))
-    support_a = tuple(range(n + 1, n + m + 1))
+    obs_a = ObservableOnSubset(tuple(range(n + 1, n + m + 1)), a_stack)
+    obs_b = ObservableOnSubset(tuple(range(1, n + 1)), b_stack)
     rows = []
     for n_particles in config.n_values:
-        for s, (a, b, (norm_a, norm_b)) in enumerate(zip(a_stack, b_stack, norms)):
-            obs_a, obs_b = ObservableOnSubset(support_a, a), ObservableOnSubset(support_b, b)
-            lhs_values = commutator_growth(spec, n_particles, obs_a, obs_b, config.time_grid)
-            for t, lhs in zip(config.time_grid, lhs_values):
-                rhs = commutator_growth_bound(m, n, norm_a, norm_b, consts, n_particles, t)
-                rows.append(
-                    {
-                        "N": n_particles,
-                        "m": m,
-                        "n": n,
-                        "sample": s,
-                        "t": t,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "violation": int(lhs > rhs + VIOLATION_ATOL),
-                    }
-                )
+        # one call per N: each block is built and diagonalized once for every sample
+        sample_lhs = commutator_growth(config.spec, n_particles, obs_a, obs_b, config.time_grid)
+        rows += [
+            _pair_row(config, commutator_growth_bound, consts, pair_norms, n_particles, s, t, lhs)
+            for s, (lhs_values, pair_norms) in enumerate(zip(sample_lhs, norms))
+            for t, lhs in zip(config.time_grid, lhs_values)
+        ]
     return rows
 
 
 def run_corr(config):
     """Correlation gap of evolved product states against its bound."""
-    spec = config.spec
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
     a_stack, b_stack, norms = _observable_stacks(config, "corr")
@@ -429,21 +428,10 @@ def run_corr(config):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
             # one RDM walk and one pair of marginals per state, for every sample
             sample_lhs = correlation_gap(rdm(state, m + n), m, n, a_stack, b_stack)
-            for s, (lhs, (norm_a, norm_b)) in enumerate(zip(sample_lhs, norms)):
-                rhs = correlation_gap_bound(m, n, norm_a, norm_b, consts, n_particles, t)
-                rows.append(
-                    {
-                        "kind": "point",
-                        "N": n_particles,
-                        "m": m,
-                        "n": n,
-                        "sample": s,
-                        "t": t,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "violation": int(lhs > rhs + VIOLATION_ATOL),
-                    }
-                )
+            rows += [
+                _pair_row(config, correlation_gap_bound, consts, pair_norms, n_particles, s, t, lhs)
+                for s, (lhs, pair_norms) in enumerate(zip(sample_lhs, norms))
+            ]
             mean_by_time[i].append((n_particles, float(np.mean(sample_lhs))))
     return rows + _slope_rows(config, mean_by_time)
 
@@ -465,11 +453,6 @@ def run_bbgky(config):
     needed = sorted(stencil.union(config.time_grid))
     rows = []
     for n_particles, states in _exact_trajectories(config, needed):
-        for k in config.k_values:
-            if k + max_present - 1 > n_particles:
-                raise ValueError(
-                    f"k_values entry {k} needs RDM order {k + max_present - 1} > N = {n_particles}"
-                )
         state_at = dict(zip(needed, states))
         telescope = [m for m in config.telescope_orders if m + 1 <= n_particles]
         at_n = []
@@ -652,7 +635,7 @@ def _curves_for_plot(config, rows):
                 (f"bound_vs_N.t{i}", ns, [r["mean_field_error_bound"] for r in at_t])
             )
     elif scenario in ("lr", "corr"):
-        points = [r for r in rows if r.get("kind", "point") == "point"]
+        points = [r for r in rows if r.get("kind") == "point"]
         for n_particles in config.n_values:
             lhs_mean, rhs_vals = [], []
             for t in config.time_grid:

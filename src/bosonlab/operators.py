@@ -21,6 +21,8 @@ from itertools import permutations
 
 import numpy as np
 
+from ._tensor import permute_slots
+
 DEFAULT_ATOL = 1e-12
 
 _U64 = 2**64
@@ -29,14 +31,6 @@ _U64 = 2**64
 def operator_norm(matrix):
     """Spectral norm: the largest singular value."""
     return float(np.linalg.norm(np.asarray(matrix), 2))
-
-
-def permute_slots(matrix, d, order, perm):
-    """Conjugate an order-slot operator by a permutation of its slots."""
-    mat = np.asarray(matrix)
-    t = mat.reshape((d,) * (2 * order))
-    axes = tuple(perm) + tuple(order + p for p in perm)
-    return t.transpose(axes).reshape(mat.shape)
 
 
 def slot_symmetrize(matrix, d, order):

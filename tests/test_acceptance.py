@@ -190,16 +190,21 @@ def test_commutator_growth_never_exceeds_envelope():
     for m, n in ((1, 1), (2, 1)):
         support_b = tuple(range(1, n + 1))
         support_a = tuple(range(n + 1, n + m + 1))
-        for s in range(16):
-            a = random_unit_hermitian(substream(2026, f"accept-lr-a:{m}{n}", s), 2**m)
-            b = random_unit_hermitian(substream(2026, f"accept-lr-b:{m}{n}", s), 2**n)
-            lhs_values = commutator_growth(
-                spec,
-                n_particles,
-                ObservableOnSubset(support_a, a),
-                ObservableOnSubset(support_b, b),
-                GRID,
+        a_stack, b_stack = (
+            np.array(
+                [random_unit_hermitian(substream(2026, f"{tag}:{m}{n}", s), 2**k) for s in range(16)]
             )
+            for tag, k in (("accept-lr-a", m), ("accept-lr-b", n))
+        )
+        # one stacked call per (m, n), as run_lr makes one per N
+        per_sample = commutator_growth(
+            spec,
+            n_particles,
+            ObservableOnSubset(support_a, a_stack),
+            ObservableOnSubset(support_b, b_stack),
+            GRID,
+        )
+        for a, b, lhs_values in zip(a_stack, b_stack, per_sample):
             for t, lhs in zip(GRID, lhs_values):
                 rhs = commutator_growth_bound(
                     m, n, operator_norm(a), operator_norm(b), consts, n_particles, t

@@ -187,6 +187,27 @@ def test_oversized_dense_orders_refused_before_allocating(
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, changes, message",
+    [
+        ("lr", {"obs_m": 5, "obs_n": 2}, "obs_m + obs_n: order 7 exceeds N = 6"),
+        ("corr", {"obs_m": 3, "obs_n": 2}, "obs_m + obs_n: order 5 exceeds N = 4"),
+        ("bbgky", {"k_values": [4]}, "max(k_values) + 2: order 6 exceeds N = 5"),
+    ],
+)
+def test_orders_above_the_smallest_n_refused_at_config_time(
+    tmp_path, capsys, monkeypatch, scenario, changes, message
+):
+    def never(config):
+        raise AssertionError("the runner must not start")
+
+    monkeypatch.setitem(cli_module.RUNNERS, scenario, never)
+    path = _shipped(tmp_path, scenario, **changes)
+    assert main([scenario, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_violation_rows_exit_two(config_file, capsys, monkeypatch):
     def fake_runner(config):
         return [{"config_hash": config.config_hash, "kind": "point", "violation": 1}]

@@ -264,6 +264,15 @@ class TestObservableOnSubset:
         with pytest.raises(ValueError, match="Hermitian"):
             ObservableOnSubset((1,), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_with_one_non_hermitian_member_rejected(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            ObservableOnSubset((1,), stack)
+
+    def test_stack_members_must_be_square(self):
+        with pytest.raises(ValueError, match="square"):
+            ObservableOnSubset((1,), np.zeros((3, 2, 4)))
+
 
 class TestCommutatorGrowth:
     def test_zero_at_time_zero(self, rng):
@@ -353,16 +362,22 @@ class TestCommutatorGrowth:
             want = np.linalg.eigvalsh(oracles.hamiltonian_brute(spec, n))
             np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("pairs", [None, 4])
     @pytest.mark.parametrize(
         "d, n, support_a, support_b", [(2, 40, (3, 1), (2,)), (3, 6, (5,), (2,))]
     )
-    def test_peak_memory_stays_within_the_byte_guard(self, d, n, support_a, support_b):
+    def test_peak_memory_stays_within_the_byte_guard(self, d, n, support_a, support_b, pairs):
         # the guard counts _LIVE_MATRICES dense matrices of the largest block;
-        # the call, block building included, must hold no more than that
+        # the call, block building included, must hold no more than that, for
+        # one pair (None) or a stack of pairs alike
         rng = substream(43, f"peak:{d}:{n}")
         spec = random_spec(rng, d, (1, 2), unit_norm=False)
-        a = ObservableOnSubset(support_a, oracles.rand_unit_herm(rng, d ** len(support_a)))
-        b = ObservableOnSubset(support_b, oracles.rand_unit_herm(rng, d ** len(support_b)))
+
+        def observable(support):
+            mats = [oracles.rand_unit_herm(rng, d ** len(support)) for _ in range(pairs or 1)]
+            return ObservableOnSubset(support, np.array(mats) if pairs else mats[0])
+
+        a, b = observable(support_a), observable(support_b)
         largest = exact_dynamics._block_dims(d, n, len(support_a) + len(support_b))[0]
         tracemalloc.start()
         try:
@@ -386,9 +401,9 @@ class TestCommutatorGrowth:
             tracemalloc.stop()
         assert peak < 2**20
         max_n = int(re.search(r"m\+n=2 and 5 times is (\d+)$", str(err.value)).group(1))
-        exact_dynamics._guard_blocks(2, max_n, 2, len(times))
+        exact_dynamics._guard_blocks(2, max_n, 2, len(times), 1)
         with pytest.raises(ValueError, match=f"is {max_n}$"):
-            exact_dynamics._guard_blocks(2, max_n + 1, 2, len(times))
+            exact_dynamics._guard_blocks(2, max_n + 1, 2, len(times), 1)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"is {max_n}$"):
             commutator_growth(spec, 10**18, a, b, times)
@@ -403,6 +418,51 @@ class TestCommutatorGrowth:
         b = ObservableOnSubset((2,), np.eye(3))
         with pytest.raises(ValueError, match="largest workable N for d=3, m\\+n=2 and 1 times is 7"):
             commutator_growth(spec, n, a, b, [0.5])
+
+    @pytest.mark.parametrize(
+        "d, n, support_a, support_b", [(2, 6, (4,), (2,)), (2, 6, (1, 5), (3,)), (3, 4, (2,), (4,))]
+    )
+    def test_stack_equals_one_call_per_pair(self, d, n, support_a, support_b):
+        rng = substream(44, f"stack:{d}:{n}:{len(support_a)}")
+        spec = random_spec(rng, d, (1, 2, 3), unit_norm=False)
+        a, b = (
+            np.array([oracles.rand_unit_herm(rng, d ** len(sup)) for _ in range(3)])
+            for sup in (support_a, support_b)
+        )
+        times = [0.0, 0.6, 1.3]
+        stacked = commutator_growth(
+            spec, n, ObservableOnSubset(support_a, a), ObservableOnSubset(support_b, b), times
+        )
+        assert stacked == [
+            commutator_growth(
+                spec, n, ObservableOnSubset(support_a, x), ObservableOnSubset(support_b, y), times
+            )
+            for x, y in zip(a, b)
+        ]
+
+    def test_stacks_of_unequal_length_rejected(self, rng):
+        spec = random_spec(rng, 2, (1, 2))
+        a = ObservableOnSubset((1,), np.array([np.eye(2)] * 3))
+        b = ObservableOnSubset((2,), np.array([np.eye(2)] * 2))
+        with pytest.raises(ValueError, match="equal length"):
+            commutator_growth(spec, 3, a, b, [0.1])
+        with pytest.raises(ValueError, match="equal length"):
+            commutator_growth(spec, 3, a, ObservableOnSubset((2,), np.eye(2)), [0.1])
+
+    def test_work_guard_prices_every_pair_before_allocating(self, rng):
+        # N = 100 with one time fits for one pair, but not for 1000 of them
+        spec = random_spec(rng, 2, (1, 2))
+        exact_dynamics._guard_blocks(2, 100, 2, 1, 1)
+        a = ObservableOnSubset((1,), np.array([oracles.rand_unit_herm(rng, 2)] * 1000))
+        b = ObservableOnSubset((2,), np.array([oracles.rand_unit_herm(rng, 2)] * 1000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"\(1 \+ 1000 pairs x times\)\); .* is \d+$"):
+                commutator_growth(spec, 100, a, b, [0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_overlapping_supports_rejected(self, rng):
         spec = random_spec(rng, 2, (1, 2))

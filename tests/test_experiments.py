@@ -10,6 +10,7 @@ import pytest
 from bosonlab import (
     __version__,
     bound_constants,
+    commutator_growth,
     correlation_gap,
     experiments,
     mean_field_error_bound,
@@ -254,9 +255,33 @@ class TestLrRunner:
         assert run_lr(config) == run_lr(config)
 
     def test_support_must_fit(self):
-        config = self._config(obs_m=3, obs_n=2)
-        with pytest.raises(ValueError, match="exceeds N"):
-            run_lr(config)
+        with pytest.raises(ConfigError, match=r"^obs_m \+ obs_n: order 5 exceeds N = 4"):
+            self._config(obs_m=3, obs_n=2)
+
+    def test_one_commutator_growth_call_per_n(self, monkeypatch):
+        stack_sizes, eigh_dims = [], []
+
+        def counting(spec, n_particles, obs_a, obs_b, times):
+            stack_sizes.append((len(obs_a.matrix), len(obs_b.matrix)))
+            return commutator_growth(spec, n_particles, obs_a, obs_b, times)
+
+        def counting_eigh(h):
+            eigh_dims.append(h.shape[0])
+            return eigh(h)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(experiments, "commutator_growth", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        config = config_from_dict(
+            base_config(scenario="lr", n_values=[4, 5], time_grid=[0.0, 0.5], n_samples=3)
+        )
+        rows = run_lr(config)
+        assert stack_sizes == [(3, 3)] * 2  # every sample in one call per N
+        # each block of each N diagonalized once, largest first
+        assert eigh_dims == [12, 4, 16, 8]
+        assert [(r["N"], r["sample"], r["t"]) for r in rows] == [
+            (n, s, t) for n in (4, 5) for s in range(3) for t in (0.0, 0.5)
+        ]
 
 
 class TestCorrRunner:
@@ -337,9 +362,8 @@ class TestBbgkyRunner:
         assert orders == [3, 3, 2, 2, 2, 2] * 2
 
     def test_rdm_order_above_n_refused(self):
-        config = config_from_dict(_shipped("bbgky", n_values=[5], k_values=[4]))
-        with pytest.raises(ValueError, match=r"k_values entry 4 needs RDM order 6 > N = 5"):
-            run_bbgky(config)
+        with pytest.raises(ConfigError, match=r"^max\(k_values\) \+ 2: order 6 exceeds N = 5"):
+            config_from_dict(_shipped("bbgky", n_values=[5], k_values=[4]))
 
     @staticmethod
     def _peak(config):
