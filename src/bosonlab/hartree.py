@@ -101,20 +101,31 @@ def pure_state_density(phi, atol=DENSITY_ATOL):
     return DensityMatrix(1, v.size, np.outer(v, v.conj()))
 
 
-def _mean_field_h(gmat, spec):
-    d = spec.d
-    h = np.zeros((d, d), dtype=np.complex128)
+def _contractions(spec):
+    """V^(m)/(m-1)! for each present order m, ascending, as a d^2 x d^(2(m-1))
+    matrix over (a, b) x (j_2, i_2, .., j_m, i_m): its product with the outer
+    product of m - 1 flattened gammas is the order-m part of h(gamma)."""
+    d, mats = spec.d, []
     for m in spec.present_orders:
-        rest = d ** (m - 1)
-        v4 = spec.terms[m].matrix.reshape(d, rest, d, rest)
-        gp = tensor_power(gmat, m - 1)
-        h = h + np.einsum("aibj,ji->ab", v4, gp) / math.factorial(m - 1)
+        axes = [0, m] + [a for s in range(1, m) for a in (m + s, s)]
+        v = spec.terms[m].matrix.reshape((d,) * 2 * m).transpose(axes)
+        mats.append(v.reshape(d * d, -1) / math.factorial(m - 1))
+    return mats
+
+
+def _mean_field_h(g, contractions):
+    flat, power, h = g.reshape(-1), np.ones(1), np.zeros(g.size, dtype=np.complex128)
+    for c in contractions:
+        while power.size < c.shape[1]:  # extend gamma^(x (m-1)) from the lower order's
+            power = np.multiply.outer(power, flat).reshape(-1)
+        h = h + c @ power
+    h = np.reshape(h, g.shape)
     return (h + h.conj().T) / 2
 
 
-def _rhs(g, spec):
+def _rhs(g, contractions):
     # -i [h(g), g] for a raw d x d matrix g
-    h = _mean_field_h(g, spec)
+    h = _mean_field_h(g, contractions)
     return -1j * (h @ g - g @ h)
 
 
@@ -126,13 +137,13 @@ def _check_one_body(gamma, spec, name="gamma"):
 def mean_field_hamiltonian(gamma, spec):
     """Effective one-particle Hamiltonian h(gamma); Hermitian by construction."""
     _check_one_body(gamma, spec)
-    return _mean_field_h(gamma.matrix, spec)
+    return _mean_field_h(gamma.matrix, _contractions(spec))
 
 
 def hartree_rhs(gamma, spec):
     """Time derivative of gamma: -i [h(gamma), gamma]."""
     _check_one_body(gamma, spec)
-    return _rhs(gamma.matrix, spec)
+    return _rhs(gamma.matrix, _contractions(spec))
 
 
 def mean_field_energy(gamma, spec):
@@ -229,9 +240,10 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
         )
 
     d = spec.d
+    contractions = _contractions(spec)
 
     def f(y):
-        return _rhs(y.reshape(d, d), spec).reshape(-1)
+        return _rhs(y.reshape(d, d), contractions).reshape(-1)
 
     y = gamma0.matrix.astype(np.complex128).reshape(-1).copy()
     t = 0.0

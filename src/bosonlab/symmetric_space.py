@@ -30,8 +30,8 @@ from .hartree import DensityMatrix
 
 # Desk-scale guards, checked before allocating: states in a basis, and bytes
 # of operator triples.  An order-m term yields at most D * C(d+m-1, m)^2
-# entries of 32 bytes (int64 row and col, complex128 value); hermitization
-# doubles them.
+# entries of 32 bytes (int64 row and col, complex128 value); the walk's parts
+# and their concatenation coexist, which doubles them.
 MAX_BASIS_SIZE = 2_000_000
 MAX_TRIPLE_BYTES = 2**30
 _BYTES_PER_ENTRY = 2 * 32
@@ -170,14 +170,19 @@ class SparseHermitian:
     @classmethod
     def from_triples(cls, size, rows, cols, values):
         """(A + A^dagger)/2 for the A whose entries are the sums of the
-        values given at each (row, col)."""
-        keys = np.concatenate([rows * size + cols, cols * size + rows])
-        values = np.concatenate([values, values.conj()]) / 2
+        values given at each (row, col).  Each (row, col) needs a (col, row),
+        as in every ladder walk and diagonal; others are refused."""
+        keys = rows * size + cols
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys = keys[starts]
-        return cls(size, keys // size, keys % size, np.add.reduceat(values[order], starts))
+        keys, values = keys[starts], np.add.reduceat(values[order], starts)
+        rows, cols = keys // size, keys % size
+        partner = np.searchsorted(keys, cols * size + rows)
+        if not np.array_equal(keys.take(partner, mode="clip"), cols * size + rows):
+            raise ValueError("triples must be structurally symmetric")
+        # (a + conj b)/2 and (b + conj a)/2 are exact conjugates
+        return cls(size, rows, cols, (values + values[partner].conj()) / 2)
 
     @property
     def shape(self):
@@ -265,7 +270,8 @@ def _assemble(basis, weighted_terms):
         np.add.at(weights, (index[:, None], index[None, :]), term.matrix)
         weights *= float(prefactor) / math.factorial(term.order)
         for i, j, rows, cols, factor in ladder_walk(basis, term.order):
-            if weights[i, j] != 0:
+            # both (I, J) and (J, I), so that the triples are structurally symmetric
+            if weights[i, j] != 0 or weights[j, i] != 0:
                 parts.append((rows, cols, weights[i, j] * factor))
     rows, cols, values = (np.concatenate(p) for p in zip(*parts))
     return SparseHermitian.from_triples(basis.size, rows, cols, values)
@@ -302,10 +308,7 @@ def rdm(state, k):
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k = {k} exceeds the particle number {n}")
-    falling = 1
-    for q in range(k):
-        falling *= n - q
-    scale = 1.0 / falling
+    scale = 1.0 / math.perm(n, k)
     amps = state.amplitudes
     multisets, index = multiset_map(basis.d, k)
     folded = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)

@@ -1,7 +1,9 @@
+import json
 import math
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +23,15 @@ from bosonlab import (
     evolve_exact,
     rdm,
 )
-from bosonlab import exact_dynamics
-from bosonlab.exact_dynamics import MAX_SUBSTEPS
+from bosonlab import exact_dynamics, experiments
+from bosonlab.exact_dynamics import MAX_CHEBYSHEV_TERMS
+from bosonlab.experiments import config_from_dict, run_convergence
 
 from .conftest import SX, SZ, random_spec, substream
 from . import oracles
 from .oracles import FullSpaceState, fullspace_evolve
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _unit_phi(rng, d):
@@ -87,7 +92,7 @@ class TestEvolveExact:
     def test_non_finite_hamiltonian_rejected(self, rng):
         state = embed_product_state(_unit_phi(rng, 2), 2)
         for c in (np.nan, np.inf):
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Taylor substeps"):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Chebyshev terms"):
                 evolve_exact(_scalar_hamiltonian(c, 3), state, [1.0])
 
     def test_shape_mismatch_rejected(self, rng):
@@ -109,14 +114,21 @@ class TestEvolveExact:
             evolve_exact(build_hamiltonian(spec, 2), state, [0.0, bad])
 
 
+def _forbid_matvec(monkeypatch):
+    def no_matvec(self, x):
+        raise AssertionError("matvec before the guard")
+
+    monkeypatch.setattr(SparseHermitian, "matvec", no_matvec)
+
+
 def _eigh_states(hamiltonian, amplitudes, times):
     w, v = np.linalg.eigh(np.asarray(hamiltonian))
     coeff = v.conj().T @ amplitudes
     return [v @ (np.exp(-1j * w * t) * coeff) for t in times]
 
 
-class TestTaylorPropagation:
-    """The Taylor path against a dense eigendecomposition written here."""
+class TestPropagation:
+    """The Chebyshev path against a dense eigendecomposition written here."""
 
     TIMES = [20.0, 0.3, 0.0, 7.5, 0.3, 20.0, 1e-6]  # unsorted, repeated, t = 0
 
@@ -143,15 +155,103 @@ class TestTaylorPropagation:
             assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
+    def test_subnormal_reach_gives_the_phase(self, rng):
+        # H = c floors R at the smallest normal float, so R t is subnormal here
+        state = embed_product_state(_unit_phi(rng, 2), 2)
+        (out,) = evolve_exact(_scalar_hamiltonian(0.83, state.basis.size), state, [2.2e-16])
+        expected = np.exp(-1j * 0.83 * 2.2e-16) * state.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-15
+
     @pytest.mark.parametrize("t", [1e9, 1e300])
-    def test_work_guard_refuses_before_propagating(self, rng, t):
+    def test_work_guard_refuses_before_propagating(self, rng, t, monkeypatch):
         spec = random_spec(rng, 3, (1, 2))
         state = embed_product_state(_unit_phi(rng, 3), 6)
         h = build_hamiltonian(spec, 6)
+        _forbid_matvec(monkeypatch)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=rf"\w+ Taylor substeps \(budget {MAX_SUBSTEPS}\)"):
+        with pytest.raises(ValueError, match=rf"more than {MAX_CHEBYSHEV_TERMS} Chebyshev terms"):
             evolve_exact(h, state, [0.5, t])
         assert time.perf_counter() - start < 1.0
+
+    def test_coefficient_bytes_refused_before_propagating(self, rng, monkeypatch):
+        spec = random_spec(rng, 3, (1, 2))
+        state = embed_product_state(_unit_phi(rng, 3), 6)
+        h = build_hamiltonian(spec, 6)
+        _, radius = exact_dynamics._enclosure(h)
+        # R t_max = 1e5 takes about 1.4e5 terms, within the term budget; a
+        # table of 600 times x 1.4e5 complex coefficients is 1.3 GB
+        times = np.linspace(0.0, 1e5 / radius, 600)
+        _forbid_matvec(monkeypatch)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="bytes of coefficients"):
+                evolve_exact(h, state, times)
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 2**20
+
+    def test_all_times_in_one_call_match_one_call_per_time(self):
+        rng = substream(61, "one call", 3)
+        spec = random_spec(rng, 3, (1, 2), unit_norm=False)
+        h = build_hamiltonian(spec, 8)
+        state0 = embed_product_state(_unit_phi(rng, 3), 8)
+        for t, out in zip(self.TIMES, evolve_exact(h, state0, self.TIMES)):
+            (alone,) = evolve_exact(h, state0, [t])
+            assert np.max(np.abs(out.amplitudes - alone.amplitudes)) <= 1e-12
+
+    def test_large_offset_is_shifted_out(self):
+        # H + 1e4: the recurrence runs about the enclosure's center, so the
+        # offset leaves R, and the term count, unchanged
+        rng = substream(61, "offset", 2)
+        spec = random_spec(rng, 2, (1, 2), unit_norm=False)
+        h = build_hamiltonian(spec, 10)
+        diag = np.arange(h.size)
+        shifted = SparseHermitian.from_triples(
+            h.size, np.r_[h.rows, diag], np.r_[h.cols, diag], np.r_[h.values, np.full(h.size, 1e4)]
+        )
+        assert exact_dynamics._enclosure(shifted)[1] == pytest.approx(
+            exact_dynamics._enclosure(h)[1], rel=1e-9
+        )
+        state0 = embed_product_state(_unit_phi(rng, 2), 10)
+        out = evolve_exact(shifted, state0, self.TIMES)
+        for state, ref in zip(out, _eigh_states(shifted, state0.amplitudes, self.TIMES)):
+            assert np.max(np.abs(state.amplitudes - ref)) <= 1e-10
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.5, 50.0, 2000.0])
+    def test_coefficients_reproduce_the_exponential_off_the_nodes(self, x):
+        rng = substream(61, "coefficients", int(x))
+        # dyadic y with 40 fraction bits: x y is exact, so the reference
+        # exp(-i x y) carries only its own rounding
+        y = np.round(rng.uniform(-1.0, 1.0, 200) * 2.0**40) / 2.0**40
+        terms = exact_dynamics._chebyshev_terms(x)
+        assert x <= terms < math.inf
+        (coeffs,) = exact_dynamics._chebyshev_coefficients(np.array([x]), terms)
+        values = np.polynomial.chebyshev.chebval(y, coeffs)
+        assert np.max(np.abs(values - np.exp(-1j * x * y))) <= 1e-13
+
+    def test_one_recurrence_per_n_on_the_converge_config(self, monkeypatch):
+        config = config_from_dict(json.loads((CONFIG_DIR / "converge.json").read_text()))
+        expected, matvecs = [], []
+        matvec = SparseHermitian.matvec
+
+        def counting_matvec(self, x):
+            matvecs[-1] += 1
+            return matvec(self, x)
+
+        def a_priori(hamiltonian, state, times):
+            _, radius = exact_dynamics._enclosure(hamiltonian)
+            expected.append(exact_dynamics._chebyshev_terms(radius * max(times)))
+            matvecs.append(0)
+            return evolve_exact(hamiltonian, state, times)
+
+        monkeypatch.setattr(SparseHermitian, "matvec", counting_matvec)
+        monkeypatch.setattr(experiments, "evolve_exact", a_priori)
+        run_convergence(config)
+        assert len(matvecs) == len(config.n_values)
+        assert matvecs == expected
 
 
 class TestFullSpace:

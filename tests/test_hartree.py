@@ -99,6 +99,21 @@ class TestMeanFieldHamiltonian:
         )
         np.testing.assert_allclose(h, brute, atol=1e-13)
 
+    def test_spec_without_terms_gives_zero(self, rng):
+        gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
+        spec = HamiltonianSpec(2, 1, {})
+        np.testing.assert_array_equal(mean_field_hamiltonian(gamma, spec), np.zeros((2, 2)))
+        np.testing.assert_array_equal(hartree_rhs(gamma, spec), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("orders", [(3,), (1, 3), (2, 4)])
+    def test_orders_with_gaps_match_literal_tensor_form(self, orders):
+        # gamma^(x (m-1)) is built up across orders that skip some m
+        rng = substream(61, "gapped", orders[-1])
+        spec = random_spec(rng, 2, orders, unit_norm=False)
+        gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
+        rhs = oracles.literal_mean_field_rhs(gamma.matrix, spec)
+        np.testing.assert_allclose(hartree_rhs(gamma, spec), rhs, atol=1e-12)
+
     def test_hermitian_for_higher_orders(self, rng):
         spec = random_spec(rng, 3, (1, 2, 3), unit_norm=False)
         gamma = DensityMatrix(1, 3, oracles.rand_density(rng, 3))

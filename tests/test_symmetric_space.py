@@ -18,7 +18,7 @@ from bosonlab import (
     rdm,
     slot_symmetrize,
 )
-from bosonlab.symmetric_space import MAX_TRIPLE_BYTES
+from bosonlab.symmetric_space import MAX_TRIPLE_BYTES, ladder_walk
 
 from .conftest import SZ, random_spec, substream
 from . import oracles
@@ -254,6 +254,34 @@ class TestBuildHamiltonian:
     def test_unsorted_triples_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             SparseHermitian(2, np.array([1, 0]), np.array([0, 1]), np.array([1.0, 1.0]))
+
+
+class TestFromTriples:
+    """from_triples against the dense (A + A^dagger)/2 of the summed triples."""
+
+    @pytest.mark.parametrize("d,n", [(2, 7), (3, 5), (4, 4)])
+    def test_matches_dense_hermitian_part(self, d, n):
+        rng = substream(47, "from-triples", d)
+        basis = enumerate_basis(d, n)
+        parts = []
+        for k in (1, 2):
+            # one random weight per chain: A is not Hermitian, and chains of
+            # both orders land on shared (row, col) positions
+            for _, _, rows, cols, factor in ladder_walk(basis, k):
+                weight = rng.standard_normal() + 1j * rng.standard_normal()
+                parts.append((rows, cols, weight * factor))
+        rows, cols, values = (np.concatenate(p) for p in zip(*parts))
+        assert np.unique(rows * basis.size + cols).size < rows.size  # repeated positions
+        a = np.zeros((basis.size, basis.size), dtype=np.complex128)
+        np.add.at(a, (rows, cols), values)
+        out = np.asarray(SparseHermitian.from_triples(basis.size, rows, cols, values))
+        assert np.max(np.abs(out - (a + a.conj().T) / 2)) <= 1e-13
+        np.testing.assert_array_equal(out, out.conj().T)
+
+    def test_one_sided_triple_refused(self):
+        rows, cols = np.array([0, 1, 2]), np.array([0, 1, 0])
+        with pytest.raises(ValueError, match="structurally symmetric"):
+            SparseHermitian.from_triples(3, rows, cols, np.ones(3, dtype=np.complex128))
 
 
 class TestRdm:
