@@ -23,7 +23,7 @@ _SCENARIO_HELP = {
     "converge": "exact one-particle reduced state vs mean-field evolution across N",
     "lr": "Heisenberg commutator growth for disjointly supported observables",
     "corr": "correlation gap of evolved product states vs its bound",
-    "bbgky": "finite-difference check of the hierarchy RHS and telescoping rows",
+    "bbgky": "hierarchy RHS against the exact RDM derivative, and telescoping rows",
     "bounds": "bound constants (both strategies) and bound curves",
 }
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._tensor import partial_trace_last
 from ._version import __version__ as VERSION
 from .bounds import (
     commutator_growth_bound,
@@ -31,7 +32,7 @@ from .exact_dynamics import ObservableOnSubset, bbgky_rhs, commutator_growth, co
 from .exact_dynamics import MAX_DENSE_BYTES, _dense_peak_bytes
 from .hartree import hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, PotentialTerm, _substream, bound_constants, operator_norm, vtilde
-from .symmetric_space import build_hamiltonian, embed_product_state, rdm
+from .symmetric_space import build_hamiltonian, embed_product_state, rdm, rdm_derivative
 
 SCENARIOS = ("converge", "lr", "corr", "bbgky", "bounds")
 
@@ -202,7 +203,6 @@ class ExperimentConfig:
     obs_m: int = _key(_integer(1), 1)
     obs_n: int = _key(_integer(1), 1)
     n_samples: int = _key(_integer(1), 16)
-    bbgky_dt: float = _key(_positive, 1e-3)
     k_values: tuple = _key(_int_list, [1])
     telescope_orders: tuple = _key(_int_list, [1, 2])
     vtilde_restarts: int = _key(_integer(0), 8)
@@ -282,11 +282,11 @@ def _dense_orders(values):
 
 
 def _fits_dense(d, order):
-    # at order k, rdm peaks at 4.0 live d^k x d^k matrices; correlation_gap,
-    # bbgky_rhs and telescoping_residual at 3.0 to 5.0 beside their input RDM;
-    # a whole run_bbgky, which holds one grid time's RDMs at once, at 4.3 to
-    # 7.0 (M = 3 down to 1; tracemalloc, d = 2 and 3). All are within the 8 of
-    # _dense_peak_bytes; past an exponent of 64 every d >= 2 refuses
+    # at order k, rdm peaks at 4.0 live d^k x d^k matrices, rdm_derivative at
+    # 2.0, correlation_gap, bbgky_rhs and telescoping_residual at 3.0 to 5.0
+    # beside their input RDM, a whole run_bbgky at 4.1 to 7.0 (M = 3 down to 1;
+    # tracemalloc, d = 2 and 3): within the 8 of _dense_peak_bytes. Past an
+    # exponent of 64 every d >= 2 refuses
     return _dense_peak_bytes(d ** min(order, 64)) <= MAX_DENSE_BYTES
 
 
@@ -350,12 +350,12 @@ def _bound_constants(config, strategy):
 
 
 def _exact_trajectories(config, times):
-    """Yield (N, states) for each N in n_values: the N-fold product of
-    initial_phi, evolved exactly to each of times."""
+    """Yield (N, H, states) for each N in n_values: the fixed-N Hamiltonian H
+    and the N-fold product of initial_phi, evolved under H to each of times."""
     for n_particles in config.n_values:
         psi0 = embed_product_state(config.initial_phi, n_particles)
         hamiltonian = build_hamiltonian(config.spec, n_particles, psi0.basis)
-        yield n_particles, evolve_exact(hamiltonian, psi0, times)
+        yield n_particles, hamiltonian, evolve_exact(hamiltonian, psi0, times)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def run_convergence(config):
     consts = _bound_constants(config, config.vtilde_strategy)
     rows = []
     by_time = {i: [] for i in range(len(config.time_grid))}
-    for n, states in _exact_trajectories(config, config.time_grid):
+    for n, _, states in _exact_trajectories(config, config.time_grid):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
             dist = trace_distance(rdm(state, 1), traj.states[i])
             bound = mean_field_error_bound(consts, n, t)
@@ -424,7 +424,7 @@ def run_corr(config):
     a_stack, b_stack, norms = _observable_stacks(config, "corr")
     rows = []
     mean_by_time = {i: [] for i in range(len(config.time_grid))}
-    for n_particles, states in _exact_trajectories(config, config.time_grid):
+    for n_particles, _, states in _exact_trajectories(config, config.time_grid):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
             # one RDM walk and one pair of marginals per state, for every sample
             sample_lhs = correlation_gap(rdm(state, m + n), m, n, a_stack, b_stack)
@@ -437,68 +437,41 @@ def run_corr(config):
 
 
 def run_bbgky(config):
-    """Finite-difference residuals of the hierarchy RHS, plus telescoping rows.
+    """Hierarchy RHS residuals against the exact RDM derivative, and telescoping rows.
 
     One grid time at a time: one rdm at the highest order its rows read, the
-    lower orders being its marginals, then one rdm at max(k_values) for each
-    stencil point, a +-step pair at a time; no RDM outlives its grid time."""
+    lower orders being its marginals, freed before one rdm_derivative at
+    max(k_values), whose partial traces give the lower k."""
     spec = config.spec
-    dt = config.bbgky_dt
+    d = spec.d
     max_present = max(spec.present_orders, default=1)
     k_max = max(config.k_values)
     gamma0 = pure_state_density(config.initial_phi)
     traj = hartree_evolve(gamma0, spec, config.time_grid, config.integrator_tol)
-    steps = (dt, dt / 2)
-    stencil = {t + s for t in config.time_grid if t >= dt for s in (-dt, -dt / 2, dt / 2, dt)}
-    needed = sorted(stencil.union(config.time_grid))
     rows = []
-    for n_particles, states in _exact_trajectories(config, needed):
-        state_at = dict(zip(needed, states))
+    for n_particles, hamiltonian, states in _exact_trajectories(config, config.time_grid):
         telescope = [m for m in config.telescope_orders if m + 1 <= n_particles]
+        top = max([m + 1 for m in telescope] + [k_max + max_present - 1])
         at_n = []
-        for i, t in enumerate(config.time_grid):
-            fd = t >= dt
-            top = max([m + 1 for m in telescope] + [k_max + max_present - 1 if fd else 0])
-            if not top:
-                continue
-            gamma = rdm(state_at[t], top)
+        for i, (t, state) in enumerate(zip(config.time_grid, states)):
+            gamma = rdm(state, top)
             for m in telescope:
                 value = telescoping_residual(gamma, traj.states[i], m)
                 at_n.append({"kind": "telescope", "N": n_particles, "m": m, "t": t, "value": value})
-            if fd:
-                rhs = [
-                    bbgky_rhs(spec, n_particles, k, gamma.marginal(k + max_present - 1))
-                    for k in config.k_values
-                ]
-            del gamma  # no RDM outlives its grid time
-            if not fd:
-                continue
-            residuals = [
-                _fd_residuals(state_at[t + step], state_at[t - step], step, config.k_values, rhs)
-                for step in steps
+            rhs = [
+                bbgky_rhs(spec, n_particles, k, gamma.marginal(k + max_present - 1))
+                for k in config.k_values
             ]
-            for k, (res, res_half) in zip(config.k_values, zip(*residuals)):
-                at = {"N": n_particles, "k": k, "t": t}
-                at_n.append({**at, "kind": "residual", "dt": dt, "value": res})
-                at_n.append({**at, "kind": "residual", "dt": dt / 2, "value": res_half})
-                order = math.log2(res / res_half) if res_half > 0 else float("nan")
-                at_n.append({**at, "kind": "order", "dt": dt, "value": order})
-        # residual and order rows by k then t, then telescope rows by m then t
+            del gamma  # the derivative is formed beside rhs only
+            exact = rdm_derivative(state, hamiltonian, k_max)
+            for k, r in zip(config.k_values, rhs):
+                value = float(np.max(np.abs(partial_trace_last(exact, d, k_max, k_max - k) - r)))
+                at_n.append({"kind": "residual", "N": n_particles, "k": k, "t": t, "value": value})
+            del rhs, exact  # no RDM outlives its grid time
+        # residual rows by k then t, then telescope rows by m then t
         at_n.sort(key=lambda row: (row["kind"] == "telescope", row.get("k", row.get("m"))))
         rows += at_n
     return rows
-
-
-def _fd_residuals(later, earlier, step, k_values, rhs):
-    """For each k of k_values, the max-entry defect of the central difference
-    of the order-k RDMs of the states step after and before a grid time
-    against the matching entry of rhs."""
-    k_max = max(k_values)
-    hi, lo = rdm(later, k_max), rdm(earlier, k_max)
-    return [
-        float(np.max(np.abs((hi.marginal(k).matrix - lo.marginal(k).matrix) / (2 * step) - r)))
-        for k, r in zip(k_values, rhs)
-    ]
 
 
 def run_bounds(config):
@@ -575,7 +548,7 @@ COLUMNS = {
         "slope",
         "violation",
     ],
-    "bbgky": ["config_hash", "kind", "N", "k", "m", "t", "dt", "value"],
+    "bbgky": ["config_hash", "kind", "N", "k", "m", "t", "value"],
     "bounds": [
         "config_hash",
         "kind",
@@ -653,7 +626,6 @@ def _curves_for_plot(config, rows):
                     if r.get("kind") == "residual"
                     and r.get("N") == n_particles
                     and r.get("k") == k
-                    and r.get("dt") == config.bbgky_dt
                 ]
                 if at:
                     curves.append(

@@ -30,11 +30,13 @@ from .hartree import DensityMatrix
 
 # Desk-scale guards, checked before allocating: states in a basis, and bytes
 # of operator triples.  An order-m term yields at most D * C(d+m-1, m)^2
-# entries of 32 bytes (int64 row and col, complex128 value); the walk's parts
-# and their concatenation coexist, which doubles them.
+# entries of 32 bytes (int64 row and col, complex128 value), which live on
+# while from_triples sorts and reduces them: build_hamiltonian peaks at 70 to
+# 100 bytes an entry (tracemalloc, d = 2 to 12; more where fewer entries share
+# a (row, col)), and 128 are charged.
 MAX_BASIS_SIZE = 2_000_000
 MAX_TRIPLE_BYTES = 2**30
-_BYTES_PER_ENTRY = 2 * 32
+_BYTES_PER_ENTRY = 4 * 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,11 +178,14 @@ class SparseHermitian:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys, values = keys[starts], np.add.reduceat(values[order], starts)
+        values = np.add.reduceat(values[order], starts)
+        keys = keys[starts]
+        del order, starts  # the sort's full-length copies go before the work on unique entries
         rows, cols = keys // size, keys % size
         partner = np.searchsorted(keys, cols * size + rows)
         if not np.array_equal(keys.take(partner, mode="clip"), cols * size + rows):
             raise ValueError("triples must be structurally symmetric")
+        del keys
         # (a + conj b)/2 and (b + conj a)/2 are exact conjugates
         return cls(size, rows, cols, (values + values[partner].conj()) / 2)
 
@@ -260,8 +265,8 @@ def _assemble(basis, weighted_terms):
     nbytes = _BYTES_PER_ENTRY * basis.size * pairs
     if nbytes > MAX_TRIPLE_BYTES:
         raise ValueError(
-            f"triples could take {nbytes} bytes = 64 * D * sum_m C(d+m-1, m)^2 "
-            f"(> {MAX_TRIPLE_BYTES}); refusing"
+            f"triples could take {nbytes} bytes = {_BYTES_PER_ENTRY} * D * "
+            f"sum_m C(d+m-1, m)^2 (> {MAX_TRIPLE_BYTES}); refusing"
         )
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
     for term, prefactor in weighted_terms:
@@ -274,6 +279,7 @@ def _assemble(basis, weighted_terms):
             if weights[i, j] != 0 or weights[j, i] != 0:
                 parts.append((rows, cols, weights[i, j] * factor))
     rows, cols, values = (np.concatenate(p) for p in zip(*parts))
+    del parts  # the walk's pieces would otherwise live through from_triples
     return SparseHermitian.from_triples(basis.size, rows, cols, values)
 
 
@@ -293,6 +299,24 @@ def build_hamiltonian(spec, n_particles, basis=None):
     return _assemble(basis, weighted)
 
 
+def _walk_rdm(state, k, ket):
+    """The walk behind rdm, with ket in place of the state's own amplitudes:
+    scale * <state| a+_b a_a |ket> at ((a_1..a_k),(b_1..b_k)), not hermitized."""
+    basis = state.basis
+    n = basis.n_particles
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > n:
+        raise ValueError(f"k = {k} exceeds the particle number {n}")
+    scale = 1.0 / math.perm(n, k)
+    bra = np.conj(state.amplitudes)
+    multisets, index = multiset_map(basis.d, k)
+    folded = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
+    for i, j, rows, cols, factor in ladder_walk(basis, k):  # row: annihilated multiset
+        folded[j, i] = scale * (ket[cols] * bra[rows] * factor).sum()
+    return folded[np.ix_(index, index)]
+
+
 def rdm(state, k):
     """k-particle reduced density matrix of a symmetric state.
 
@@ -302,18 +326,15 @@ def rdm(state, k):
     orbit, which makes slot-permuted entries bit-identical (ladder chains
     commute, so all orderings agree exactly in exact arithmetic).
     """
-    basis = state.basis
-    n = basis.n_particles
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"k = {k} exceeds the particle number {n}")
-    scale = 1.0 / math.perm(n, k)
-    amps = state.amplitudes
-    multisets, index = multiset_map(basis.d, k)
-    folded = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
-    for i, j, rows, cols, factor in ladder_walk(basis, k):  # row: annihilated multiset
-        folded[j, i] = scale * (amps[cols] * np.conj(amps[rows]) * factor).sum()
-    gamma = folded[np.ix_(index, index)]
+    gamma = _walk_rdm(state, k, state.amplitudes)
     gamma = (gamma + gamma.conj().T) / 2
-    return DensityMatrix(order=k, d=basis.d, matrix=gamma)
+    return DensityMatrix(order=k, d=state.basis.d, matrix=gamma)
+
+
+def rdm_derivative(state, hamiltonian, k):
+    """d/dt of rdm(state, k) under exp(-iHt): -i (X - X^dagger), X the walk
+    with ket H psi; exact, for one matvec.  Traceless and Hermitian."""
+    x = _walk_rdm(state, k, hamiltonian.matvec(state.amplitudes))
+    x -= x.conj().T
+    x *= -1j
+    return x

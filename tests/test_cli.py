@@ -208,6 +208,16 @@ def test_orders_above_the_smallest_n_refused_at_config_time(
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_removed_bbgky_dt_key_refused(tmp_path, capsys):
+    # the finite-difference step is gone; an old config carrying it is refused
+    path = _shipped(tmp_path, "bbgky", bbgky_dt=0.001)
+    start = time.perf_counter()
+    assert main(["bbgky", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: unknown config key(s): bbgky_dt\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_violation_rows_exit_two(config_file, capsys, monkeypatch):
     def fake_runner(config):
         return [{"config_hash": config.config_hash, "kind": "point", "violation": 1}]

@@ -51,7 +51,6 @@ FIELDS = [
     "obs_m",
     "obs_n",
     "n_samples",
-    "bbgky_dt",
     "k_values",
     "telescope_orders",
     "vtilde_restarts",

@@ -31,6 +31,7 @@ from bosonlab.experiments import (
     write_plot_data,
     write_rows,
 )
+from bosonlab.symmetric_space import rdm_derivative
 
 from .conftest import SX, SZ
 
@@ -97,8 +98,6 @@ class TestConfigParsing:
             ("integrator_tol", True),
             ("spec.terms.2", _with_nan_entry(_pairs(0.25 * np.kron(SX, SX)))),
             ("initial_phi", [[math.nan, 0.0], [0.8, 0.0]]),
-            ("bbgky_dt", math.inf),
-            ("bbgky_dt", math.nan),
         ],
         ids=[
             "time_grid-nan",
@@ -108,8 +107,6 @@ class TestConfigParsing:
             "integrator_tol-bool",
             "potential-nan",
             "initial_phi-nan",
-            "bbgky_dt-inf",
-            "bbgky_dt-nan",
         ],
     )
     def test_bad_number_rejected_naming_the_field(self, field, value):
@@ -128,7 +125,6 @@ class TestConfigParsing:
         assert config.vtilde_strategy == "canonical"
         assert config.output_path == "results.csv"
         assert (config.obs_m, config.obs_n, config.n_samples) == (1, 1, 16)
-        assert config.bbgky_dt == 1e-3
         assert config.k_values == (1,)
         assert config.telescope_orders == (1, 2)
         assert config.vtilde_restarts == 8
@@ -327,26 +323,34 @@ class TestBbgkyRunner:
         config = config_from_dict(
             base_config(
                 scenario="bbgky",
-                n_values=[4],
-                time_grid=[0.0, 0.4],
-                k_values=[1],
+                n_values=[4, 5],
+                time_grid=[0.0, 0.4, 0.8],
+                k_values=[1, 2],
                 telescope_orders=[1],
             )
         )
         rows = run_bbgky(config)
-        orders = [r for r in rows if r["kind"] == "order"]
         residuals = [r for r in rows if r["kind"] == "residual"]
         telescopes = [r for r in rows if r["kind"] == "telescope"]
-        assert len(orders) == 1  # k=1 at the single positive time
-        assert 1.8 <= orders[0]["value"] <= 2.2
-        assert len(residuals) == 2  # dt and dt/2
-        assert residuals[0]["value"] > residuals[1]["value"] > 0
-        assert len(telescopes) == 2  # both grid times
+        assert {r["kind"] for r in rows} == {"residual", "telescope"}  # no order rows
+        # one residual row per (N, k, t), t = 0 included, by k then t within each N
+        keys = [(r["N"], r["k"], r["t"]) for r in residuals]
+        assert keys == [(n, k, t) for n in (4, 5) for k in (1, 2) for t in (0.0, 0.4, 0.8)]
+        for r in residuals:
+            assert r["value"] <= 1e-12  # the hierarchy RHS is the exact derivative
+        assert len(telescopes) == 2 * 3  # every N and grid time
         for r in telescopes:
             assert r["value"] < 1e-12
 
     def test_one_rdm_per_needed_time(self, monkeypatch):
         orders = _count_rdm_orders(monkeypatch)
+        derivative_orders = []
+
+        def counting(state, hamiltonian, k):
+            derivative_orders.append(k)
+            return rdm_derivative(state, hamiltonian, k)
+
+        monkeypatch.setattr(experiments, "rdm_derivative", counting)
         config = config_from_dict(
             base_config(
                 scenario="bbgky",
@@ -357,9 +361,10 @@ class TestBbgkyRunner:
             )
         )
         run_bbgky(config)
-        # per N, one grid time at a time: t = 0 (telescope m = 2 reads order
-        # 3), t = 0.4 (k + M - 1 = 3), then its four stencil points (k = 2)
-        assert orders == [3, 3, 2, 2, 2, 2] * 2
+        # per N and grid time: one rdm at order 3 (telescope m = 2 and
+        # k + M - 1 both read it), then one derivative walk at max(k_values)
+        assert orders == [3, 3] * 2
+        assert derivative_orders == [2, 2] * 2
 
     def test_rdm_order_above_n_refused(self):
         with pytest.raises(ConfigError, match=r"^max\(k_values\) \+ 2: order 6 exceeds N = 5"):

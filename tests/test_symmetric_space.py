@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -15,10 +16,17 @@ from bosonlab import (
     build_symmetric_operator,
     embed_product_state,
     enumerate_basis,
+    evolve_exact,
     rdm,
     slot_symmetrize,
 )
-from bosonlab.symmetric_space import MAX_TRIPLE_BYTES, ladder_walk
+from bosonlab.symmetric_space import (
+    _BYTES_PER_ENTRY,
+    MAX_TRIPLE_BYTES,
+    _walk_rdm,
+    ladder_walk,
+    rdm_derivative,
+)
 
 from .conftest import SZ, random_spec, substream
 from . import oracles
@@ -197,10 +205,28 @@ class TestBuildSymmetricOperator:
 
     def test_triple_byte_budget_refuses_before_assembly(self):
         basis = enumerate_basis(4, 60)  # 39711 states; order 4 gives C(7, 4)^2 = 1225 pairs
-        nbytes = 64 * basis.size * math.comb(7, 4) ** 2
+        nbytes = _BYTES_PER_ENTRY * basis.size * math.comb(7, 4) ** 2
         assert nbytes > MAX_TRIPLE_BYTES
         with pytest.raises(ValueError, match=f"{nbytes} bytes"):
             build_symmetric_operator(PotentialTerm(4, np.eye(256)), basis, 1.0)
+
+
+    @pytest.mark.parametrize(
+        "d, orders, n", [(3, (1, 2, 3), 50), (3, (1, 2, 3), 100), (2, (1, 2), 3000)]
+    )
+    def test_assembly_peak_within_charged_bytes(self, d, orders, n):
+        # the byte guard charges for the path that runs: the concatenated
+        # triples alive while from_triples sorts and reduces them
+        spec = random_spec(substream(47, "assembly-peak", n), d, orders)
+        basis = enumerate_basis(d, n)
+        pairs = sum(math.comb(d + m - 1, m) ** 2 for m in orders)
+        tracemalloc.start()
+        try:
+            build_hamiltonian(spec, n, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _BYTES_PER_ENTRY * basis.size * pairs
 
 
 class TestBuildHamiltonian:
@@ -350,3 +376,35 @@ class TestRdm:
             rdm(state, 0)
         with pytest.raises(ValueError):
             rdm(state, 4)
+
+
+class TestRdmDerivative:
+    """rdm_derivative against -i [H, rho] in the full space, traced down."""
+
+    @pytest.mark.parametrize("d, n", [(2, 5), (3, 4), (4, 3)])
+    def test_matches_fullspace_commutator(self, d, n):
+        rng = substream(53, "rdm-derivative", d)
+        spec = random_spec(rng, d, (1, 2, 3), unit_norm=False)
+        basis = enumerate_basis(d, n)
+        h = build_hamiltonian(spec, n, basis)
+        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        state = evolve_exact(h, embed_product_state(phi / np.linalg.norm(phi), n), [0.9])[0]
+        t = oracles.symmetric_isometry(basis)
+        full = t @ state.amplitudes
+        rho = np.outer(full, full.conj())
+        h_brute = oracles.hamiltonian_brute(spec, n)
+        flow = -1j * (h_brute @ rho - rho @ h_brute)
+        # an evolved state, not a product: its 2-RDM is not gamma_1 (x) gamma_1
+        gamma = rdm(state, 2).matrix
+        assert np.max(np.abs(gamma - np.kron(rdm(state, 1).matrix, rdm(state, 1).matrix))) > 1e-3
+        for k in range(1, n):
+            expected = oracles.trace_out_last(flow, d, n, n - k)
+            assert np.max(np.abs(rdm_derivative(state, h, k) - expected)) <= 1e-10
+
+    def test_rdm_is_the_hermitized_walk(self, rng):
+        basis = enumerate_basis(3, 5)
+        amps = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        state = SymmetricState(basis, amps / np.linalg.norm(amps))
+        for k in (1, 2, 3):
+            walk = _walk_rdm(state, k, state.amplitudes)
+            assert np.array_equal(rdm(state, k).matrix, (walk + walk.conj().T) / 2)
