@@ -36,6 +36,10 @@ _BLOCK = 16
 
 _HERM_ATOL = 1e-12
 
+# correlation_gap forms A (x) B for a chunk of pairs at once, at most
+# max(d^(2(m+n)), _GAP_STACK_ENTRIES) entries a chunk
+_GAP_STACK_ENTRIES = 2**16
+
 
 def _check_times(times):
     t = np.asarray(times, dtype=np.float64)
@@ -396,10 +400,13 @@ def correlation_gap(gamma, m, n, a_matrix, b_matrix):
     ):
         raise ValueError("observable dimensions do not match d^m / d^n")
     connected = gamma.matrix - np.kron(gamma.marginal(m).matrix, gamma.marginal(n).matrix)
-    gaps = [
-        float(abs(np.trace(np.kron(x, y) @ connected)))
-        for x, y in zip(a.reshape(-1, d**m, d**m), b.reshape(-1, d**n, d**n))
-    ]
+    a, b = a.reshape(-1, d**m, d**m), b.reshape(-1, d**n, d**n)
+    # the pairs' A (x) B, one broadcast product and one stacked matmul per chunk
+    chunk = max(1, _GAP_STACK_ENTRIES // connected.size)
+    gaps = []
+    for x, y in ((a[s : s + chunk], b[s : s + chunk]) for s in range(0, len(a), chunk)):
+        krons = (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(-1, *connected.shape)
+        gaps += np.abs(np.trace(krons @ connected, axis1=1, axis2=2)).tolist()
     return gaps if stacked else gaps[0]
 
 

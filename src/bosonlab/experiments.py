@@ -29,7 +29,7 @@ from .bounds import (
     telescoping_residual,
 )
 from .exact_dynamics import ObservableOnSubset, bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
-from .exact_dynamics import MAX_DENSE_BYTES, _dense_peak_bytes
+from .exact_dynamics import MAX_DENSE_BYTES, _dense_peak_bytes, _guard_blocks
 from .hartree import hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, PotentialTerm, _substream, bound_constants, operator_norm, vtilde
 from .symmetric_space import build_hamiltonian, embed_product_state, rdm, rdm_derivative
@@ -254,6 +254,8 @@ def config_from_dict(data, overrides=None):
             )
         if order > max_n:
             raise ConfigError(f"{path}: order {order} exceeds N = {max_n} in n_values")
+    if values["scenario"] in ("lr", "corr"):
+        _guard_samples(values)
 
     hashed = {f.name: _canonical(values[f.name]) for f in _KEYS if f.metadata["hashed"]}
     digest = hashlib.sha256(
@@ -285,9 +287,32 @@ def _fits_dense(d, order):
     # at order k, rdm peaks at 4.0 live d^k x d^k matrices, rdm_derivative at
     # 2.0, correlation_gap, bbgky_rhs and telescoping_residual at 3.0 to 5.0
     # beside their input RDM, a whole run_bbgky at 4.1 to 7.0 (M = 3 down to 1;
-    # tracemalloc, d = 2 and 3): within the 8 of _dense_peak_bytes. Past an
+    # tracemalloc, d = 2 and 3, N = 10): within the 8 of _dense_peak_bytes.
+    # The compiled walks the RDMs read live on the basis beside these and are
+    # guarded apart, in bytes (symmetric_space.MAX_WALK_BYTES). Past an
     # exponent of 64 every d >= 2 refuses
     return _dense_peak_bytes(d ** min(order, 64)) <= MAX_DENSE_BYTES
+
+
+def _guard_samples(values):
+    """Refuse, before any observable is drawn, n_samples whose stacks of
+    d^m x d^m and d^n x d^n observables pass MAX_DENSE_BYTES, and for lr
+    every N whose commutator growth _guard_blocks would refuse."""
+    d, m, n = values["spec"].d, values["obs_m"], values["obs_n"]
+    samples = values["n_samples"]
+    per_sample = 16 * (d ** (2 * m) + d ** (2 * n))
+    if samples * per_sample > MAX_DENSE_BYTES:
+        raise ConfigError(
+            f"n_samples: {samples} observable pairs would take {samples * per_sample} bytes "
+            f"(> MAX_DENSE_BYTES = {MAX_DENSE_BYTES}); the largest workable n_samples for d={d}, "
+            f"obs_m={m} and obs_n={n} is {MAX_DENSE_BYTES // per_sample}"
+        )
+    if values["scenario"] == "lr":
+        for n_particles in values["n_values"]:
+            try:
+                _guard_blocks(d, n_particles, m + n, len(values["time_grid"]), samples)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def load_config(text, overrides=None):
@@ -426,13 +451,14 @@ def run_corr(config):
     mean_by_time = {i: [] for i in range(len(config.time_grid))}
     for n_particles, _, states in _exact_trajectories(config, config.time_grid):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
-            # one RDM walk and one pair of marginals per state, for every sample
+            # one RDM contraction and one pair of marginals per state, for every sample
             sample_lhs = correlation_gap(rdm(state, m + n), m, n, a_stack, b_stack)
             rows += [
                 _pair_row(config, correlation_gap_bound, consts, pair_norms, n_particles, s, t, lhs)
                 for s, (lhs, pair_norms) in enumerate(zip(sample_lhs, norms))
             ]
             mean_by_time[i].append((n_particles, float(np.mean(sample_lhs))))
+        del states, state  # this N's basis and its compiled walk go before the next N is built
     return rows + _slope_rows(config, mean_by_time)
 
 
@@ -471,6 +497,7 @@ def run_bbgky(config):
         # residual rows by k then t, then telescope rows by m then t
         at_n.sort(key=lambda row: (row["kind"] == "telescope", row.get("k", row.get("m"))))
         rows += at_n
+        del states, state  # this N's basis and its compiled walks go before the next N is built
     return rows
 
 

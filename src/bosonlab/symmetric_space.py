@@ -12,12 +12,15 @@ annihilators with annihilators, so the chain depends only on the sorted
 index multisets I, J, and the sum runs over multiset pairs with the
 orbit-summed weight sum_{i_vec in I, j_vec in J} <i_vec|V|j_vec>: exact for
 any V, slot-symmetric or not.  One ladder walk (:func:`ladder_walk`) applies
-each chain a+_I a_J to every occupation vector at once; assembly turns its
-output into sparse (row, col, value) triples, and the k-RDM evaluates each
-multiset pair once and scatters it to all index tuples of the orbit.  No
-d^N object and no D x D array is ever materialized.  Basis order is
-lexicographically descending and deterministic, so operators built from
-equal inputs are bit-identical.
+the chains a+_I a_J to every occupation vector at once, one J and all I per
+step; assembly streams it into sparse (row, col, value) triples.  The walk
+depends only on the basis and k, so the basis compiles it once per order
+(:meth:`OccupationBasis.walk`) and every k-RDM of that N contracts its state
+against it, evaluating each multiset pair once and scattering it to all
+index tuples of the orbit: ``configs/corr.json`` compiles 3 order-2 walks
+(one per N) and contracts 9 states.  No d^N object and no D x D array is
+ever materialized.  Basis order is lexicographically descending and
+deterministic, so operators built from equal inputs are bit-identical.
 """
 
 import math
@@ -37,6 +40,11 @@ from .hartree import DensityMatrix
 MAX_BASIS_SIZE = 2_000_000
 MAX_TRIPLE_BYTES = 2**30
 _BYTES_PER_ENTRY = 4 * 32
+# A compiled RDM walk (OccupationBasis.walk) holds at most D * C(d+k-1, k)^2
+# entries: an int32 row and a float64 factor each, and an int32 col per
+# (J, state), at most one more int32 an entry; 16 bytes an entry are charged.
+MAX_WALK_BYTES = 2**30
+_WALK_BYTES_PER_ENTRY = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +55,7 @@ class OccupationBasis:
     n_particles: int
     vectors: np.ndarray  # (size, d) int64, lexicographically descending
     keys_ascending: np.ndarray = field(repr=False)
+    _walks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self):
@@ -60,6 +69,13 @@ class OccupationBasis:
         the end."""
         keys = occupations @ _key_powers(self.d, self.n_particles)
         return self.size - 1 - np.searchsorted(self.keys_ascending, keys)
+
+    def walk(self, k):
+        """The order-k ladder walk (:func:`ladder_walk`) with int32 rows and
+        cols, compiled on first use and kept as long as the basis lives."""
+        if k not in self._walks:
+            self._walks[k] = _compile_walk(self, k)
+        return self._walks[k]
 
     def index_of(self, occupation):
         occ = np.asarray(occupation, dtype=np.int64)
@@ -224,30 +240,54 @@ def multiset_map(d, k):
 
 
 def ladder_walk(basis, k):
-    """Every ladder chain a+_I a_J over sorted index multisets I, J of size k.
+    """Every ladder chain a+_I a_J over sorted index multisets I, J of size k,
+    one annihilated multiset J at a time, for all creation multisets I at once.
 
-    Yields ``(i, j, rows, cols, factor)``, with i, j the positions of I, J in
-    :func:`multiset_map` order, such that a+_I a_J |cols> = factor |rows>
-    elementwise; basis states that a_J annihilates are left out."""
+    Yields ``(j, rows, cols, factor)``, j the position of J in
+    :func:`multiset_map` order, such that a+_I a_J |cols> = factor[i] |rows[i]>
+    elementwise for the I at position i; basis states that a_J annihilates
+    are left out, and a J that annihilates every state yields nothing.
+    a+_I a_J moves an occupation's key by key(I) - key(J), so all rows take
+    one binary search; each factor is the product, slot by slot in the order
+    of the chain, of the occupations the ladder operators meet."""
     multisets, _ = multiset_map(basis.d, k)
-    all_cols = np.arange(basis.size)
-    for j, annihilate in enumerate(multisets):
-        occ = basis.vectors.copy()
+    modes = np.array(multisets, dtype=np.int64).reshape(len(multisets), k)
+    # slot s of a multiset meets the (r_s)-th copy of its mode, r_s = copies in slots 0..s
+    repeats = ((modes[:, :, None] == modes[:, None, :]) & np.tri(k, dtype=bool)).sum(axis=2)
+    counts = (modes[:, :, None] == np.arange(basis.d)).sum(axis=1)
+    shifts = counts @ _key_powers(basis.d, basis.n_particles)
+    keys = basis.keys_ascending[::-1]  # of the states, in basis order
+    for j in range(len(multisets)):
         f_ann = np.ones(basis.size)
-        for mode in annihilate:
-            f_ann *= occ[:, mode]
-            occ[:, mode] -= 1
-        live = f_ann > 0
-        if not live.any():
+        for mode, r in zip(modes[j], repeats[j]):
+            f_ann *= basis.vectors[:, mode] - (r - 1)
+        cols = np.flatnonzero(f_ann > 0)
+        if not cols.size:
             continue
-        occ, f_ann, cols = occ[live], f_ann[live], all_cols[live]
-        for i, create in enumerate(multisets):
-            occ_out = occ.copy()
-            f_cre = np.ones(cols.size)
-            for mode in create:
-                occ_out[:, mode] += 1
-                f_cre *= occ_out[:, mode]
-            yield i, j, basis.positions(occ_out), cols, np.sqrt(f_ann * f_cre)
+        left = (basis.vectors[cols] - counts[j]).T  # (d, L) occupations after a_J
+        f_cre = np.ones((len(multisets), cols.size))
+        for s in range(k):
+            f_cre *= left[modes[:, s]] + repeats[:, s, None]
+        rows = basis.size - 1 - np.searchsorted(
+            basis.keys_ascending, keys[cols] + (shifts - shifts[j])[:, None]
+        )
+        yield j, rows, cols, np.sqrt(f_ann[cols] * f_cre)
+
+
+def _compile_walk(basis, k):
+    """ladder_walk(basis, k) as a list, rows and cols as int32; refused, before
+    anything is built, past MAX_WALK_BYTES."""
+    pairs = math.comb(basis.d + k - 1, k) ** 2
+    nbytes = _WALK_BYTES_PER_ENTRY * basis.size * pairs
+    if nbytes > MAX_WALK_BYTES:
+        raise ValueError(
+            f"the order-{k} ladder walk could take {nbytes} bytes = {_WALK_BYTES_PER_ENTRY} * D * "
+            f"C(d+k-1, k)^2 (> MAX_WALK_BYTES = {MAX_WALK_BYTES}); refusing"
+        )
+    return [
+        (j, rows.astype(np.int32), cols.astype(np.int32), factor)
+        for j, rows, cols, factor in ladder_walk(basis, k)
+    ]
 
 
 def _assemble(basis, weighted_terms):
@@ -274,10 +314,12 @@ def _assemble(basis, weighted_terms):
         weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
         np.add.at(weights, (index[:, None], index[None, :]), term.matrix)
         weights *= float(prefactor) / math.factorial(term.order)
-        for i, j, rows, cols, factor in ladder_walk(basis, term.order):
+        for j, rows, cols, factor in ladder_walk(basis, term.order):
             # both (I, J) and (J, I), so that the triples are structurally symmetric
-            if weights[i, j] != 0 or weights[j, i] != 0:
-                parts.append((rows, cols, weights[i, j] * factor))
+            keep = (weights[:, j] != 0) | (weights[j] != 0)
+            if keep.any():
+                values = weights[keep, j][:, None] * factor[keep]
+                parts.append((rows[keep].ravel(), np.tile(cols, keep.sum()), values.ravel()))
     rows, cols, values = (np.concatenate(p) for p in zip(*parts))
     del parts  # the walk's pieces would otherwise live through from_triples
     return SparseHermitian.from_triples(basis.size, rows, cols, values)
@@ -312,8 +354,8 @@ def _walk_rdm(state, k, ket):
     bra = np.conj(state.amplitudes)
     multisets, index = multiset_map(basis.d, k)
     folded = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
-    for i, j, rows, cols, factor in ladder_walk(basis, k):  # row: annihilated multiset
-        folded[j, i] = scale * (ket[cols] * bra[rows] * factor).sum()
+    for j, rows, cols, factor in basis.walk(k):  # row: annihilated multiset
+        folded[j] = scale * (ket[cols] * bra[rows] * factor).sum(axis=1)
     return folded[np.ix_(index, index)]
 
 

@@ -208,6 +208,43 @@ def test_orders_above_the_smallest_n_refused_at_config_time(
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ("corr", "n_samples: 1000000000 observable pairs would take 128000000000 bytes"),
+        ("lr", "n_samples: 1000000000 observable pairs would take 128000000000 bytes"),
+    ],
+)
+def test_huge_n_samples_refused_before_drawing(tmp_path, capsys, scenario, message):
+    # 10^9 pairs of 2 x 2 observables: drawing them alone would run for hours
+    path = _shipped(tmp_path, scenario, n_samples=10**9)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main([scenario, "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert time.perf_counter() - start < 5.0
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.endswith("the largest workable n_samples for d=2, obs_m=1 and obs_n=1 is 33554432\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_lr_blocks_priced_at_config_time(tmp_path, capsys, monkeypatch):
+    # every N is priced for all samples before the runner starts
+    def never(config):
+        raise AssertionError("the runner must not start")
+
+    monkeypatch.setitem(cli_module.RUNNERS, "lr", never)
+    path = _shipped(tmp_path, "lr", n_values=[8, 100000])
+    assert main(["lr", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: commutator growth at N=100000 would pass")
+
+
 def test_removed_bbgky_dt_key_refused(tmp_path, capsys):
     # the finite-difference step is gone; an old config carrying it is refused
     path = _shipped(tmp_path, "bbgky", bbgky_dt=0.001)

@@ -618,6 +618,17 @@ class TestCorrelationGap:
         assert gaps == [correlation_gap(gamma, 1, 2, x, y) for x, y in zip(a, b)]
         assert max(gaps) > 1e-3
 
+    def test_stack_over_several_chunks_matches_kron_per_pair(self, rng):
+        # d^(m+n) = 64: 16 pairs a chunk, so 20 pairs take two
+        spec = random_spec(rng, 2, (1, 2))
+        state0 = embed_product_state(_unit_phi(rng, 2), 7)
+        gamma = rdm(evolve_exact(build_hamiltonian(spec, 7), state0, [0.6])[0], 6)
+        a = np.array([oracles.rand_unit_herm(rng, 8) for _ in range(20)])
+        b = np.array([oracles.rand_unit_herm(rng, 8) for _ in range(20)])
+        connected = gamma.matrix - np.kron(gamma.marginal(3).matrix, gamma.marginal(3).matrix)
+        expected = [float(abs(np.trace(np.kron(x, y) @ connected))) for x, y in zip(a, b)]
+        assert correlation_gap(gamma, 3, 3, a, b) == expected
+
     def test_stack_shapes_validated(self, rng):
         gamma = rdm(embed_product_state(_unit_phi(rng, 2), 4), 2)
         eye = np.eye(2)

@@ -1,11 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from bosonlab import PotentialTerm, build_symmetric_operator, enumerate_basis
-from bosonlab.symmetric_space import ladder_walk, multiset_map
+from bosonlab import (
+    PotentialTerm,
+    SparseHermitian,
+    build_hamiltonian,
+    build_symmetric_operator,
+    embed_product_state,
+    enumerate_basis,
+    experiments,
+    rdm,
+    symmetric_space,
+)
+from bosonlab.experiments import config_from_dict, run_convergence, run_corr
+from bosonlab.symmetric_space import MAX_WALK_BYTES, ladder_walk, multiset_map
 
-from .conftest import substream
+from .conftest import random_spec, substream
+from .test_experiments import base_config
 from . import oracles
 
 
@@ -25,7 +39,51 @@ class TestMultisetMap:
 
 
 def _walk(basis, k):
-    return {(i, j): (rows, cols, factor) for i, j, rows, cols, factor in ladder_walk(basis, k)}
+    """The chains of every step of the walk, by (i, j)."""
+    return {
+        (i, j): (rows[i], cols, factor[i])
+        for j, rows, cols, factor in ladder_walk(basis, k)
+        for i in range(len(rows))
+    }
+
+
+def _chains(basis, k):
+    """Reference walk, one chain at a time: a_J then a+_I applied to every
+    occupation vector, the factor multiplied up slot by slot, and each
+    result located by its basis position."""
+    multisets, _ = multiset_map(basis.d, k)
+    for j, annihilate in enumerate(multisets):
+        occ = basis.vectors.copy()
+        f_ann = np.ones(basis.size)
+        for mode in annihilate:
+            f_ann *= occ[:, mode]
+            occ[:, mode] -= 1
+        live = f_ann > 0
+        if not live.any():
+            continue
+        occ, f_ann, cols = occ[live], f_ann[live], np.flatnonzero(live)
+        for i, create in enumerate(multisets):
+            occ_out = occ.copy()
+            f_cre = np.ones(cols.size)
+            for mode in create:
+                occ_out[:, mode] += 1
+                f_cre *= occ_out[:, mode]
+            yield i, j, basis.positions(occ_out), cols, np.sqrt(f_ann * f_cre)
+
+
+def _reference_assembly(basis, weighted_terms):
+    """Assembly from the reference chains, in the walk's (J, then I) order."""
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
+    for term, prefactor in weighted_terms:
+        multisets, index = multiset_map(basis.d, term.order)
+        weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
+        np.add.at(weights, (index[:, None], index[None, :]), term.matrix)
+        weights *= float(prefactor) / math.factorial(term.order)
+        for i, j, rows, cols, factor in _chains(basis, term.order):
+            if weights[i, j] != 0 or weights[j, i] != 0:
+                parts.append((rows, cols, weights[i, j] * factor))
+    rows, cols, values = (np.concatenate(p) for p in zip(*parts))
+    return SparseHermitian.from_triples(basis.size, rows, cols, values)
 
 
 class TestLadderWalk:
@@ -59,3 +117,94 @@ class TestLadderWalk:
         np.testing.assert_array_equal(twice.rows, once.rows)
         np.testing.assert_array_equal(twice.cols, once.cols)
         np.testing.assert_allclose(twice.values, 2 * once.values, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "d, n, k", [(1, 3, 2), (2, 7, 3), (2, 300, 2), (2, 16384, 2), (3, 7, 3), (4, 6, 2), (3, 4, 4)]
+    )
+    def test_bit_equal_to_one_chain_at_a_time(self, d, n, k):
+        # at (2, 16384, 2) the products under the square root pass 2^53
+        basis = enumerate_basis(d, n)
+        walk = _walk(basis, k)
+        reference = {(i, j): chain for i, j, *chain in _chains(basis, k)}
+        assert walk.keys() == reference.keys()
+        for key, chain in reference.items():
+            for got, expected in zip(walk[key], chain):
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+    def test_compiled_once_per_basis_and_order(self):
+        basis = enumerate_basis(3, 6)
+        compiled = basis.walk(2)
+        assert basis.walk(2) is compiled
+        streamed = list(ladder_walk(basis, 2))
+        assert [step[0] for step in compiled] == [step[0] for step in streamed]
+        for (_, rows, cols, factor), (_, rows64, cols64, factor64) in zip(compiled, streamed):
+            assert rows.dtype == cols.dtype == np.int32
+            np.testing.assert_array_equal(rows, rows64)
+            np.testing.assert_array_equal(cols, cols64)
+            assert factor.tobytes() == factor64.tobytes()
+
+    def test_walk_bytes_refused_before_compiling(self):
+        state = embed_product_state(np.full(4, 0.5), 60)  # 39711 states
+        nbytes = 16 * state.basis.size * math.comb(8, 5) ** 2  # order 5: 3136 pairs
+        assert nbytes > MAX_WALK_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"could take {nbytes} bytes"):
+                rdm(state, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert 5 not in state.basis._walks  # nothing was kept
+
+    @pytest.mark.parametrize("d, n", [(2, 9), (3, 6), (4, 4)])
+    def test_assembly_bit_identical_to_one_chain_at_a_time(self, d, n):
+        spec = random_spec(substream(61, "walk-assembly", d), d, (1, 2, 3), unit_norm=False)
+        basis = enumerate_basis(d, n)
+        h = build_hamiltonian(spec, n, basis)
+        weighted = [(spec.terms[m], float(n) ** (1 - m)) for m in spec.present_orders]
+        reference = _reference_assembly(basis, weighted)
+        for name in ("rows", "cols", "values"):
+            got, expected = getattr(h, name), getattr(reference, name)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+
+def _count_compiled_walks(monkeypatch):
+    """Record the order of every walk a basis compiles, and the order of
+    every rdm call the runners make."""
+    compiled, calls = [], []
+    compile_walk = symmetric_space._compile_walk
+
+    def counting_compile(basis, k):
+        compiled.append(k)
+        return compile_walk(basis, k)
+
+    def counting_rdm(state, k):
+        calls.append(k)
+        return rdm(state, k)
+
+    monkeypatch.setattr(symmetric_space, "_compile_walk", counting_compile)
+    monkeypatch.setattr(experiments, "rdm", counting_rdm)
+    return compiled, calls
+
+
+class TestOneWalkPerBasis:
+    def test_corr_compiles_one_walk_per_n(self, monkeypatch):
+        compiled, calls = _count_compiled_walks(monkeypatch)
+        config = config_from_dict(
+            base_config(
+                scenario="corr", n_values=[4, 6, 8], time_grid=[0.0, 0.5, 1.0], obs_n=2, n_samples=3
+            )
+        )
+        run_corr(config)
+        assert compiled == [3] * 3  # one order-(m+n) walk per N
+        assert calls == [3] * 9  # contracted against every (N, t)
+
+    def test_convergence_compiles_one_walk_per_n(self, monkeypatch):
+        compiled, calls = _count_compiled_walks(monkeypatch)
+        config = config_from_dict(base_config(n_values=[3, 5], time_grid=[0.0, 0.2, 0.4, 0.6]))
+        run_convergence(config)
+        assert compiled == [1] * 2
+        assert calls == [1] * 8

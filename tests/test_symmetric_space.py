@@ -293,9 +293,10 @@ class TestFromTriples:
         for k in (1, 2):
             # one random weight per chain: A is not Hermitian, and chains of
             # both orders land on shared (row, col) positions
-            for _, _, rows, cols, factor in ladder_walk(basis, k):
-                weight = rng.standard_normal() + 1j * rng.standard_normal()
-                parts.append((rows, cols, weight * factor))
+            for _, rows, cols, factor in ladder_walk(basis, k):
+                for chain_rows, chain_factor in zip(rows, factor):
+                    weight = rng.standard_normal() + 1j * rng.standard_normal()
+                    parts.append((chain_rows, cols, weight * chain_factor))
         rows, cols, values = (np.concatenate(p) for p in zip(*parts))
         assert np.unique(rows * basis.size + cols).size < rows.size  # repeated positions
         a = np.zeros((basis.size, basis.size), dtype=np.complex128)
