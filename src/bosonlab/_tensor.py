@@ -17,7 +17,10 @@ def tensor_power(matrix, count):
 
 
 def partial_trace_last(matrix, d, n_slots, n_traced):
-    """Trace out the trailing n_traced slots of an n_slots-slot operator."""
+    """Trace out the trailing n_traced slots of an n_slots-slot operator;
+    with none traced, the operator itself, not a copy."""
+    if not n_traced:
+        return matrix
     keep = d ** (n_slots - n_traced)
     traced = d**n_traced
     t = np.asarray(matrix).reshape(keep, traced, keep, traced)

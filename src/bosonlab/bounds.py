@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ._tensor import tensor_power
+from ._tensor import partial_trace_last, tensor_power
 
 
 def trace_distance(rho, sigma):
@@ -84,13 +84,15 @@ def telescoping_residual(gamma, hartree_gamma, m):
         raise ValueError(f"m = {m} is not in [1, {gamma.order - 1}] for an order-{gamma.order} RDM")
     if hartree_gamma.order != 1 or hartree_gamma.d != gamma.d:
         raise ValueError(f"hartree_gamma must be an order-1 density matrix with d = {gamma.d}")
-    a = [gamma.marginal(order).matrix for order in range(m + 2)]
+    d, order = gamma.d, gamma.order
+    a = [partial_trace_last(gamma.matrix, d, order, order - l) for l in range(m + 2)]
     g1 = a[1]
     mf = hartree_gamma.matrix
-    lhs = a[m + 1] - tensor_power(mf, m + 1)
+    powers = [tensor_power(mf, j) for j in range(m + 2)]
+    lhs = a[m + 1] - powers[m + 1]
     rhs = np.zeros_like(lhs)
     for l in range(1, m + 1):
-        rhs += np.kron(a[l + 1] - np.kron(a[l], g1), tensor_power(mf, m - l))
+        rhs += np.kron(a[l + 1] - np.kron(a[l], g1), powers[m - l])
     for l in range(m + 1):
-        rhs += np.kron(a[l], np.kron(g1 - mf, tensor_power(mf, m - l)))
+        rhs += np.kron(a[l], np.kron(g1 - mf, powers[m - l]))
     return float(np.max(np.abs(lhs - rhs)))

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    RUNNERS,
+    SCENARIOS,
     ConfigError,
     count_violations,
     load_config,
@@ -19,23 +19,14 @@ from .experiments import (
     write_rows,
 )
 
-_SCENARIO_HELP = {
-    "converge": "exact one-particle reduced state vs mean-field evolution across N",
-    "lr": "Heisenberg commutator growth for disjointly supported observables",
-    "corr": "correlation gap of evolved product states vs its bound",
-    "bbgky": "hierarchy RHS against the exact RDM derivative, and telescoping rows",
-    "bounds": "bound constants (both strategies) and bound curves",
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bosonlab",
         description="deterministic experiments for mean-field limits of bosonic dynamics",
     )
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="scenario")
-    for name, help_text in _SCENARIO_HELP.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
+    for name, scenario in SCENARIOS.items():
+        p = sub.add_parser(name, help=scenario.help, description=scenario.help)
         p.add_argument("--config", required=True, type=Path, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="override output_path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -64,7 +55,7 @@ def main(argv=None):
                 f"config declares scenario {config.scenario!r}, "
                 f"but the {args.scenario!r} subcommand was invoked"
             )
-        rows = RUNNERS[config.scenario](config)
+        rows = SCENARIOS[config.scenario].run(config)
         write_rows(config.output_path, config, rows)
         extra = write_plot_data(config.output_path, config, rows) if args.plot_data else []
     except (OSError, ValueError, RuntimeError) as exc:

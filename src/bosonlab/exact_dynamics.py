@@ -399,7 +399,8 @@ def correlation_gap(gamma, m, n, a_matrix, b_matrix):
         or a.shape[:stacked] != b.shape[:stacked]
     ):
         raise ValueError("observable dimensions do not match d^m / d^n")
-    connected = gamma.matrix - np.kron(gamma.marginal(m).matrix, gamma.marginal(n).matrix)
+    g = gamma.matrix
+    connected = g - np.kron(partial_trace_last(g, d, m + n, n), partial_trace_last(g, d, m + n, m))
     a, b = a.reshape(-1, d**m, d**m), b.reshape(-1, d**n, d**n)
     # the pairs' A (x) B, one broadcast product and one stacked matmul per chunk
     chunk = max(1, _GAP_STACK_ENTRIES // connected.size)
@@ -437,7 +438,7 @@ def bbgky_rhs(spec, n_particles, k, gamma):
         vmat = spec.terms[m].matrix
         prefactor = float(n_particles) ** (1 - m)
         for offset in range(max(0, m - k), m):
-            g = gamma.marginal(k + offset).matrix
+            g = partial_trace_last(gamma.matrix, d, gamma.order, gamma.order - k - offset)
             coeff = math.comb(n_particles - k, offset) * prefactor
             block = np.zeros((dim_k, dim_k), dtype=np.complex128)
             for kept in combinations(range(k), m - offset):

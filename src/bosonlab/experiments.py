@@ -1,4 +1,4 @@
-"""Experiment orchestration: config ingestion, scenario runners, CSV output.
+"""Experiment orchestration: config ingestion, scenario runners and their table, CSV output.
 
 Determinism contract: a given config (including its seed) produces
 byte-identical output files.  All randomness flows through counter-based
@@ -14,8 +14,9 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,6 @@ from .exact_dynamics import MAX_DENSE_BYTES, _dense_peak_bytes, _guard_blocks
 from .hartree import hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, PotentialTerm, _substream, bound_constants, operator_norm, vtilde
 from .symmetric_space import build_hamiltonian, embed_product_state, rdm, rdm_derivative
-
-SCENARIOS = ("converge", "lr", "corr", "bbgky", "bounds")
 
 # slack added to every lhs <= rhs check before it counts as a violation
 VIOLATION_ATOL = 1e-9
@@ -93,6 +92,10 @@ def _choice(*options):
         return value
 
     return parse
+
+
+def _scenario(value, path):
+    return _choice(*SCENARIOS)(value, path)  # the table at the end of this module
 
 
 def _nonempty_str(value, path):
@@ -192,7 +195,7 @@ class ExperimentConfig:
     validation and the hashed serialization from these declarations."""
 
     spec: HamiltonianSpec = _key(_spec)
-    scenario: str = _key(_choice(*SCENARIOS))
+    scenario: str = _key(_scenario)
     n_values: tuple = _key(_int_list)
     time_grid: tuple = _key(_time_grid)
     initial_phi: np.ndarray = _key(_complex(1))
@@ -504,20 +507,7 @@ def run_bbgky(config):
 def run_bounds(config):
     """Bound constants under both vtilde strategies, plus bound curves."""
     constants = {s: _bound_constants(config, s) for s in ("canonical", "search")}
-    rows = []
-    for strategy in ("canonical", "search"):
-        c = constants[strategy]
-        rows.append(
-            {
-                "kind": "constants",
-                "strategy": strategy,
-                "m_max": c.m_max,
-                "sum_l1_v": c.sum_l1_v,
-                "sum_l2_v": c.sum_l2_v,
-                "vtilde": c.vtilde,
-                "lambda_v": c.lambda_v,
-            }
-        )
+    rows = [{"kind": "constants", "strategy": s, **asdict(c)} for s, c in constants.items()]
     selected = constants[config.vtilde_strategy]
     for n_particles in config.n_values:
         for t in config.time_grid:
@@ -541,59 +531,6 @@ def run_bounds(config):
     return rows
 
 
-RUNNERS = {
-    "converge": run_convergence,
-    "lr": run_lr,
-    "corr": run_corr,
-    "bbgky": run_bbgky,
-    "bounds": run_bounds,
-}
-
-COLUMNS = {
-    "converge": [
-        "config_hash",
-        "kind",
-        "N",
-        "t",
-        "trace_distance",
-        "mean_field_error_bound",
-        "ratio",
-        "slope",
-        "violation",
-    ],
-    "lr": ["config_hash", "N", "m", "n", "sample", "t", "lhs", "rhs", "violation"],
-    "corr": [
-        "config_hash",
-        "kind",
-        "N",
-        "m",
-        "n",
-        "sample",
-        "t",
-        "lhs",
-        "rhs",
-        "slope",
-        "violation",
-    ],
-    "bbgky": ["config_hash", "kind", "N", "k", "m", "t", "value"],
-    "bounds": [
-        "config_hash",
-        "kind",
-        "strategy",
-        "m_max",
-        "sum_l1_v",
-        "sum_l2_v",
-        "vtilde",
-        "lambda_v",
-        "N",
-        "t",
-        "mean_field_error_bound",
-        "commutator_growth_bound",
-        "correlation_gap_bound",
-    ],
-}
-
-
 def _cell(value):
     if value is None or value == "":
         return ""
@@ -608,14 +545,13 @@ def _cell(value):
 
 def write_rows(path, config, rows):
     """Write scenario rows as CSV with the provenance comment line."""
-    columns = COLUMNS[config.scenario]
+    columns = SCENARIOS[config.scenario].columns
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# config_hash={config.config_hash} version={VERSION}\n")
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(("config_hash",) + columns)
         for row in rows:
-            # config_hash, the first column of every scenario, comes from the config
-            writer.writerow([config.config_hash] + [_cell(row.get(col)) for col in columns[1:]])
+            writer.writerow([config.config_hash] + [_cell(row.get(col)) for col in columns])
 
 
 def count_violations(rows):
@@ -623,55 +559,24 @@ def count_violations(rows):
 
 
 def _curves_for_plot(config, rows):
-    scenario = config.scenario
+    """(name, xs, ys) of every curve the scenario declares; groups, and the
+    x values in each, in the order the rows first reach them."""
+    kind, by, x, ys = SCENARIOS[config.scenario].curves
+    groups = {}
+    for row in rows:
+        if row.get("kind") == kind:
+            points = groups.setdefault(tuple(row[col] for col in by), {})
+            points.setdefault(row[x], []).append(row)
     curves = []
-    if scenario == "converge":
-        points = [r for r in rows if r.get("kind") == "point"]
-        for i, t in enumerate(config.time_grid):
-            at_t = [r for r in points if r["t"] == t]
-            ns = [r["N"] for r in at_t]
-            curves.append((f"distance_vs_N.t{i}", ns, [r["trace_distance"] for r in at_t]))
-            curves.append(
-                (f"bound_vs_N.t{i}", ns, [r["mean_field_error_bound"] for r in at_t])
-            )
-    elif scenario in ("lr", "corr"):
-        points = [r for r in rows if r.get("kind") == "point"]
-        for n_particles in config.n_values:
-            lhs_mean, rhs_vals = [], []
-            for t in config.time_grid:
-                at = [r for r in points if r.get("N") == n_particles and r.get("t") == t]
-                lhs_mean.append(float(np.mean([r["lhs"] for r in at])))
-                rhs_vals.append(at[0]["rhs"])
-            curves.append((f"lhs_vs_t.N{n_particles}", config.time_grid, lhs_mean))
-            curves.append((f"bound_vs_t.N{n_particles}", config.time_grid, rhs_vals))
-    elif scenario == "bbgky":
-        for n_particles in config.n_values:
-            for k in config.k_values:
-                at = [
-                    r
-                    for r in rows
-                    if r.get("kind") == "residual"
-                    and r.get("N") == n_particles
-                    and r.get("k") == k
-                ]
-                if at:
-                    curves.append(
-                        (
-                            f"residual_vs_t.N{n_particles}.k{k}",
-                            [r["t"] for r in at],
-                            [r["value"] for r in at],
-                        )
-                    )
-    elif scenario == "bounds":
-        for n_particles in config.n_values:
-            at = [r for r in rows if r.get("kind") == "curve" and r.get("N") == n_particles]
-            ts = [r["t"] for r in at]
-            for col in (
-                "mean_field_error_bound",
-                "commutator_growth_bound",
-                "correlation_gap_bound",
-            ):
-                curves.append((f"{col}_vs_t.N{n_particles}", ts, [r[col] for r in at]))
+    for key, points in groups.items():
+        # a grid time is named by its index in time_grid, any other column by its value
+        label = ".".join(
+            f"t{config.time_grid.index(value)}" if col == "t" else f"{col}{value}"
+            for col, value in zip(by, key)
+        )
+        for name, y, take in ys:
+            values = [take([row[y] for row in at]) for at in points.values()]
+            curves.append((f"{name}.{label}", list(points), values))
     return curves
 
 
@@ -686,3 +591,76 @@ def write_plot_data(path, config, rows):
                 f.write(f"{_cell(float(x))} {_cell(float(y))}\n")
         written.append(out)
     return written
+
+
+def _first(values):
+    return values[0]
+
+
+class Curves(NamedTuple):
+    """How a scenario's rows become plot curves."""
+
+    kind: str  # the kind of the rows plotted
+    by: tuple  # the columns whose values name one group of curves
+    x: str
+    ys: tuple  # (curve name, y column, take) per curve; take folds the y values at one x
+
+
+@dataclass(eq=False)
+class Scenario:
+    """One scenario, declared once: the CLI, the config check and both writers read it."""
+
+    run: Callable  # config -> rows
+    help: str
+    columns: tuple  # the CSV columns after config_hash, which leads every CSV
+    curves: Curves
+
+
+# lr and corr plot the sample mean of lhs and the first sample's rhs: the
+# samples' rhs differ only by the rounding of their pair norms
+_PAIR_CURVES = Curves("point", ("N",), "t", (
+    ("lhs_vs_t", "lhs", np.mean),
+    ("bound_vs_t", "rhs", _first),
+))
+
+SCENARIOS = {
+    "converge": Scenario(
+        run_convergence,
+        "exact one-particle reduced state vs mean-field evolution across N",
+        ("kind", "N", "t", "trace_distance", "mean_field_error_bound", "ratio", "slope",
+         "violation"),
+        Curves("point", ("t",), "N", (
+            ("distance_vs_N", "trace_distance", _first),
+            ("bound_vs_N", "mean_field_error_bound", _first),
+        )),
+    ),
+    "lr": Scenario(
+        run_lr,
+        "Heisenberg commutator growth for disjointly supported observables",
+        ("N", "m", "n", "sample", "t", "lhs", "rhs", "violation"),
+        _PAIR_CURVES,
+    ),
+    "corr": Scenario(
+        run_corr,
+        "correlation gap of evolved product states vs its bound",
+        ("kind", "N", "m", "n", "sample", "t", "lhs", "rhs", "slope", "violation"),
+        _PAIR_CURVES,
+    ),
+    "bbgky": Scenario(
+        run_bbgky,
+        "hierarchy RHS against the exact RDM derivative, and telescoping rows",
+        ("kind", "N", "k", "m", "t", "value"),
+        Curves("residual", ("N", "k"), "t", (("residual_vs_t", "value", _first),)),
+    ),
+    "bounds": Scenario(
+        run_bounds,
+        "bound constants (both strategies) and bound curves",
+        ("kind", "strategy", "m_max", "sum_l1_v", "sum_l2_v", "vtilde", "lambda_v", "N", "t",
+         "mean_field_error_bound", "commutator_growth_bound", "correlation_gap_bound"),
+        Curves("curve", ("N",), "t", (
+            ("mean_field_error_bound_vs_t", "mean_field_error_bound", _first),
+            ("commutator_growth_bound_vs_t", "commutator_growth_bound", _first),
+            ("correlation_gap_bound_vs_t", "correlation_gap_bound", _first),
+        )),
+    ),
+}

@@ -40,9 +40,10 @@ from .hartree import DensityMatrix
 MAX_BASIS_SIZE = 2_000_000
 MAX_TRIPLE_BYTES = 2**30
 _BYTES_PER_ENTRY = 4 * 32
-# A compiled RDM walk (OccupationBasis.walk) holds at most D * C(d+k-1, k)^2
-# entries: an int32 row and a float64 factor each, and an int32 col per
-# (J, state), at most one more int32 an entry; 16 bytes an entry are charged.
+# A compiled RDM walk (OccupationBasis.walk) holds C(d+k-1, k)^2 D(N-k) entries
+# (each J leaves D(N-k) states, the sector size at N - k): an int32 row and a
+# float64 factor each, and an int32 col per (J, state), at most one more int32
+# an entry; 16 bytes an entry are charged.
 MAX_WALK_BYTES = 2**30
 _WALK_BYTES_PER_ENTRY = 16
 
@@ -277,12 +278,13 @@ def ladder_walk(basis, k):
 def _compile_walk(basis, k):
     """ladder_walk(basis, k) as a list, rows and cols as int32; refused, before
     anything is built, past MAX_WALK_BYTES."""
-    pairs = math.comb(basis.d + k - 1, k) ** 2
-    nbytes = _WALK_BYTES_PER_ENTRY * basis.size * pairs
+    d, n = basis.d, basis.n_particles
+    states = math.comb(n - k + d - 1, d - 1) if k <= n else 0  # D(N-k), what each J leaves
+    nbytes = _WALK_BYTES_PER_ENTRY * math.comb(d + k - 1, k) ** 2 * states
     if nbytes > MAX_WALK_BYTES:
         raise ValueError(
-            f"the order-{k} ladder walk could take {nbytes} bytes = {_WALK_BYTES_PER_ENTRY} * D * "
-            f"C(d+k-1, k)^2 (> MAX_WALK_BYTES = {MAX_WALK_BYTES}); refusing"
+            f"the order-{k} ladder walk could take {nbytes} bytes = {_WALK_BYTES_PER_ENTRY} * "
+            f"C(d+k-1, k)^2 * D(N-k) (> MAX_WALK_BYTES = {MAX_WALK_BYTES}); refusing"
         )
     return [
         (j, rows.astype(np.int32), cols.astype(np.int32), factor)

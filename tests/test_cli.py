@@ -12,8 +12,11 @@ import pytest
 import bosonlab
 from bosonlab import cli as cli_module
 from bosonlab.cli import main
+from bosonlab.experiments import _KEYS, SCENARIOS, ConfigError, config_from_dict
 
 from .test_experiments import base_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_module(*args, timeout=None):
@@ -201,7 +204,7 @@ def test_orders_above_the_smallest_n_refused_at_config_time(
     def never(config):
         raise AssertionError("the runner must not start")
 
-    monkeypatch.setitem(cli_module.RUNNERS, scenario, never)
+    monkeypatch.setattr(cli_module.SCENARIOS[scenario], "run", never)
     path = _shipped(tmp_path, scenario, **changes)
     assert main([scenario, "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -239,7 +242,7 @@ def test_lr_blocks_priced_at_config_time(tmp_path, capsys, monkeypatch):
     def never(config):
         raise AssertionError("the runner must not start")
 
-    monkeypatch.setitem(cli_module.RUNNERS, "lr", never)
+    monkeypatch.setattr(cli_module.SCENARIOS["lr"], "run", never)
     path = _shipped(tmp_path, "lr", n_values=[8, 100000])
     assert main(["lr", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: commutator growth at N=100000 would pass")
@@ -259,7 +262,7 @@ def test_violation_rows_exit_two(config_file, capsys, monkeypatch):
     def fake_runner(config):
         return [{"config_hash": config.config_hash, "kind": "point", "violation": 1}]
 
-    monkeypatch.setitem(cli_module.RUNNERS, "converge", fake_runner)
+    monkeypatch.setattr(cli_module.SCENARIOS["converge"], "run", fake_runner)
     assert main(["converge", "--config", str(config_file)]) == 2
     assert "BOUND VIOLATION" in capsys.readouterr().err
 
@@ -269,3 +272,22 @@ def test_module_help_runs():
     assert out.returncode == 0
     for name in ("converge", "lr", "corr", "bbgky", "bounds"):
         assert name in out.stdout
+
+
+def test_scenario_lists_match_the_table():
+    # the README's scenario table, the CLI's subcommands and the config's
+    # scenario choices all list the scenarios of experiments.SCENARIOS
+    table = list(SCENARIOS)
+    readme = re.findall(r"^\| `(\w+)`", README.read_text(), flags=re.MULTILINE)
+    assert readme == table
+    out = run_module("--help")
+    assert re.findall(r"^    (\S+)", out.stdout, flags=re.MULTILINE) == table
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(base_config(scenario="warp"))
+    assert str(info.value) == f"scenario: 'warp' is not one of {', '.join(table)}"
+
+
+def test_readme_config_block_has_the_config_keys():
+    block = re.search(r"```jsonc\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
+    documented = json.loads(re.sub(r"//.*", "", block))
+    assert sorted(documented) == sorted(f.name for f in _KEYS)

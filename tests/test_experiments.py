@@ -489,3 +489,51 @@ class TestOutputFiles:
         assert len(first) == 1  # single N in this config
         x, y = first[0].split()
         assert float(x) == 4.0 and float(y) >= 0.0
+
+    @pytest.mark.parametrize(
+        "scenario, runner, files",
+        [
+            (
+                "converge",
+                run_convergence,
+                [f"{curve}_vs_N.t{i}" for i in range(3) for curve in ("distance", "bound")],
+            ),
+            ("lr", run_lr, ["lhs_vs_t.N6", "bound_vs_t.N6"]),
+            (
+                "corr",
+                run_corr,
+                [f"{curve}_vs_t.N{n}" for n in (4, 8, 16) for curve in ("lhs", "bound")],
+            ),
+            ("bbgky", run_bbgky, ["residual_vs_t.N5.k1", "residual_vs_t.N5.k2"]),
+            (
+                "bounds",
+                run_bounds,
+                [
+                    f"{bound}_bound_vs_t.N{n}"
+                    for n in (10, 100)
+                    for bound in ("mean_field_error", "commutator_growth", "correlation_gap")
+                ],
+            ),
+        ],
+    )
+    def test_plot_curves_of_every_shipped_config(self, tmp_path, scenario, runner, files):
+        config = config_from_dict(_shipped(scenario, output_path=str(tmp_path / "res.csv")))
+        rows = runner(config)
+        written = write_plot_data(config.output_path, config, rows)
+        assert [Path(p).name for p in written] == [f"res.{name}.dat" for name in files]
+        curves = {}
+        for path, name in zip(written, files):
+            lines = Path(path).read_text().splitlines()
+            xs, curves[name] = zip(*(map(float, line.split()) for line in lines))
+            # converge plots against N, every other scenario against t
+            grid = config.n_values if scenario == "converge" else config.time_grid
+            assert list(xs) == [float(x) for x in grid]
+        if scenario in ("lr", "corr"):
+            points = [r for r in rows if r["kind"] == "point"]
+            for n in config.n_values:
+                at = [[r for r in points if r["N"] == n and r["t"] == t] for t in config.time_grid]
+                # the sample mean of lhs, and the first sample's rhs
+                mean = tuple(float(np.mean([r["lhs"] for r in a])) for a in at)
+                first = tuple(next(r["rhs"] for r in a if r["sample"] == 0) for a in at)
+                assert curves[f"lhs_vs_t.N{n}"] == mean
+                assert curves[f"bound_vs_t.N{n}"] == first

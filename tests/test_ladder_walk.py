@@ -146,7 +146,8 @@ class TestLadderWalk:
 
     def test_walk_bytes_refused_before_compiling(self):
         state = embed_product_state(np.full(4, 0.5), 60)  # 39711 states
-        nbytes = 16 * state.basis.size * math.comb(8, 5) ** 2  # order 5: 3136 pairs
+        # order 5: 3136 pairs, each over the D(55) = 30856 states a_J leaves
+        nbytes = 16 * math.comb(8, 5) ** 2 * math.comb(58, 3)
         assert nbytes > MAX_WALK_BYTES
         tracemalloc.start()
         try:
@@ -157,6 +158,18 @@ class TestLadderWalk:
             tracemalloc.stop()
         assert peak < 2**20
         assert 5 not in state.basis._walks  # nothing was kept
+
+    def test_walk_bytes_charge_the_exact_entry_count(self, monkeypatch):
+        basis = enumerate_basis(3, 24)
+        walk = list(ladder_walk(basis, 3))
+        entries = sum(rows.size for _, rows, _, _ in walk)
+        assert entries == math.comb(5, 3) ** 2 * math.comb(23, 2)  # C(d+k-1, k)^2 D(N-k)
+        monkeypatch.setattr(symmetric_space, "MAX_WALK_BYTES", 16 * entries - 1)
+        with pytest.raises(ValueError, match=f"could take {16 * entries} bytes = 16 \\* C"):
+            basis.walk(3)
+        monkeypatch.setattr(symmetric_space, "MAX_WALK_BYTES", 16 * entries)
+        assert len(basis.walk(3)) == len(walk)
+        assert enumerate_basis(2, 3).walk(5) == []  # past N no state is left: nothing charged
 
     @pytest.mark.parametrize("d, n", [(2, 9), (3, 6), (4, 4)])
     def test_assembly_bit_identical_to_one_chain_at_a_time(self, d, n):
