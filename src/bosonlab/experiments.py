@@ -336,10 +336,10 @@ def random_unit_hermitian(rng, dim):
 
 def _observable_stacks(config, scenario):
     """Stacks of n_samples random unit Hermitians on obs_m and obs_n
-    particles, sample s from substream s of "<scenario>:a" and ":b", and each
-    pair's norms; drawn once for every N."""
+    particles, sample s from substream s of "<scenario>:a" and ":b"; drawn
+    once for every N."""
     m, n = config.obs_m, config.obs_n
-    a, b = (
+    return tuple(
         np.array(
             [
                 random_unit_hermitian(_substream(config.seed, purpose, s), config.spec.d**order)
@@ -348,7 +348,6 @@ def _observable_stacks(config, scenario):
         )
         for purpose, order in ((f"{scenario}:a", m), (f"{scenario}:b", n))
     )
-    return a, b, [(operator_norm(x), operator_norm(y)) for x, y in zip(a, b)]
 
 
 def _fit_slope(ns, values):
@@ -417,11 +416,11 @@ def run_convergence(config):
     return rows + _slope_rows(config, by_time)
 
 
-def _pair_row(config, bound, consts, norms, n_particles, sample, t, lhs):
-    """One lr or corr point row: lhs against bound(m, n, ||A||, ||B||, ...)
-    for the pair with operator norms ``norms``."""
+def _pair_row(config, bound, consts, n_particles, sample, t, lhs):
+    """One lr or corr point row: lhs against bound(m, n, 1, 1, ...), the
+    bound for a pair of unit-norm observables."""
     m, n = config.obs_m, config.obs_n
-    rhs = bound(m, n, *norms, consts, n_particles, t)
+    rhs = bound(m, n, 1.0, 1.0, consts, n_particles, t)
     at = {"kind": "point", "N": n_particles, "m": m, "n": n, "sample": sample, "t": t}
     return {**at, "lhs": lhs, "rhs": rhs, "violation": int(lhs > rhs + VIOLATION_ATOL)}
 
@@ -430,7 +429,7 @@ def run_lr(config):
     """Heisenberg commutator growth against its closed-form bound."""
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
-    a_stack, b_stack, norms = _observable_stacks(config, "lr")
+    a_stack, b_stack = _observable_stacks(config, "lr")
     obs_a = ObservableOnSubset(tuple(range(n + 1, n + m + 1)), a_stack)
     obs_b = ObservableOnSubset(tuple(range(1, n + 1)), b_stack)
     rows = []
@@ -438,8 +437,8 @@ def run_lr(config):
         # one call per N: each block is built and diagonalized once for every sample
         sample_lhs = commutator_growth(config.spec, n_particles, obs_a, obs_b, config.time_grid)
         rows += [
-            _pair_row(config, commutator_growth_bound, consts, pair_norms, n_particles, s, t, lhs)
-            for s, (lhs_values, pair_norms) in enumerate(zip(sample_lhs, norms))
+            _pair_row(config, commutator_growth_bound, consts, n_particles, s, t, lhs)
+            for s, lhs_values in enumerate(sample_lhs)
             for t, lhs in zip(config.time_grid, lhs_values)
         ]
     return rows
@@ -449,7 +448,7 @@ def run_corr(config):
     """Correlation gap of evolved product states against its bound."""
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
-    a_stack, b_stack, norms = _observable_stacks(config, "corr")
+    a_stack, b_stack = _observable_stacks(config, "corr")
     rows = []
     mean_by_time = {i: [] for i in range(len(config.time_grid))}
     for n_particles, _, states in _exact_trajectories(config, config.time_grid):
@@ -457,8 +456,8 @@ def run_corr(config):
             # one RDM contraction and one pair of marginals per state, for every sample
             sample_lhs = correlation_gap(rdm(state, m + n), m, n, a_stack, b_stack)
             rows += [
-                _pair_row(config, correlation_gap_bound, consts, pair_norms, n_particles, s, t, lhs)
-                for s, (lhs, pair_norms) in enumerate(zip(sample_lhs, norms))
+                _pair_row(config, correlation_gap_bound, consts, n_particles, s, t, lhs)
+                for s, lhs in enumerate(sample_lhs)
             ]
             mean_by_time[i].append((n_particles, float(np.mean(sample_lhs))))
         del states, state  # this N's basis and its compiled walk go before the next N is built
@@ -616,8 +615,8 @@ class Scenario:
     curves: Curves
 
 
-# lr and corr plot the sample mean of lhs and the first sample's rhs: the
-# samples' rhs differ only by the rounding of their pair norms
+# lr and corr plot the sample mean of lhs and the rhs, which every sample at
+# one (N, t) shares: the bound is taken at unit norms
 _PAIR_CURVES = Curves("point", ("N",), "t", (
     ("lhs_vs_t", "lhs", np.mean),
     ("bound_vs_t", "rhs", _first),

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._tensor import partial_trace_last, tensor_power
+from .operators import operator_norm
 
 DENSITY_ATOL = 1e-10
 
@@ -160,21 +161,18 @@ def mean_field_energy(gamma, spec):
 class HartreeTrajectory:
     """Requested-time snapshots plus integrator diagnostics.
 
-    ``step_times``/``step_sizes``/``step_errors`` log every accepted step;
-    ``drift`` maps each conserved quantity to its |value(t) - value(0)| at
-    the requested times (energy, trace, purity, hermiticity, spectrum).
+    ``step_times`` logs the end time of every accepted step; ``drift`` maps
+    each conserved quantity to its |value(t) - value(0)| at the requested
+    times (energy, trace, purity, hermiticity, spectrum).
     """
 
     times: np.ndarray
     states: list
     step_times: np.ndarray
-    step_sizes: np.ndarray
-    step_errors: np.ndarray
     drift: dict
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau; the right-hand side is autonomous, so no c nodes.
 _DP_A = (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -196,18 +194,20 @@ _DP_ERR = (
 _MAX_STEPS = 1_000_000
 
 
-def _dp_step(f, y, dt):
-    k = [f(y)]
+def _dp_step(f, y, dt, k0):
+    """One attempt from y, given k0 = f(y): the 5th-order point z, the error
+    estimate and f(z).  The last A row is the 5th-order weights, so the last
+    stage point is z and f(z) is the next step's k0: 6 evaluations of f."""
+    k = [k0]
     for row in _DP_A:
         acc = np.zeros_like(y)
         for a, ki in zip(row, k):
             if a != 0.0:
                 acc = acc + a * ki
-        k.append(f(y + dt * acc))
-    # the last A row equals the 5th-order weights, so k[6] = f(y5) already
-    y5 = y + dt * sum(a * ki for a, ki in zip(_DP_A[-1], k) if a != 0.0)
+        z = y + dt * acc
+        k.append(f(z))
     err = dt * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return y5, err
+    return z, err, k[-1]
 
 
 def hartree_evolve(gamma0, spec, times, tol=1e-9):
@@ -230,9 +230,7 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     # ||h(gamma)|| <= L = sum_m ||V^(m)|| / (m-1)!, and every measured run takes
     # at least 2 steps per unit of L*t (8 to 33 at tol <= 1e-9): past
     # _MAX_STEPS units the step budget cannot suffice, so refuse up front.
-    rate = sum(
-        np.linalg.norm(term.matrix, 2) / math.factorial(m - 1) for m, term in spec.terms.items()
-    )
+    rate = sum(operator_norm(term.matrix) / math.factorial(m - 1) for m, term in spec.terms.items())
     if rate * t_end > _MAX_STEPS:
         raise ValueError(
             f"t = {t_end:.6g} is too long for the mean-field integrator: "
@@ -245,26 +243,23 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     def f(y):
         return _rhs(y.reshape(d, d), contractions).reshape(-1)
 
-    y = gamma0.matrix.astype(np.complex128).reshape(-1).copy()
+    y = gamma0.matrix.astype(np.complex128).reshape(-1)
+    k0 = f(y)
     t = 0.0
-    states = []
-    idx = 0
-    if times[0] == 0.0:
-        states.append(gamma0)
-        idx = 1
+    states = [gamma0] if times[0] == 0.0 else []
 
-    rhs0_scale = float(np.max(np.abs(f(y)))) if t_end > 0 else 0.0
+    rhs0_scale = float(np.max(np.abs(k0))) if t_end > 0 else 0.0
     dt = min(1e-2, t_end / 10.0) if t_end > 0 else 1e-2
     if rhs0_scale > 0:
         dt = min(dt, 0.1 / rhs0_scale)
     dt = max(dt, 1e-8)
 
-    log_t, log_dt, log_err = [], [], []
+    log_t = []
     n_steps = 0
-    while idx < len(times):
+    while len(states) < len(times):
         if n_steps > _MAX_STEPS:
             raise RuntimeError(f"integration exceeded {_MAX_STEPS} steps at t={t:.6g} (tol={tol})")
-        target = float(times[idx])
+        target = float(times[len(states)])
         clipped = False
         dt_try = dt
         if t + dt_try >= target - 1e-14 * max(1.0, target):
@@ -275,21 +270,18 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
                 f"step size underflow at t={t:.6g} (dt={dt_try:.3e}, tol={tol}); "
                 "the problem may be too stiff for the requested tolerance"
             )
-        y_new, err_vec = _dp_step(f, y, dt_try)
+        y_new, err_vec, k_new = _dp_step(f, y, dt_try, k0)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
         n_steps += 1
         if err <= 1.0:
             t = target if clipped else t + dt_try
-            y = y_new
+            y, k0 = y_new, k_new
             log_t.append(t)
-            log_dt.append(dt_try)
-            log_err.append(err)
             if clipped:
                 states.append(
                     DensityMatrix(1, d, y.reshape(d, d).copy(), atol=TRAJECTORY_ATOL)
                 )
-                idx += 1
         # an accepted clamped step says nothing about the natural step size
         if not (clipped and err <= 1.0):
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
@@ -311,7 +303,5 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
         times=times,
         states=states,
         step_times=np.asarray(log_t),
-        step_sizes=np.asarray(log_dt),
-        step_errors=np.asarray(log_err),
         drift=drift,
     )

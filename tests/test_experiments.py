@@ -532,8 +532,23 @@ class TestOutputFiles:
             points = [r for r in rows if r["kind"] == "point"]
             for n in config.n_values:
                 at = [[r for r in points if r["N"] == n and r["t"] == t] for t in config.time_grid]
-                # the sample mean of lhs, and the first sample's rhs
+                # the sample mean of lhs, and the rhs all samples share
                 mean = tuple(float(np.mean([r["lhs"] for r in a])) for a in at)
                 first = tuple(next(r["rhs"] for r in a if r["sample"] == 0) for a in at)
                 assert curves[f"lhs_vs_t.N{n}"] == mean
                 assert curves[f"bound_vs_t.N{n}"] == first
+
+    @pytest.mark.parametrize("scenario, runner", [("lr", run_lr), ("corr", run_corr)])
+    def test_samples_share_one_rhs_per_n_and_t(self, tmp_path, scenario, runner):
+        # every drawn observable has unit norm, so the bound is one number per (N, t)
+        config = config_from_dict(_shipped(scenario))
+        out = tmp_path / "res.csv"
+        write_rows(out, config, runner(config))
+        lines = out.read_text().splitlines()[1:]
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        rhs_at = {}
+        for row in rows:
+            if row.get("kind", "point") == "point":
+                rhs_at.setdefault((row["N"], row["t"]), set()).add(row["rhs"])
+        assert len(rhs_at) == len(config.n_values) * len(config.time_grid)
+        assert [at for at, values in rhs_at.items() if len(values) > 1] == []

@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +10,28 @@ from bosonlab import (
     DensityMatrix,
     HamiltonianSpec,
     PotentialTerm,
+    hartree,
     hartree_evolve,
     hartree_rhs,
     mean_field_energy,
     mean_field_hamiltonian,
     pure_state_density,
 )
+from bosonlab.experiments import config_from_dict
 
 from .conftest import SX, SZ, random_spec, substream
 from . import oracles
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _workload(name, seed):
+    """The config document perfbench generates for a workload and seed."""
+    path = ROOT / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    return workloads.generate(name, seed)
 
 
 class TestDensityMatrix:
@@ -260,3 +276,40 @@ class TestHartreeEvolve:
         gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         with pytest.raises(ValueError):
             hartree_evolve(gamma0, spec, [1.0])
+
+
+class TestStepper:
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param(
+                lambda: json.loads((ROOT / "configs" / "converge.json").read_text()),
+                id="converge.json",
+            ),
+            pytest.param(lambda: _workload("converge_sector", 1), id="converge_sector-seed1"),
+        ],
+    )
+    def test_six_rhs_evaluations_per_attempted_step(self, monkeypatch, document):
+        # the last stage lands on t + dt (its A row, the 5th-order weights, sums
+        # to 1) and both embedded rules are consistent (the error weights sum to 0)
+        assert abs(math.fsum(hartree._DP_A[-1]) - 1.0) <= 1e-15
+        assert abs(math.fsum(hartree._DP_ERR)) <= 1e-15
+        calls, attempts = [0], [0]
+        rhs, dp_step = hartree._rhs, hartree._dp_step
+
+        def counting_rhs(g, contractions):
+            calls[0] += 1
+            return rhs(g, contractions)
+
+        def counting_step(*args):
+            attempts[0] += 1
+            return dp_step(*args)
+
+        monkeypatch.setattr(hartree, "_rhs", counting_rhs)
+        monkeypatch.setattr(hartree, "_dp_step", counting_step)
+        config = config_from_dict(document())
+        gamma0 = pure_state_density(config.initial_phi)
+        traj = hartree_evolve(gamma0, config.spec, config.time_grid, config.integrator_tol)
+        assert attempts[0] >= len(traj.step_times) > 0
+        # one evaluation sets the first step; a rejected step reuses its start value
+        assert calls[0] == 6 * attempts[0] + 1
