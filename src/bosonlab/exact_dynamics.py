@@ -310,12 +310,15 @@ def _commutator_norms(h, acts_a, acts_b, times):
 def _pair_norms(w, v, act_a, act_b, times):
     """One pair's norms on the block with eigenpairs (w, v): A~ = V^+ A V and
     B~ = V^+ B V, then per time a phase product B~(t) = e^{iwt} B~ e^{-iwt},
-    one matmul C = A~ B~(t) and the eigvalsh of the Hermitian i(C - C^+).
-    A function of its own so that no pair's D x D matrices outlive it."""
+    one matmul C = A~ B~(t) and the eigvalsh of the Hermitian i(C - C^+);
+    at t = 0 none, as disjoint supports make the norm exactly 0. A function
+    of its own so that no pair's D x D matrices outlive it."""
     rows = v.reshape(act_a.shape[0], -1)
     a, b = (v.conj().T @ (act @ rows).reshape(v.shape) for act in (act_a, act_b))
-    norms = np.empty(len(times))
+    norms = np.zeros(len(times))
     for i, t in enumerate(times):
+        if t == 0:
+            continue
         phase = np.exp(1j * w * t)
         c = a @ (np.multiply.outer(phase, phase.conj()) * b)
         norms[i] = np.max(np.abs(np.linalg.eigvalsh(1j * (c - c.conj().T))))

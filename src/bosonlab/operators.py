@@ -6,16 +6,19 @@ one such term per order together with the single-particle dimension; it is
 the single source of truth for every dynamical routine in the package.
 
 The bound evaluators in :mod:`bosonlab.bounds` consume three scalars derived
-here: the order-weighted spectral-norm sums, and the largest coefficient-
-magnitude sum of any term when decomposed in a product basis of the slot
-spaces (``vtilde``).  The canonical decomposition uses the matrix-unit basis
-E_ab = |a><b| per slot, whose coefficients are simply the matrix entries;
-the ``search`` strategy additionally conjugates the per-slot basis by random
-unitaries with greedy refinement.  Both are lower estimates of the supremum
-over all orthonormal product bases, and search >= canonical always.
+here: the order-weighted spectral-norm sums and ``vtilde``.  The definition
+of vtilde assumed here (arXiv:2006.05486, whose abstract in PAPER.md does not
+state it) is the supremum, over orthonormal bases {e_i} of each slot's d x d
+matrices, of sum |c_a| in V^(m) = sum_a c_a e_a1 (x) ... (x) e_am.  It lies in
+the bracket [canonical, ceiling].  ``canonical`` takes one basis, the matrix
+units |a><b|, whose coefficients are the entries of V.  ``ceiling`` is
+d^m ||V||_F: the d^(2m) product units of any orthonormal product basis are
+Hilbert-Schmidt orthonormal, so Cauchy-Schwarz caps the sum; sigma_z (x)
+sigma_z attains it (8, against canonical 4).  Were vtilde instead an infimum
+over decompositions, both ends would bound it from above, so the ceiling is
+an upper value under either reading and the bounds use it by default.
 """
 
-import hashlib
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -24,8 +27,6 @@ import numpy as np
 from ._tensor import permute_slots
 
 DEFAULT_ATOL = 1e-12
-
-_U64 = 2**64
 
 
 def operator_norm(matrix):
@@ -133,83 +134,19 @@ class HamiltonianSpec:
         return tuple(m for m in sorted(self.terms) if m >= 2)
 
 
-def _coefficient_l1(matrix):
-    # matrix-unit coefficients of an operator are its entries
-    return float(np.sum(np.abs(matrix)))
-
-
-def _substream(seed, purpose, index):
-    """Counter-based Philox stream keyed by (seed, purpose, index)."""
-    digest = hashlib.sha256(f"{purpose}:{index}".encode()).digest()
-    word = int.from_bytes(digest[:8], "big")
-    key = np.array([seed % _U64, word], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _haar_unitary(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
-    ph = ph / np.abs(ph)
-    return q * ph.conj()
-
-
-def _conjugated_l1(vmat, us):
-    w = us[0]
-    for u in us[1:]:
-        w = np.kron(w, u)
-    return _coefficient_l1(w.conj().T @ vmat @ w)
-
-
-def _search_one_term(vmat, d, order, seed, restart, n_iters=60):
-    # one substream per (order, restart): adding restarts never perturbs
-    # earlier ones, so the search result is monotone in restarts
-    rng = _substream(seed, f"vtilde:{order}", restart)
-    if restart == 0:
-        us = [np.eye(d, dtype=np.complex128) for _ in range(order)]
-    else:
-        us = [_haar_unitary(rng, d) for _ in range(order)]
-    best = _conjugated_l1(vmat, us)
-    eps = 0.4
-    stale = 0
-    for it in range(n_iters):
-        s = it % order
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = (g + g.conj().T) / 2
-        w, v = np.linalg.eigh(h)
-        rot = (v * np.exp(1j * eps * w)) @ v.conj().T
-        cand = list(us)
-        cand[s] = us[s] @ rot
-        val = _conjugated_l1(vmat, cand)
-        if val > best:
-            best, us, stale = val, cand, 0
-        else:
-            stale += 1
-            if stale >= 2 * order:
-                eps = max(eps * 0.5, 1e-3)
-                stale = 0
-    return best
-
-
-def vtilde(spec, strategy="canonical", restarts=8, seed=0):
-    """Largest coefficient-magnitude sum over interaction orders >= 2.
-
-    strategy "canonical" decomposes each term in the matrix-unit product
-    basis; "search" additionally maximizes over seeded random per-slot
-    unitary conjugations with greedy local refinement.  A spec with no
-    order >= 2 term gives 0.
-    """
-    if strategy not in ("canonical", "search"):
+def vtilde(spec, strategy="ceiling"):
+    """Largest coefficient-magnitude sum over interaction orders >= 2, at the
+    "canonical" or the "ceiling" end of the bracket in the module docstring.
+    A spec with no order >= 2 term gives 0."""
+    if strategy not in ("canonical", "ceiling"):
         raise ValueError(f"unknown vtilde strategy {strategy!r}")
-    best = 0.0
-    for m in spec.interaction_orders:
-        vmat = spec.terms[m].matrix
-        val = _coefficient_l1(vmat)
-        if strategy == "search":
-            for r in range(restarts):
-                val = max(val, _search_one_term(vmat, spec.d, m, seed, r))
-        best = max(best, val)
-    return best
+    # canonical: matrix-unit coefficients are the entries; ceiling: Cauchy-Schwarz
+    # over the D^2 orthonormal product units, D = d^m the side of the matrix
+    sums = [
+        np.sum(np.abs(v)) if strategy == "canonical" else v.shape[0] * np.linalg.norm(v)
+        for v in (spec.terms[m].matrix for m in spec.interaction_orders)
+    ]
+    return float(max(sums, default=0.0))
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,18 @@ def coefficient_l1(matrix, d, m):
     return total
 
 
+def product_basis_l1(matrix, d, bases):
+    """Sum of |<e_1 (x) ... (x) e_m, V>| over the product basis whose slot-s
+    elements are the columns of the d^2 x d^2 unitary bases[s], each column
+    read row-major as a d x d matrix; identities give the matrix units."""
+    m = len(bases)
+    coeffs = np.asarray(matrix).reshape((d,) * 2 * m)
+    coeffs = coeffs.transpose([x for s in range(m) for x in (s, m + s)]).reshape((d * d,) * m)
+    for s, u in enumerate(bases):
+        coeffs = np.moveaxis(np.tensordot(coeffs, u.conj(), axes=([s], [0])), -1, s)
+    return float(np.sum(np.abs(coeffs)))
+
+
 def literal_mean_field_rhs(gamma, spec):
     """-i [V1, g] - i sum_m tr_last[V^(m), g^(x m)]/(m-1)! with explicit kron."""
     d = spec.d

@@ -258,6 +258,23 @@ def test_removed_bbgky_dt_key_refused(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"vtilde_restarts": 6}, "unknown config key(s): vtilde_restarts"),
+        ({"vtilde_strategy": "search"}, "vtilde_strategy: 'search' is not one of canonical, ceiling"),
+    ],
+)
+def test_removed_vtilde_search_refused(tmp_path, capsys, changes, message):
+    # the randomized vtilde search is gone; an old config asking for it is refused
+    path = _shipped(tmp_path, "bounds", **changes)
+    start = time.perf_counter()
+    assert main(["bounds", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_violation_rows_exit_two(config_file, capsys, monkeypatch):
     def fake_runner(config):
         return [{"config_hash": config.config_hash, "kind": "point", "violation": 1}]

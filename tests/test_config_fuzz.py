@@ -53,7 +53,6 @@ FIELDS = [
     "n_samples",
     "k_values",
     "telescope_orders",
-    "vtilde_restarts",
 ]
 
 

@@ -384,6 +384,21 @@ class TestCommutatorGrowth:
         values = commutator_growth(spec, 4, a, b, [0.0])
         assert values[0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])  # spin blocks at d = 2, the full space at d = 3
+    def test_time_zero_written_as_exact_zero(self, d):
+        rng = substream(45, f"t0:{d}")
+        spec = random_spec(rng, d, (1, 2, 3), unit_norm=False)
+        a, b = (np.array([oracles.rand_unit_herm(rng, d) for _ in range(3)]) for _ in range(2))
+        times = [0.0, 0.7]
+        single = commutator_growth(
+            spec, 4, ObservableOnSubset((3,), a[0]), ObservableOnSubset((1,), b[0]), times
+        )
+        stacked = commutator_growth(
+            spec, 4, ObservableOnSubset((3,), a), ObservableOnSubset((1,), b), times
+        )
+        for norms in [single] + stacked:
+            assert norms[0] == 0.0 and norms[1] > 0.0
+
     def test_zero_without_interactions(self, rng):
         spec = random_spec(rng, 2, (1,))
         a = ObservableOnSubset((1,), oracles.rand_unit_herm(rng, 2))

@@ -122,12 +122,11 @@ class TestConfigParsing:
         config = config_from_dict(base_config())
         assert config.integrator_tol == 1e-9
         assert config.seed == 0
-        assert config.vtilde_strategy == "canonical"
+        assert config.vtilde_strategy == "ceiling"
         assert config.output_path == "results.csv"
         assert (config.obs_m, config.obs_n, config.n_samples) == (1, 1, 16)
         assert config.k_values == (1,)
         assert config.telescope_orders == (1, 2)
-        assert config.vtilde_restarts == 8
         assert len(config.config_hash) == 16
         int(config.config_hash, 16)
 
@@ -415,10 +414,14 @@ class TestBoundsRunner:
         rows = run_bounds(config)
         constants = {r["strategy"]: r for r in rows if r["kind"] == "constants"}
         curves = [r for r in rows if r["kind"] == "curve"]
-        expected = bound_constants(config.spec, vtilde(config.spec, "canonical"))
-        assert constants["canonical"]["sum_l1_v"] == pytest.approx(expected.sum_l1_v)
-        assert constants["canonical"]["vtilde"] == pytest.approx(expected.vtilde)
-        assert constants["search"]["vtilde"] >= constants["canonical"]["vtilde"] - 1e-12
+        assert list(constants) == ["canonical", "ceiling"]
+        for strategy, row in constants.items():
+            consts = bound_constants(config.spec, vtilde(config.spec, strategy))
+            assert row["sum_l1_v"] == pytest.approx(consts.sum_l1_v)
+            assert row["vtilde"] == pytest.approx(consts.vtilde)
+        assert constants["ceiling"]["vtilde"] >= constants["canonical"]["vtilde"]
+        # the curves take the configured strategy, ceiling by default
+        expected = bound_constants(config.spec, vtilde(config.spec, "ceiling"))
         by_t = {r["t"]: r for r in curves}
         assert by_t[0.0]["mean_field_error_bound"] == 0.0
         assert by_t[1.0]["mean_field_error_bound"] == pytest.approx(

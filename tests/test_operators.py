@@ -101,6 +101,12 @@ class TestSpecConstruction:
         assert spec.interaction_orders == (3,)
 
 
+def _haar_unitary(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 class TestVtilde:
     def test_single_particle_only_gives_zero(self):
         spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SZ)})
@@ -120,19 +126,40 @@ class TestVtilde:
             )
             assert vtilde(spec, "canonical") == pytest.approx(expected, rel=1e-12)
 
-    def test_search_dominates_canonical(self):
-        for seed in (0, 1, 2):
-            spec = random_spec(substream(seed, "vt"), 2, (1, 2))
-            assert vtilde(spec, "search", restarts=3, seed=seed) >= vtilde(spec) - 1e-12
+    def test_zz_ceiling_is_attained(self):
+        # d^m ||V||_F = 4 * 2; per-slot u = exp(-i pi/8 sigma_y) turns sigma_z
+        # into (sigma_z + sigma_x)/sqrt(2), whose entries sum to 2 sqrt(2) in magnitude
+        zz = np.kron(SZ, SZ)
+        assert vtilde(HamiltonianSpec(2, 2, {2: PotentialTerm(2, zz)}), "ceiling") == 8.0
+        c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+        u = np.array([[c, -s], [s, c]])
+        conjugation = np.kron(u, u.conj())
+        rotated = oracles.product_basis_l1(zz, 2, [conjugation, conjugation])
+        assert rotated == pytest.approx(8.0, rel=1e-12)
 
-    def test_search_monotone_in_restarts(self):
-        spec = random_spec(substream(9, "vt"), 2, (2,))
-        values = [vtilde(spec, "search", restarts=r, seed=5) for r in (0, 2, 5, 8)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    def test_ceiling_bounds_every_product_basis(self):
+        # conjugated matrix units u E_ab u^+ (the unitary u (x) conj(u) on
+        # row-major vec) and arbitrary orthonormal bases of each slot
+        for seed, (d, orders) in enumerate(((2, (1, 2)), (3, (2,)), (2, (2, 3)))):
+            rng = substream(seed, "vt-ceiling")
+            spec = random_spec(rng, d, orders, unit_norm=False)
+            ceiling = vtilde(spec, "ceiling")
+            for m in spec.interaction_orders:
+                mat = spec.terms[m].matrix
+                units = oracles.product_basis_l1(mat, d, [np.eye(d * d)] * m)
+                assert units == pytest.approx(oracles.coefficient_l1(mat, d, m), rel=1e-12)
+                for draw in range(40):
+                    if draw % 2:
+                        us = [_haar_unitary(rng, d) for _ in range(m)]
+                        bases = [np.kron(u, u.conj()) for u in us]
+                    else:
+                        bases = [_haar_unitary(rng, d * d) for _ in range(m)]
+                    assert oracles.product_basis_l1(mat, d, bases) <= ceiling * (1 + 1e-12)
 
-    def test_search_deterministic(self):
-        spec = random_spec(substream(3, "vt"), 2, (1, 2))
-        assert vtilde(spec, "search", 4, seed=11) == vtilde(spec, "search", 4, seed=11)
+    def test_ceiling_dominates_canonical(self):
+        for seed, (d, orders) in enumerate(((2, (1, 2)), (3, (2,)), (2, (2, 3)), (3, (1, 2)))):
+            spec = random_spec(substream(seed, "vt"), d, orders, unit_norm=False)
+            assert vtilde(spec, "ceiling") >= vtilde(spec, "canonical")
 
     def test_unknown_strategy_rejected(self):
         spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SZ)})
