@@ -7,6 +7,7 @@ tie the three together — numpy only and desk-sized, built for correctness
 checks rather than scale.
 """
 
+from ._limits import MAX_BASIS_SIZE, MAX_DENSE_BYTES
 from ._version import __version__
 from .bounds import (
     commutator_growth_bound,
@@ -16,7 +17,6 @@ from .bounds import (
     trace_distance,
 )
 from .exact_dynamics import (
-    MAX_DENSE_BYTES,
     ObservableOnSubset,
     bbgky_rhs,
     commutator_growth,
@@ -57,7 +57,6 @@ from .operators import (
     vtilde,
 )
 from .symmetric_space import (
-    MAX_BASIS_SIZE,
     OccupationBasis,
     SparseHermitian,
     SymmetricState,

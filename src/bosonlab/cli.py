@@ -58,7 +58,7 @@ def main(argv=None):
         rows = SCENARIOS[config.scenario].run(config)
         write_rows(config.output_path, config, rows)
         extra = write_plot_data(config.output_path, config, rows) if args.plot_data else []
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{config.scenario}: wrote {len(rows)} rows to {config.output_path}")

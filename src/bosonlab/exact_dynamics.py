@@ -16,23 +16,15 @@ from itertools import combinations, product
 
 import numpy as np
 
+from ._limits import (
+    MAX_CHEBYSHEV_TERMS, MAX_COEFFICIENT_BYTES, MAX_DENSE_BYTES, MAX_KERNEL_WORK, refuse,
+)
 from ._tensor import embed_on_sites, partial_trace_last
-from .symmetric_space import SparseHermitian, SymmetricState
+from .symmetric_space import SparseHermitian, SymmetricState, operator_entries
 
-# commutator_growth refuses a call whose largest block's dense matrices
-# would pass MAX_DENSE_BYTES at their peak (see _dense_peak_bytes), or whose
-# sum over blocks of dim^3 x (1 + pairs x times) would pass MAX_KERNEL_WORK.
-MAX_DENSE_BYTES = 2**32
-MAX_KERNEL_WORK = 2**38
-_LIVE_MATRICES = 8
-
-# evolve_exact refuses a call of more than MAX_CHEBYSHEV_TERMS terms, one
-# matvec each, or whose T x (K + 1) table of complex coefficients would pass
-# MAX_COEFFICIENT_BYTES; it sums its vectors into the states _BLOCK at a time
-MAX_CHEBYSHEV_TERMS = 1_000_000
-MAX_COEFFICIENT_BYTES = 2**30
+_LIVE_MATRICES = 8  # dense matrices commutator_growth holds at once (_dense_peak_bytes)
 _UNIT_ROUNDOFF = 2.0**-53
-_BLOCK = 16
+_BLOCK = 16  # evolve_exact sums its vectors into the states _BLOCK at a time
 
 _HERM_ATOL = 1e-12
 
@@ -95,18 +87,11 @@ def evolve_exact(hamiltonian, state, times):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis size {basis.size}")
     grid, slot = np.unique(_check_times(times), return_inverse=True)
     center, radius = _enclosure(h)
-    terms = _chebyshev_terms(radius * grid[-1])
-    if not terms <= MAX_CHEBYSHEV_TERMS:  # compared as floats: NaN or inf in H reads inf
-        raise ValueError(
-            f"propagation would take more than {MAX_CHEBYSHEV_TERMS} Chebyshev terms "
-            f"(R t = {radius * grid[-1]:.3g}, R the spectral half-width); shorten the times"
-        )
-    table_bytes = 16 * grid.size * (terms + 1)
-    if table_bytes > MAX_COEFFICIENT_BYTES:
-        raise ValueError(
-            f"{grid.size} times x {terms + 1} Chebyshev terms would take {table_bytes} bytes of "
-            f"coefficients (> MAX_COEFFICIENT_BYTES = {MAX_COEFFICIENT_BYTES}); ask for fewer times"
-        )
+    reach = radius * grid[-1]  # NaN or inf in H reads inf terms
+    terms = refuse(_chebyshev_terms, reach, MAX_CHEBYSHEV_TERMS, f"propagation to R t = "
+                   f"{reach:.3g} (R the spectral half-width), in Chebyshev terms", None)
+    refuse(lambda n: 16 * n * (terms + 1), grid.size, MAX_COEFFICIENT_BYTES,
+           f"coefficients of {terms + 1} terms, 16 * times * (terms + 1) bytes", "number of times")
     # 2 H~, scaled once, so that each further vector takes one matvec and one subtraction
     values = (h.values - center * (h.rows == h.cols)) * (2 / radius)
     twice = SparseHermitian(h.size, h.rows, h.cols, values)
@@ -151,6 +136,22 @@ def _chebyshev_terms(x):
     return k if k <= MAX_CHEBYSHEV_TERMS else math.inf
 
 
+def _radius_ceiling(spec, n):
+    """sum_m C(N, m) N^(1-m) sum_ij |V^(m)_ij| >= the Gershgorin half-width of H: an
+    order-m chain maps each state to one state, with a factor of at most N!/(N-m)!."""
+    terms = spec.terms.items()
+    return sum(math.comb(n, m) * max(n, 1) ** (1 - m) * np.abs(v.matrix).sum() for m, v in terms)
+
+
+def propagation_work(spec, n_particles, t):
+    """A ceiling on evolve_exact's nnz x terms on build_hamiltonian(spec, N) to time t,
+    before H exists: (x/2)^K / K! < (e x / 2K)^K < u = 2^-53 at every K >= max(e x, 53),
+    so the terms are at most max(e x + 1, 54), x = R t with R by _radius_ceiling."""
+    reach = _radius_ceiling(spec, n_particles) * t
+    entries = operator_entries(spec.d, n_particles, spec.present_orders)
+    return entries * max(math.e * reach + 1, 54)
+
+
 def _chebyshev_coefficients(xs, terms):
     """c_k(x) = (2 - delta_k0) (-i)^k J_k(x), k <= terms, one row per x: the
     cosine coefficients of exp(-i x cos theta), by an FFT of 2(terms + 1)
@@ -191,30 +192,22 @@ def _block_dims(d, n_particles, n_active):
     return range(slot_dim * (n_particles - n_slots + 1), 0, -2 * slot_dim)
 
 
+def block_work(d, n_particles, n_active, n_times, n_pairs):
+    """A commutator_growth call's sum over blocks of dim^3 x (1 + pairs x times); inf
+    once its largest block passes MAX_DENSE_BYTES, which bounds the block count."""
+    dims = _block_dims(d, n_particles, n_active)
+    if dims and _dense_peak_bytes(dims[0]) > MAX_DENSE_BYTES:
+        return math.inf
+    return sum(dim**3 for dim in dims) * (1 + n_pairs * n_times)
+
+
 def _guard_blocks(d, n_particles, n_active, n_times, n_pairs):
-    """Refuse, before any allocation, a commutator_growth call whose largest
-    block passes MAX_DENSE_BYTES or whose eigh and per-pair, per-time
-    products pass MAX_KERNEL_WORK."""
-
-    def fits(n):
-        dims = _block_dims(d, n, n_active)
-        # the work sum only runs once the bytes fit, which bounds the block count
-        return (
-            _dense_peak_bytes(dims[0]) <= MAX_DENSE_BYTES
-            and sum(dim**3 for dim in dims) * (1 + n_pairs * n_times) <= MAX_KERNEL_WORK
-        )
-
-    if not fits(n_particles):
-        max_n = n_active - 1
-        while fits(max_n + 1):
-            max_n += 1
-        pairs = "" if n_pairs == 1 else f"{n_pairs} pairs x "
-        raise ValueError(
-            f"commutator growth at N={n_particles} would pass MAX_DENSE_BYTES = "
-            f"{MAX_DENSE_BYTES} bytes of dense matrices or MAX_KERNEL_WORK = {MAX_KERNEL_WORK}"
-            f" (sum over blocks of dim^3 x (1 + {pairs}times)); largest workable N for d={d}, "
-            f"m+n={n_active} and {n_times} times is {max_n}"
-        )
+    """The block_work of a commutator_growth call, refused past MAX_KERNEL_WORK."""
+    return refuse(lambda n: block_work(d, n, n_active, n_times, n_pairs), n_particles,
+                  MAX_KERNEL_WORK, f"commutator growth at N={n_particles} would pass "
+                  f"{MAX_DENSE_BYTES} bytes of dense matrices (inf work) or its work, sum over "
+                  f"blocks of dim^3 x (1 + {n_pairs} x {n_times})",
+                  f"N for d={d}, m+n={n_active} and {n_times} times")
 
 
 def _collective_generators(n_spectators, size):

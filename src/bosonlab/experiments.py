@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._limits import MAX_DENSE_BYTES, MAX_KERNEL_WORK, MAX_MATVEC_WORK, refuse
 from ._tensor import partial_trace_last
 from ._version import __version__ as VERSION
 from .bounds import (
@@ -30,8 +31,8 @@ from .bounds import (
     telescoping_residual,
 )
 from .exact_dynamics import ObservableOnSubset, bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
-from .exact_dynamics import MAX_DENSE_BYTES, _dense_peak_bytes, _guard_blocks
-from .hartree import hartree_evolve, pure_state_density
+from .exact_dynamics import _dense_peak_bytes, _guard_blocks, block_work, propagation_work
+from .hartree import _guard_steps, hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, PotentialTerm, bound_constants, operator_norm, vtilde
 from .symmetric_space import build_hamiltonian, embed_product_state, rdm, rdm_derivative
 
@@ -246,18 +247,10 @@ def config_from_dict(data, overrides=None):
     norm_dev = abs(np.linalg.norm(phi) - 1.0)
     if not norm_dev <= 1e-10:
         raise ConfigError(f"initial_phi: norm deviates from 1 by {norm_dev:.3e}")
-    for path, order, max_n in _dense_orders(values):
-        if not _fits_dense(d, order):
-            max_order = next(k for k in range(order) if not _fits_dense(d, k + 1))
-            raise ConfigError(
-                f"{path}: the dense d^k x d^k matrices at this order k would pass "
-                f"MAX_DENSE_BYTES = {MAX_DENSE_BYTES} bytes; the largest workable order "
-                f"for d={d} is {max_order}"
-            )
-        if order > max_n:
-            raise ConfigError(f"{path}: order {order} exceeds N = {max_n} in n_values")
-    if values["scenario"] in ("lr", "corr"):
-        _guard_samples(values)
+    try:
+        _price_run(values)
+    except ValueError as exc:  # a library guard's refusal, at config time
+        raise ConfigError(str(exc)) from None
 
     hashed = {f.name: _canonical(values[f.name]) for f in _KEYS if f.metadata["hashed"]}
     digest = hashlib.sha256(
@@ -266,55 +259,45 @@ def config_from_dict(data, overrides=None):
     return ExperimentConfig(**values, config_hash=digest)
 
 
-def _dense_orders(values):
-    """(what sets k, k, the N that k may not pass) for each order k of the
-    dense d^k x d^k matrices the scenario forms from its observables or RDMs."""
-    scenario = values["scenario"]
-    n_min, n_max = values["n_values"][0], values["n_values"][-1]
-    if scenario in ("lr", "corr"):
-        return [("obs_m + obs_n", values["obs_m"] + values["obs_n"], n_min)]
+def _price_run(values):
+    """Refuse, before anything runs, a run past a limit.  Its summed work is priced with the
+    last N moved to any v, so that the largest workable v can end n_values."""
+    scenario, spec, ns, t = (values[key] for key in ("scenario", "spec", "n_values", "time_grid"))
+    if scenario == "bounds":  # closed forms only
+        return
+    d, m, n, samples = spec.d, values["obs_m"], values["obs_n"], values["n_samples"]
+    # (what sets k, k, the N that k may not pass) for each dense order k; telescope
+    # orders past N are skipped by run_bbgky, so only the largest N caps them
+    orders = [("obs_m + obs_n", m + n, ns[0])] if scenario in ("lr", "corr") else []
     if scenario == "bbgky":
-        max_present = max(values["spec"].present_orders, default=1)
-        hierarchy = max(values["k_values"]) + max_present - 1
-        # telescope orders past N are skipped by run_bbgky, so only the largest N caps them
-        telescope = min(max(values["telescope_orders"]) + 1, n_max)
-        return [
-            (f"max(k_values) + {max_present - 1}", hierarchy, n_min),
-            ("max(telescope_orders) + 1", telescope, n_max),
-        ]
-    return []
-
-
-def _fits_dense(d, order):
-    # at order k, rdm peaks at 4.0 live d^k x d^k matrices, rdm_derivative at
-    # 2.0, correlation_gap, bbgky_rhs and telescoping_residual at 3.0 to 5.0
-    # beside their input RDM, a whole run_bbgky at 4.1 to 7.0 (M = 3 down to 1;
-    # tracemalloc, d = 2 and 3, N = 10): within the 8 of _dense_peak_bytes.
-    # The compiled walks the RDMs read live on the basis beside these and are
-    # guarded apart, in bytes (symmetric_space.MAX_WALK_BYTES). Past an
-    # exponent of 64 every d >= 2 refuses
-    return _dense_peak_bytes(d ** min(order, 64)) <= MAX_DENSE_BYTES
-
-
-def _guard_samples(values):
-    """Refuse, before any observable is drawn, n_samples whose stacks of
-    d^m x d^m and d^n x d^n observables pass MAX_DENSE_BYTES, and for lr
-    every N whose commutator growth _guard_blocks would refuse."""
-    d, m, n = values["spec"].d, values["obs_m"], values["obs_n"]
-    samples = values["n_samples"]
-    per_sample = 16 * (d ** (2 * m) + d ** (2 * n))
-    if samples * per_sample > MAX_DENSE_BYTES:
-        raise ConfigError(
-            f"n_samples: {samples} observable pairs would take {samples * per_sample} bytes "
-            f"(> MAX_DENSE_BYTES = {MAX_DENSE_BYTES}); the largest workable n_samples for d={d}, "
-            f"obs_m={m} and obs_n={n} is {MAX_DENSE_BYTES // per_sample}"
-        )
-    if values["scenario"] == "lr":
-        for n_particles in values["n_values"]:
-            try:
-                _guard_blocks(d, n_particles, m + n, len(values["time_grid"]), samples)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        extra = max(spec.present_orders, default=1) - 1
+        telescope = min(max(values["telescope_orders"]) + 1, ns[-1])
+        orders = [(f"max(k_values) + {extra}", max(values["k_values"]) + extra, ns[0]),
+                  ("max(telescope_orders) + 1", telescope, ns[-1])]
+    for path, order, max_n in orders:
+        # rdm, rdm_derivative, the RDM functionals and run_bbgky peak at 2.0 to 7.0
+        # of the 8 matrices counted (README); past an exponent of 64 every d >= 2 refuses
+        refuse(lambda k: _dense_peak_bytes(d ** min(k, 64)), order, MAX_DENSE_BYTES,
+               f"{path}: dense d^k x d^k matrices at this order k, 8 * 16 * d^(2k) bytes",
+               f"order for d={d}")
+        if order > max_n:
+            raise ConfigError(f"{path}: order {order} exceeds N = {max_n} in n_values")
+    if scenario in ("lr", "corr"):
+        refuse(lambda s: 16 * s * (d ** (2 * m) + d ** (2 * n)), samples, MAX_DENSE_BYTES,
+               f"n_samples: {samples} observable pairs' 16 * n_samples * (d^(2 obs_m) + "
+               f"d^(2 obs_n)) bytes", f"n_samples for d={d}, obs_m={m} and obs_n={n}")
+    if scenario in ("converge", "bbgky"):
+        _guard_steps(spec, t[-1])
+    if scenario == "lr":  # each N alone first, by the library guard
+        costs = [_guard_blocks(d, x, m + n, len(t), samples) for x in ns]
+        cost = lambda x: block_work(d, x, m + n, len(t), samples)
+        limit, what = MAX_KERNEL_WORK, "commutator growth summed over N, its work"
+    else:  # exact propagation dominates converge, corr and bbgky
+        cost = lambda x: propagation_work(spec, x, t[-1])
+        costs = [cost(x) for x in ns]
+        limit, what = MAX_MATVEC_WORK, "propagation summed over N, nnz x Chebyshev terms"
+    refuse(lambda v: sum(c for x, c in zip(ns, costs) if x < v) + cost(v), ns[-1], limit,
+           f"n_values: {what}", "n_values[-1]")
 
 
 def load_config(text, overrides=None):

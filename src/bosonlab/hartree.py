@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._limits import MAX_STEPS, refuse
 from ._tensor import partial_trace_last, tensor_power
 from .operators import operator_norm
 
@@ -191,9 +192,6 @@ _DP_ERR = (
     -1.0 / 40.0,
 )
 
-_MAX_STEPS = 1_000_000
-
-
 def _dp_step(f, y, dt, k0):
     """One attempt from y, given k0 = f(y): the 5th-order point z, the error
     estimate and f(z).  The last A row is the 5th-order weights, so the last
@@ -208,6 +206,15 @@ def _dp_step(f, y, dt, k0):
         k.append(f(z))
     err = dt * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
     return z, err, k[-1]
+
+
+def _guard_steps(spec, t_end):
+    """Refuse a last time t_end past the step budget: ||h(gamma)|| <= L = sum_m
+    ||V^(m)|| / (m-1)!, and every measured run takes at least 2 steps per unit
+    of L*t (8 to 33 at tol <= 1e-9), so past MAX_STEPS units it cannot suffice."""
+    rate = sum(operator_norm(term.matrix) / math.factorial(m - 1) for m, term in spec.terms.items())
+    refuse(lambda t: rate * t, t_end, MAX_STEPS, f"t = {t_end:.6g} is too long for the mean-field "
+           f"integrator: with L = {rate:.3g} bounding ||h(gamma)||, L*t", None)
 
 
 def hartree_evolve(gamma0, spec, times, tol=1e-9):
@@ -227,15 +234,7 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) > 0)):
         raise ValueError("times must be finite, non-negative and strictly increasing")
     t_end = float(times[-1])
-    # ||h(gamma)|| <= L = sum_m ||V^(m)|| / (m-1)!, and every measured run takes
-    # at least 2 steps per unit of L*t (8 to 33 at tol <= 1e-9): past
-    # _MAX_STEPS units the step budget cannot suffice, so refuse up front.
-    rate = sum(operator_norm(term.matrix) / math.factorial(m - 1) for m, term in spec.terms.items())
-    if rate * t_end > _MAX_STEPS:
-        raise ValueError(
-            f"t = {t_end:.6g} is too long for the mean-field integrator: "
-            f"L*t = {rate * t_end:.3g} > {_MAX_STEPS}, with L = {rate:.3g} bounding ||h(gamma)||"
-        )
+    _guard_steps(spec, t_end)
 
     d = spec.d
     contractions = _contractions(spec)
@@ -257,8 +256,8 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     log_t = []
     n_steps = 0
     while len(states) < len(times):
-        if n_steps > _MAX_STEPS:
-            raise RuntimeError(f"integration exceeded {_MAX_STEPS} steps at t={t:.6g} (tol={tol})")
+        if n_steps > MAX_STEPS:
+            raise RuntimeError(f"integration exceeded {MAX_STEPS} steps at t={t:.6g} (tol={tol})")
         target = float(times[len(states)])
         clipped = False
         dt_try = dt

@@ -29,23 +29,30 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from ._limits import MAX_BASIS_SIZE, MAX_TRIPLE_BYTES, MAX_WALK_BYTES, refuse
 from .hartree import DensityMatrix
 
-# Desk-scale guards, checked before allocating: states in a basis, and bytes
-# of operator triples.  An order-m term yields at most D * C(d+m-1, m)^2
-# entries of 32 bytes (int64 row and col, complex128 value), which live on
-# while from_triples sorts and reduces them: build_hamiltonian peaks at 70 to
-# 100 bytes an entry (tracemalloc, d = 2 to 12; more where fewer entries share
-# a (row, col)), and 128 are charged.
-MAX_BASIS_SIZE = 2_000_000
-MAX_TRIPLE_BYTES = 2**30
+# Triples take 32 bytes an entry and live on while from_triples sorts and reduces
+# them: build_hamiltonian peaks at 70 to 100 bytes an entry (tracemalloc, d = 2
+# to 12; more where fewer entries share a (row, col)), and 128 are charged.
 _BYTES_PER_ENTRY = 4 * 32
-# A compiled RDM walk (OccupationBasis.walk) holds C(d+k-1, k)^2 D(N-k) entries
-# (each J leaves D(N-k) states, the sector size at N - k): an int32 row and a
-# float64 factor each, and an int32 col per (J, state), at most one more int32
-# an entry; 16 bytes an entry are charged.
-MAX_WALK_BYTES = 2**30
-_WALK_BYTES_PER_ENTRY = 16
+
+
+def sector_size(d, n_particles):
+    """States of the fixed-N sector, C(N+d-1, d-1); none below N = 0."""
+    return math.comb(n_particles + d - 1, d - 1) if n_particles >= 0 else 0
+
+
+def operator_entries(d, n_particles, orders):
+    """At most D * sum_m C(d+m-1, m)^2 entries in an operator with terms of
+    these orders: each chain a+_I a_J maps a state to at most one."""
+    return sector_size(d, n_particles) * sum(math.comb(d + m - 1, m) ** 2 for m in orders)
+
+
+def walk_bytes(d, n_particles, k):
+    """Bytes of the compiled order-k walk: each J leaves D(N-k) states, and an
+    int32 row, a float64 factor and at most an int32 col each take 16."""
+    return 16 * math.comb(d + k - 1, k) ** 2 * sector_size(d, n_particles - k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +112,8 @@ def enumerate_basis(d, n_particles):
         raise ValueError("d must be >= 1")
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
-    size = math.comb(n_particles + d - 1, d - 1)
-    if size > MAX_BASIS_SIZE:
-        raise ValueError(
-            f"symmetric basis would hold {size} states (> {MAX_BASIS_SIZE}); "
-            "refusing to enumerate"
-        )
+    size = refuse(lambda n: sector_size(d, n), n_particles, MAX_BASIS_SIZE,
+                  "refusing to enumerate C(N+d-1, d-1) states", f"N for d={d}")
     if (n_particles + 1) ** d >= 2**62:
         raise ValueError("occupation keys would overflow int64; sector too large")
     vectors = np.fromiter(
@@ -278,14 +281,8 @@ def ladder_walk(basis, k):
 def _compile_walk(basis, k):
     """ladder_walk(basis, k) as a list, rows and cols as int32; refused, before
     anything is built, past MAX_WALK_BYTES."""
-    d, n = basis.d, basis.n_particles
-    states = math.comb(n - k + d - 1, d - 1) if k <= n else 0  # D(N-k), what each J leaves
-    nbytes = _WALK_BYTES_PER_ENTRY * math.comb(d + k - 1, k) ** 2 * states
-    if nbytes > MAX_WALK_BYTES:
-        raise ValueError(
-            f"the order-{k} ladder walk could take {nbytes} bytes = {_WALK_BYTES_PER_ENTRY} * "
-            f"C(d+k-1, k)^2 * D(N-k) (> MAX_WALK_BYTES = {MAX_WALK_BYTES}); refusing"
-        )
+    refuse(lambda n: walk_bytes(basis.d, n, k), basis.n_particles, MAX_WALK_BYTES,
+           f"the order-{k} ladder walk's 16 * C(d+k-1, k)^2 * D(N-k) bytes", f"N for d={basis.d}")
     return [
         (j, rows.astype(np.int32), cols.astype(np.int32), factor)
         for j, rows, cols, factor in ladder_walk(basis, k)
@@ -303,13 +300,10 @@ def _assemble(basis, weighted_terms):
                 f"potential dimension {term.matrix.shape[0]} does not match "
                 f"d^m = {d**term.order}"
             )
-    pairs = sum(math.comb(d + t.order - 1, t.order) ** 2 for t, _ in weighted_terms)
-    nbytes = _BYTES_PER_ENTRY * basis.size * pairs
-    if nbytes > MAX_TRIPLE_BYTES:
-        raise ValueError(
-            f"triples could take {nbytes} bytes = {_BYTES_PER_ENTRY} * D * "
-            f"sum_m C(d+m-1, m)^2 (> {MAX_TRIPLE_BYTES}); refusing"
-        )
+    orders = [term.order for term, _ in weighted_terms]
+    refuse(lambda n: _BYTES_PER_ENTRY * operator_entries(d, n, orders), basis.n_particles,
+           MAX_TRIPLE_BYTES, "operator triples' 128 * D * sum_m C(d+m-1, m)^2 bytes",
+           f"N for d={d} and orders {orders}")
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
     for term, prefactor in weighted_terms:
         multisets, index = multiset_map(d, term.order)

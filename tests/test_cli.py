@@ -214,8 +214,10 @@ def test_orders_above_the_smallest_n_refused_at_config_time(
 @pytest.mark.parametrize(
     "scenario, message",
     [
-        ("corr", "n_samples: 1000000000 observable pairs would take 128000000000 bytes"),
-        ("lr", "n_samples: 1000000000 observable pairs would take 128000000000 bytes"),
+        ("corr", "n_samples: 1000000000 observable pairs' 16 * n_samples * (d^(2 obs_m) + "
+         "d^(2 obs_n)) bytes = 128000000000 > 4294967296"),
+        ("lr", "n_samples: 1000000000 observable pairs' 16 * n_samples * (d^(2 obs_m) + "
+         "d^(2 obs_n)) bytes = 128000000000 > 4294967296"),
     ],
 )
 def test_huge_n_samples_refused_before_drawing(tmp_path, capsys, scenario, message):
@@ -246,6 +248,54 @@ def test_lr_blocks_priced_at_config_time(tmp_path, capsys, monkeypatch):
     path = _shipped(tmp_path, "lr", n_values=[8, 100000])
     assert main(["lr", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: commutator growth at N=100000 would pass")
+
+
+@pytest.mark.parametrize(
+    "scenario, n_values, workable",
+    [
+        ("converge", list(range(2, 3000)), 1571),
+        ("lr", list(range(8, 200)), 95),
+        ("converge", [4, 8, 16, 10**5], 36005),  # the named N replaces the last one
+    ],
+)
+def test_runs_priced_whole_at_config_time(tmp_path, capsys, monkeypatch, scenario, n_values, workable):
+    # every N of the first two alone passes every guard; summed over n_values
+    # the converge run would take minutes, the lr run (39x MAX_KERNEL_WORK) hours
+    def never(config):
+        raise AssertionError("the runner must not start")
+
+    monkeypatch.setattr(cli_module.SCENARIOS[scenario], "run", never)
+    path = _shipped(tmp_path, scenario, n_values=n_values)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main([scenario, "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_values: ")
+    max_n = int(re.search(r"the largest workable n_values\[-1\] is (\d+)\n$", err).group(1))
+    assert max_n == workable
+    cfg = json.loads(path.read_text())
+    config_from_dict({**cfg, "n_values": [x for x in n_values if x < max_n] + [max_n]})
+    with pytest.raises(ConfigError, match=r"^n_values: "):
+        config_from_dict({**cfg, "n_values": [x for x in n_values if x <= max_n] + [max_n + 1]})
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_memory_error_ends_in_an_error_line(config_file, capsys, monkeypatch):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(cli_module.SCENARIOS["converge"], "run", exhausted)
+    assert main(["converge", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 64.0 GiB for an array\n"
+    assert "Traceback" not in err
 
 
 def test_removed_bbgky_dt_key_refused(tmp_path, capsys):

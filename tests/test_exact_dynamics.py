@@ -171,7 +171,7 @@ class TestPropagation:
         h = build_hamiltonian(spec, 6)
         _forbid_matvec(monkeypatch)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=rf"more than {MAX_CHEBYSHEV_TERMS} Chebyshev terms"):
+        with pytest.raises(ValueError, match=rf"in Chebyshev terms = inf > {MAX_CHEBYSHEV_TERMS}$"):
             evolve_exact(h, state, [0.5, t])
         assert time.perf_counter() - start < 1.0
 
@@ -187,7 +187,7 @@ class TestPropagation:
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(ValueError, match="bytes of coefficients"):
+            with pytest.raises(ValueError, match=r"coefficients of \d+ terms, .* bytes = \d+ > "):
                 evolve_exact(h, state, times)
             elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
         finally:
@@ -574,7 +574,7 @@ class TestCommutatorGrowth:
         b = ObservableOnSubset((2,), np.array([oracles.rand_unit_herm(rng, 2)] * 1000))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"\(1 \+ 1000 pairs x times\)\); .* is \d+$"):
+            with pytest.raises(ValueError, match=r"\(1 \+ 1000 x 1\) = \d+ > \d+; .* is \d+$"):
                 commutator_growth(spec, 100, a, b, [0.5])
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -151,7 +151,7 @@ class TestLadderWalk:
         assert nbytes > MAX_WALK_BYTES
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"could take {nbytes} bytes"):
+            with pytest.raises(ValueError, match=f"bytes = {nbytes} > "):
                 rdm(state, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -165,7 +165,7 @@ class TestLadderWalk:
         entries = sum(rows.size for _, rows, _, _ in walk)
         assert entries == math.comb(5, 3) ** 2 * math.comb(23, 2)  # C(d+k-1, k)^2 D(N-k)
         monkeypatch.setattr(symmetric_space, "MAX_WALK_BYTES", 16 * entries - 1)
-        with pytest.raises(ValueError, match=f"could take {16 * entries} bytes = 16 \\* C"):
+        with pytest.raises(ValueError, match=f"16 \\* C.* bytes = {16 * entries} > "):
             basis.walk(3)
         monkeypatch.setattr(symmetric_space, "MAX_WALK_BYTES", 16 * entries)
         assert len(basis.walk(3)) == len(walk)
