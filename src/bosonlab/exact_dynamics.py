@@ -139,17 +139,20 @@ def _chebyshev_terms(x):
 def _radius_ceiling(spec, n):
     """sum_m C(N, m) N^(1-m) sum_ij |V^(m)_ij| >= the Gershgorin half-width of H: an
     order-m chain maps each state to one state, with a factor of at most N!/(N-m)!."""
-    terms = spec.terms.items()
-    return sum(math.comb(n, m) * max(n, 1) ** (1 - m) * np.abs(v.matrix).sum() for m, v in terms)
+    return sum(math.comb(n, m) * max(n, 1) ** (1 - m) * float(np.abs(v.matrix).sum())
+               for m, v in spec.terms.items())
 
 
 def propagation_work(spec, n_particles, t):
     """A ceiling on evolve_exact's nnz x terms on build_hamiltonian(spec, N) to time t,
     before H exists: (x/2)^K / K! < (e x / 2K)^K < u = 2^-53 at every K >= max(e x, 53),
-    so the terms are at most max(e x + 1, 54), x = R t with R by _radius_ceiling."""
-    reach = _radius_ceiling(spec, n_particles) * t
-    entries = operator_entries(spec.d, n_particles, spec.present_orders)
-    return entries * max(math.e * reach + 1, 54)
+    so the terms are at most max(e x + 1, 54), x = R t with R by _radius_ceiling;
+    inf once a factor passes the largest float."""
+    try:
+        terms = max(math.e * _radius_ceiling(spec, n_particles) * t + 1, 54)
+        return operator_entries(spec.d, n_particles, spec.present_orders) * terms
+    except OverflowError:
+        return math.inf
 
 
 def _chebyshev_coefficients(xs, terms):

@@ -288,7 +288,9 @@ def _price_run(values):
                f"d^(2 obs_n)) bytes", f"n_samples for d={d}, obs_m={m} and obs_n={n}")
     if scenario in ("converge", "bbgky"):
         _guard_steps(spec, t[-1])
-    if scenario == "lr":  # each N alone first, by the library guard
+    if scenario == "lr":
+        # admits no fewer runs than the summed check below (each N is a term of the sum);
+        # it refuses first only to name the N that fails alone and that N's limit
         costs = [_guard_blocks(d, x, m + n, len(t), samples) for x in ns]
         cost = lambda x: block_work(d, x, m + n, len(t), samples)
         limit, what = MAX_KERNEL_WORK, "commutator growth summed over N, its work"

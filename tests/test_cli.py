@@ -256,6 +256,9 @@ def test_lr_blocks_priced_at_config_time(tmp_path, capsys, monkeypatch):
         ("converge", list(range(2, 3000)), 1571),
         ("lr", list(range(8, 200)), 95),
         ("converge", [4, 8, 16, 10**5], 36005),  # the named N replaces the last one
+        ("converge", [10**400], 36005),  # prices past the largest float read as inf
+        ("corr", [10**400], 36005),
+        ("bbgky", [10**400], 25317),
     ],
 )
 def test_runs_priced_whole_at_config_time(tmp_path, capsys, monkeypatch, scenario, n_values, workable):
