@@ -17,7 +17,6 @@ from .bounds import (
     trace_distance,
 )
 from .exact_dynamics import (
-    ObservableOnSubset,
     bbgky_rhs,
     commutator_growth,
     correlation_gap,
@@ -76,7 +75,6 @@ __all__ = [
     "HartreeTrajectory",
     "MAX_BASIS_SIZE",
     "MAX_DENSE_BYTES",
-    "ObservableOnSubset",
     "OccupationBasis",
     "PotentialTerm",
     "SparseHermitian",

@@ -11,7 +11,6 @@ would pass MAX_DENSE_BYTES or MAX_KERNEL_WORK before anything is allocated.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -42,35 +41,22 @@ def _check_times(times):
     return t
 
 
-@dataclass(frozen=True, eq=False)
-class ObservableOnSubset:
-    """A Hermitian observable acting on an explicit ordered set of particles.
-
-    ``support`` uses 1-based particle labels; slot s of ``matrix`` acts on
-    particle support[s].  ``matrix`` may also be a stack of observables on
-    the same support (a leading sample axis); every member is validated.
-    """
-
-    support: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        sup = tuple(int(i) for i in self.support)
-        if len(sup) == 0:
-            raise ValueError("support must be non-empty")
-        if len(set(sup)) != len(sup):
-            raise ValueError("support indices must be distinct")
-        if min(sup) < 1:
-            raise ValueError("support uses 1-based particle labels")
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
-            raise ValueError("observable matrix must be square")
-        dev = float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))))
+def _pair_stacks(d, m, n, a, b):
+    """The observable pairs as complex stacks: a of Hermitian d^m x d^m and b of
+    Hermitian d^n x d^n matrices (to _HERM_ATOL; NaN fails), equally many."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    a, b = (np.asarray(x, dtype=np.complex128) for x in (a, b))
+    for x, k in ((a, m), (b, n)):
+        if x.ndim != 3 or x.shape[1:] != (d**k, d**k):
+            raise ValueError(f"expected a stack of d^{k} x d^{k} = {d**k} x {d**k} "
+                             f"observables, got shape {x.shape}")
+        dev = float(np.max(np.abs(x - x.conj().swapaxes(1, 2)), initial=0.0))
         if not dev <= _HERM_ATOL:  # NaN entries fail too
             raise ValueError(f"observable is not Hermitian (max deviation {dev:.3e})")
-        mat.setflags(write=False)
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "matrix", mat)
+    if len(a) != len(b):
+        raise ValueError("observable stacks must have equal length")
+    return a, b
 
 
 def evolve_exact(hamiltonian, state, times):
@@ -321,51 +307,34 @@ def _pair_norms(w, v, act_a, act_b, times):
     return norms
 
 
-def commutator_growth(spec, n_particles, obs_a, obs_b, times):
-    """Spectral norms ||[A, B(t)]|| with B evolved in the Heisenberg picture.
+def commutator_growth(spec, n_particles, m, n, a, b, times):
+    """Spectral norms ||[A, B(t)]|| with B evolved in the Heisenberg picture,
+    one list of norms per pair of the stacks ``a`` (A on m particles) and ``b``
+    (B on n others).
 
-    A and B must live on disjoint particle subsets, so the value at t = 0 is
-    exactly zero.  Observables pinned to specific particles break
-    permutation symmetry, so the symmetric sector cannot express this
-    quantity; H, A and B still commute with permutations of the other N - m - n
-    (spectator) particles.  At d = 2 the norm is therefore the maximum over
-    spectator spins S of the norm on a block of dimension 2^(m+n) (2S+1)
-    (Schur-Weyl); at other d the single block is the full tensor space.  The
-    active particles come first in sorted label order (H is invariant under
-    relabelling).  ``obs_a`` and ``obs_b`` may hold equal-length stacks: each
-    block is then built and diagonalized once for every pair, and the result
-    is a list of norms per pair.
+    A and B live on disjoint particles, so the value at t = 0 is exactly zero.
+    H is permutation symmetric, so which particles they occupy does not change
+    the norm: B acts on the first n, A on the next m.  Observables pinned to
+    particles break permutation symmetry, so the symmetric sector cannot
+    express this quantity; H, A and B still commute with permutations of the
+    other N - m - n (spectator) particles.  At d = 2 the norm is therefore the
+    maximum over spectator spins S of the norm on a block of dimension
+    2^(m+n) (2S+1) (Schur-Weyl); at other d the single block is the full
+    tensor space.  Each block is built and diagonalized once for every pair.
     """
-    if set(obs_a.support) & set(obs_b.support):
-        raise ValueError("supports must be disjoint")
-    d = spec.d
-    for obs in (obs_a, obs_b):
-        if max(obs.support) > n_particles:
-            raise ValueError("support index exceeds particle number")
-        if obs.matrix.shape[-1] != d ** len(obs.support):
-            raise ValueError(
-                f"observable dimension {obs.matrix.shape[-1]} does not match "
-                f"d^|support| = {d ** len(obs.support)}"
-            )
-    if obs_a.matrix.shape[:-2] != obs_b.matrix.shape[:-2]:
-        raise ValueError("observable stacks must have equal length")
+    if m + n > n_particles:
+        raise ValueError(f"m + n = {m + n} exceeds N = {n_particles}")
     if max(spec.present_orders, default=0) > n_particles:
         raise ValueError("interaction order exceeds particle number")
-    t = _check_times(times)
-    stacked = obs_a.matrix.ndim == 3
-    # a single pair is a stack of one
-    mats_a, mats_b = (obs.matrix.reshape((-1,) + obs.matrix.shape[-2:]) for obs in (obs_a, obs_b))
-    active = sorted(obs_a.support + obs_b.support)
-    _guard_blocks(d, n_particles, len(active), len(t), len(mats_a))
-    acts_a, acts_b = (
-        [embed_on_sites(x, [active.index(i) for i in obs.support], d, len(active)) for x in mats]
-        for obs, mats in ((obs_a, mats_a), (obs_b, mats_b))
-    )
-    norms = np.zeros((len(mats_a), len(t)))
-    for h in _block_hamiltonians(spec, n_particles, len(active)):
+    d, t = spec.d, _check_times(times)
+    a, b = _pair_stacks(d, m, n, a, b)
+    _guard_blocks(d, n_particles, m + n, len(t), len(a))
+    acts_a = [embed_on_sites(x, range(n, n + m), d, m + n) for x in a]
+    acts_b = [embed_on_sites(x, range(n), d, m + n) for x in b]
+    norms = np.zeros((len(a), len(t)))
+    for h in _block_hamiltonians(spec, n_particles, m + n):
         norms = np.maximum(norms, _commutator_norms(h, acts_a, acts_b, t))
-    per_pair = [[float(x) for x in row] for row in norms]
-    return per_pair if stacked else per_pair[0]
+    return [[float(x) for x in row] for row in norms]
 
 
 def _check_rdm(gamma, order, d):
@@ -375,39 +344,27 @@ def _check_rdm(gamma, order, d):
         )
 
 
-def correlation_gap(gamma, m, n, a_matrix, b_matrix):
+def correlation_gap(gamma, m, n, a, b):
     """|tr((A (x) B) (gamma^(m+n) - gamma^(m) (x) gamma^(n)))| from the
-    order-(m+n) RDM ``gamma`` of a symmetric state.
+    order-(m+n) RDM ``gamma`` of a symmetric state, one gap per pair of the
+    stacks ``a`` (A on m particles) and ``b`` (B on n others).
 
-    gamma^(m) and gamma^(n) are its marginals.  Equal, by the definition of
-    the RDMs, to the product-expectation gap |<A B> - <A><B>| with A on the
-    first m particles and B on the next n.  ``a_matrix`` and ``b_matrix`` may
-    also be equal-length stacks of observables (a leading sample axis); the
-    marginals are then taken once and the result is a list, one gap per pair.
+    gamma^(m) and gamma^(n) are its marginals, taken once for every pair.
+    Equal, by the definition of the RDMs, to the product-expectation gap
+    |<A B> - <A><B>| with A on the first m particles and B on the next n.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
     d = gamma.d
     _check_rdm(gamma, m + n, d)
-    a = np.asarray(a_matrix, dtype=np.complex128)
-    b = np.asarray(b_matrix, dtype=np.complex128)
-    stacked = a.ndim == 3
-    if (
-        a.shape[stacked:] != (d**m, d**m)
-        or b.shape[stacked:] != (d**n, d**n)
-        or a.shape[:stacked] != b.shape[:stacked]
-    ):
-        raise ValueError("observable dimensions do not match d^m / d^n")
+    a, b = _pair_stacks(d, m, n, a, b)
     g = gamma.matrix
     connected = g - np.kron(partial_trace_last(g, d, m + n, n), partial_trace_last(g, d, m + n, m))
-    a, b = a.reshape(-1, d**m, d**m), b.reshape(-1, d**n, d**n)
     # the pairs' A (x) B, one broadcast product and one stacked matmul per chunk
     chunk = max(1, _GAP_STACK_ENTRIES // connected.size)
     gaps = []
     for x, y in ((a[s : s + chunk], b[s : s + chunk]) for s in range(0, len(a), chunk)):
         krons = (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(-1, *connected.shape)
         gaps += np.abs(np.trace(krons @ connected, axis1=1, axis2=2)).tolist()
-    return gaps if stacked else gaps[0]
+    return gaps
 
 
 def bbgky_rhs(spec, n_particles, k, gamma):
@@ -419,7 +376,8 @@ def bbgky_rhs(spec, n_particles, k, gamma):
     placing m-l of its slots on the kept particles and l on traced ones (the
     traced slots are interchangeable, hence the binomial count); at m = 1
     that is the plain one-body commutator.  The result is the Hermitian,
-    traceless matrix -i * (sum of commutators).
+    traceless matrix -i * (sum of commutators); as V and gamma are Hermitian,
+    tr_l [V, g] = Y - Y^+ with Y = tr_l (V g), one product per placement.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -431,18 +389,14 @@ def bbgky_rhs(spec, n_particles, k, gamma):
             f" > N = {n_particles}"
         )
     _check_rdm(gamma, k + max_present - 1, d)
-    dim_k = d**k
-    acc = np.zeros((dim_k, dim_k), dtype=np.complex128)
+    y = np.zeros((d**k, d**k), dtype=np.complex128)
     for m in spec.present_orders:
         vmat = spec.terms[m].matrix
         prefactor = float(n_particles) ** (1 - m)
         for offset in range(max(0, m - k), m):
             g = partial_trace_last(gamma.matrix, d, gamma.order, gamma.order - k - offset)
             coeff = math.comb(n_particles - k, offset) * prefactor
-            block = np.zeros((dim_k, dim_k), dtype=np.complex128)
             for kept in combinations(range(k), m - offset):
-                sites = tuple(kept) + tuple(range(k, k + offset))
-                v_emb = embed_on_sites(vmat, sites, d, k + offset)
-                block += partial_trace_last(v_emb @ g - g @ v_emb, d, k + offset, offset)
-            acc += coeff * block
-    return -1j * acc
+                v_emb = embed_on_sites(vmat, kept + tuple(range(k, k + offset)), d, k + offset)
+                y += coeff * partial_trace_last(v_emb @ g, d, k + offset, offset)
+    return -1j * (y - y.conj().T)

@@ -30,8 +30,8 @@ from .bounds import (
     trace_distance,
     telescoping_residual,
 )
-from .exact_dynamics import ObservableOnSubset, bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
-from .exact_dynamics import _dense_peak_bytes, _guard_blocks, block_work, propagation_work
+from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
+from .exact_dynamics import _dense_peak_bytes, block_work, propagation_work
 from .hartree import _guard_steps, hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, PotentialTerm, bound_constants, operator_norm, vtilde
 from .symmetric_space import build_hamiltonian, embed_product_state, rdm, rdm_derivative
@@ -289,15 +289,12 @@ def _price_run(values):
     if scenario in ("converge", "bbgky"):
         _guard_steps(spec, t[-1])
     if scenario == "lr":
-        # admits no fewer runs than the summed check below (each N is a term of the sum);
-        # it refuses first only to name the N that fails alone and that N's limit
-        costs = [_guard_blocks(d, x, m + n, len(t), samples) for x in ns]
         cost = lambda x: block_work(d, x, m + n, len(t), samples)
         limit, what = MAX_KERNEL_WORK, "commutator growth summed over N, its work"
     else:  # exact propagation dominates converge, corr and bbgky
         cost = lambda x: propagation_work(spec, x, t[-1])
-        costs = [cost(x) for x in ns]
         limit, what = MAX_MATVEC_WORK, "propagation summed over N, nnz x Chebyshev terms"
+    costs = [cost(x) for x in ns]
     refuse(lambda v: sum(c for x, c in zip(ns, costs) if x < v) + cost(v), ns[-1], limit,
            f"n_values: {what}", "n_values[-1]")
 
@@ -421,12 +418,11 @@ def run_lr(config):
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
     a_stack, b_stack = _observable_stacks(config, "lr")
-    obs_a = ObservableOnSubset(tuple(range(n + 1, n + m + 1)), a_stack)
-    obs_b = ObservableOnSubset(tuple(range(1, n + 1)), b_stack)
     rows = []
     for n_particles in config.n_values:
         # one call per N: each block is built and diagonalized once for every sample
-        sample_lhs = commutator_growth(config.spec, n_particles, obs_a, obs_b, config.time_grid)
+        sample_lhs = commutator_growth(config.spec, n_particles, m, n, a_stack, b_stack,
+                                       config.time_grid)
         rows += [
             _pair_row(config, commutator_growth_bound, consts, n_particles, s, t, lhs)
             for s, lhs_values in enumerate(sample_lhs)

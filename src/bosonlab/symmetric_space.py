@@ -25,7 +25,7 @@ deterministic, so operators built from equal inputs are bit-identical.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -96,16 +96,6 @@ def _key_powers(d, n_particles):
     return (n_particles + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
-def _compositions_desc(total, parts):
-    # descending lexicographic enumeration of (n_1 .. n_parts), sum = total
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def enumerate_basis(d, n_particles):
     """All occupation vectors of the sector, lexicographically descending."""
     if d < 1:
@@ -116,11 +106,11 @@ def enumerate_basis(d, n_particles):
                   "refusing to enumerate C(N+d-1, d-1) states", f"N for d={d}")
     if (n_particles + 1) ** d >= 2**62:
         raise ValueError("occupation keys would overflow int64; sector too large")
-    vectors = np.fromiter(
-        (x for occ in _compositions_desc(n_particles, d) for x in occ),
-        dtype=np.int64,
-        count=size * d,
-    ).reshape(size, d)
+    # stars and bars: N stars and d - 1 bars in N + d - 1 places, n_i the stars
+    # between bars i - 1 and i; ascending bar positions give ascending vectors
+    bars = np.fromiter(chain.from_iterable(combinations(range(n_particles + d - 1), d - 1)),
+                       dtype=np.int64, count=size * (d - 1)).reshape(size, d - 1)
+    vectors = np.diff(bars[::-1], axis=1, prepend=-1, append=n_particles + d - 1) - 1
     keys = vectors @ _key_powers(d, n_particles)  # strictly descending by construction
     keys_ascending = keys[::-1].copy()
     vectors.setflags(write=False)

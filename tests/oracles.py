@@ -136,13 +136,14 @@ def expm_taylor(matrix):
     return total
 
 
-def commutator_norms_brute(h, d, n_particles, obs_a, obs_b, times):
+def commutator_norms_brute(h, d, n_particles, support_a, a, support_b, b, times):
     """||[A, U(t)^+ B U(t)]|| with U(t) = expm(-iHt) of a full-space H (say
-    hamiltonian_brute), each norm the largest singular value; no eigenbasis,
-    no symmetry."""
+    hamiltonian_brute), A = a on the particles support_a and B = b on
+    support_b (1-based labels, slot s of a matrix on particle support[s]),
+    each norm the largest singular value; no eigenbasis, no symmetry."""
     a, b = (
-        embed_brute(obs.matrix, [i - 1 for i in obs.support], d, n_particles)
-        for obs in (obs_a, obs_b)
+        embed_brute(matrix, [i - 1 for i in support], d, n_particles)
+        for support, matrix in ((support_a, a), (support_b, b))
     )
     out = []
     for t in times:

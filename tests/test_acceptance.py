@@ -18,7 +18,6 @@ import pytest
 from bosonlab import (
     DensityMatrix,
     HamiltonianSpec,
-    ObservableOnSubset,
     PotentialTerm,
     bbgky_rhs,
     bound_constants,
@@ -188,8 +187,6 @@ def test_commutator_growth_never_exceeds_envelope():
     checked = violations = 0
     worst_margin = -np.inf
     for m, n in ((1, 1), (2, 1)):
-        support_b = tuple(range(1, n + 1))
-        support_a = tuple(range(n + 1, n + m + 1))
         a_stack, b_stack = (
             np.array(
                 [random_unit_hermitian(substream(2026, f"{tag}:{m}{n}", s), 2**k) for s in range(16)]
@@ -197,13 +194,7 @@ def test_commutator_growth_never_exceeds_envelope():
             for tag, k in (("accept-lr-a", m), ("accept-lr-b", n))
         )
         # one stacked call per (m, n), as run_lr makes one per N
-        per_sample = commutator_growth(
-            spec,
-            n_particles,
-            ObservableOnSubset(support_a, a_stack),
-            ObservableOnSubset(support_b, b_stack),
-            GRID,
-        )
+        per_sample = commutator_growth(spec, n_particles, m, n, a_stack, b_stack, GRID)
         for a, b, lhs_values in zip(a_stack, b_stack, per_sample):
             for t, lhs in zip(GRID, lhs_values):
                 rhs = commutator_growth_bound(
@@ -243,9 +234,7 @@ def test_commutator_growth_envelope_at_large_n():
         tag = f"{m}{n}:{n_particles}"
         a = random_unit_hermitian(substream(2026, f"accept-lr-large-a:{tag}"), 2**m)
         b = random_unit_hermitian(substream(2026, f"accept-lr-large-b:{tag}"), 2**n)
-        obs_a = ObservableOnSubset(tuple(range(n + 1, n + m + 1)), a)
-        obs_b = ObservableOnSubset(tuple(range(1, n + 1)), b)
-        lhs_values = commutator_growth(spec, n_particles, obs_a, obs_b, times)
+        lhs_values = commutator_growth(spec, n_particles, m, n, [a], [b], times)[0]
         for t, lhs in zip(times, lhs_values):
             rhs = commutator_growth_bound(
                 m, n, operator_norm(a), operator_norm(b), consts, n_particles, t
@@ -256,7 +245,7 @@ def test_commutator_growth_envelope_at_large_n():
             if t == 0.0:
                 worst_start = max(worst_start, lhs)
         if m == 1:
-            worst_free = max(worst_free, *commutator_growth(free, n_particles, obs_a, obs_b, [1.0]))
+            worst_free = max(worst_free, *commutator_growth(free, n_particles, m, n, [a], [b], [1.0])[0])
     elapsed = time.monotonic() - start
     ok = violations == 0 and worst_start < 1e-12 and worst_free < 1e-11
     detail = (
@@ -279,7 +268,7 @@ def test_correlation_decay_rate_and_bound(pinned_data):
         b = random_unit_hermitian(substream(2026, "accept-corr-b", s), 2)
         for n, states in states_by_n.items():
             for i, t in enumerate(GRID):
-                lhs = correlation_gap(rdm(states[i], 2), 1, 1, a, b)
+                lhs = correlation_gap(rdm(states[i], 2), 1, 1, [a], [b])[0]
                 rhs = correlation_gap_bound(
                     1, 1, operator_norm(a), operator_norm(b), consts, n, t
                 )
@@ -289,7 +278,7 @@ def test_correlation_decay_rate_and_bound(pinned_data):
     slopes = {}
     for label, obs in (("zz", SZ), ("xx", SX)):
         pts = [
-            (n, correlation_gap(rdm(states[GRID.index(1.0)], 2), 1, 1, obs, obs))
+            (n, correlation_gap(rdm(states[GRID.index(1.0)], 2), 1, 1, [obs], [obs])[0])
             for n, states in states_by_n.items()
         ]
         slopes[label] = _fit_slope(*zip(*pts))

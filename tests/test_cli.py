@@ -145,8 +145,9 @@ def test_hopeless_lr_size_refused_quickly(tmp_path):
     path = _shipped(tmp_path, "lr", n_values=[100000])
     out = run_module("lr", "--config", str(path), timeout=30)
     assert out.returncode == 1
-    assert out.stderr.startswith("error: commutator growth at N=100000 would pass")
-    assert re.search(r"largest workable N for d=2, m\+n=2 and 5 times is \d+\n$", out.stderr)
+    assert out.stderr.startswith("error: n_values: commutator growth summed over N")
+    # 201: README's largest workable N for configs/lr.json's four pairs at five times
+    assert out.stderr.endswith("; the largest workable n_values[-1] is 201\n")
     assert "Traceback" not in out.stderr
     start = time.perf_counter()
     assert main(["lr", "--config", str(path)]) == 1
@@ -247,7 +248,7 @@ def test_lr_blocks_priced_at_config_time(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_module.SCENARIOS["lr"], "run", never)
     path = _shipped(tmp_path, "lr", n_values=[8, 100000])
     assert main(["lr", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: commutator growth at N=100000 would pass")
+    assert capsys.readouterr().err.startswith("error: n_values: commutator growth summed over N")
 
 
 @pytest.mark.parametrize(

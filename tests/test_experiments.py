@@ -256,9 +256,9 @@ class TestLrRunner:
     def test_one_commutator_growth_call_per_n(self, monkeypatch):
         stack_sizes, eigh_dims = [], []
 
-        def counting(spec, n_particles, obs_a, obs_b, times):
-            stack_sizes.append((len(obs_a.matrix), len(obs_b.matrix)))
-            return commutator_growth(spec, n_particles, obs_a, obs_b, times)
+        def counting(spec, n_particles, m, n, a, b, times):
+            stack_sizes.append((len(a), len(b)))
+            return commutator_growth(spec, n_particles, m, n, a, b, times)
 
         def counting_eigh(h):
             eigh_dims.append(h.shape[0])

@@ -52,6 +52,16 @@ class TestEnumerateBasis:
         rows = [tuple(v) for v in basis.vectors]
         assert rows == sorted(rows, reverse=True)  # lexicographically descending
 
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 7), (3, 10), (3, 50), (4, 20), (5, 9)])
+    def test_matches_every_occupation_in_descending_order(self, d, n):
+        # every vector of the (n+1)^d grid with sum n, sorted: the order the
+        # basis has always had, which every index and CSV row depends on
+        want = sorted((v for v in itertools.product(range(n + 1), repeat=d) if sum(v) == n),
+                      reverse=True)
+        vectors = enumerate_basis(d, n).vectors
+        assert vectors.dtype == np.int64 and vectors.flags.c_contiguous
+        assert vectors.tolist() == [list(v) for v in want]
+
     def test_index_of_roundtrip(self):
         basis = enumerate_basis(3, 4)
         for i, occ in enumerate(basis.vectors):
