@@ -47,7 +47,6 @@ from .hartree import (
 from .operators import (
     BoundConstants,
     HamiltonianSpec,
-    PotentialTerm,
     bound_constants,
     operator_norm,
     permute_slots,
@@ -76,7 +75,6 @@ __all__ = [
     "MAX_BASIS_SIZE",
     "MAX_DENSE_BYTES",
     "OccupationBasis",
-    "PotentialTerm",
     "SparseHermitian",
     "SymmetricState",
     "bbgky_rhs",

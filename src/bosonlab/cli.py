@@ -59,7 +59,7 @@ def main(argv=None):
         write_rows(config.output_path, config, rows)
         extra = write_plot_data(config.output_path, config, rows) if args.plot_data else []
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(f"{config.scenario}: wrote {len(rows)} rows to {config.output_path}")
     print(f"config_hash={config.config_hash}")

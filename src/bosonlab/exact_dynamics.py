@@ -125,7 +125,7 @@ def _chebyshev_terms(x):
 def _radius_ceiling(spec, n):
     """sum_m C(N, m) N^(1-m) sum_ij |V^(m)_ij| >= the Gershgorin half-width of H: an
     order-m chain maps each state to one state, with a factor of at most N!/(N-m)!."""
-    return sum(math.comb(n, m) * max(n, 1) ** (1 - m) * float(np.abs(v.matrix).sum())
+    return sum(math.comb(n, m) * max(n, 1) ** (1 - m) * float(np.abs(v).sum())
                for m, v in spec.terms.items())
 
 
@@ -254,7 +254,7 @@ def _block_hamiltonians(spec, n_particles, n_active):
     # that a spec without terms gives H = 0
     parts = {((), ()): np.zeros((d**n_slots, d**n_slots), dtype=np.complex128)}
     for m in spec.present_orders:
-        t = spec.terms[m].matrix
+        t = spec.terms[m]
         for s in range(max(0, m - n_slots), min(m, k) + 1):
             r = m - s
             weight = float(n_particles) ** (1 - m) / math.factorial(s)
@@ -391,7 +391,7 @@ def bbgky_rhs(spec, n_particles, k, gamma):
     _check_rdm(gamma, k + max_present - 1, d)
     y = np.zeros((d**k, d**k), dtype=np.complex128)
     for m in spec.present_orders:
-        vmat = spec.terms[m].matrix
+        vmat = spec.terms[m]
         prefactor = float(n_particles) ** (1 - m)
         for offset in range(max(0, m - k), m):
             g = partial_trace_last(gamma.matrix, d, gamma.order, gamma.order - k - offset)

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._limits import MAX_DENSE_BYTES, MAX_KERNEL_WORK, MAX_MATVEC_WORK, refuse
+from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_KERNEL_WORK, MAX_MATVEC_WORK,
+                      MAX_TRIPLE_BYTES, MAX_WALK_BYTES, refuse)
 from ._tensor import partial_trace_last
 from ._version import __version__ as VERSION
 from .bounds import (
@@ -33,8 +34,9 @@ from .bounds import (
 from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
 from .exact_dynamics import _dense_peak_bytes, block_work, propagation_work
 from .hartree import _guard_steps, hartree_evolve, pure_state_density
-from .operators import HamiltonianSpec, PotentialTerm, bound_constants, operator_norm, vtilde
-from .symmetric_space import build_hamiltonian, embed_product_state, rdm, rdm_derivative
+from .operators import HamiltonianSpec, bound_constants, operator_norm, vtilde
+from .symmetric_space import _BYTES_PER_ENTRY, build_hamiltonian, embed_product_state, rdm
+from .symmetric_space import operator_entries, rdm_derivative, sector_size, walk_bytes
 
 # slack added to every lhs <= rhs check before it counts as a violation
 VIOLATION_ATOL = 1e-9
@@ -167,13 +169,11 @@ def _spec(node, path):
             order = int(key)
         except (TypeError, ValueError):
             raise ConfigError(f"{where}: key must be an integer order") from None
+        if order < 1:
+            raise ConfigError(f"{where}: interaction order must be >= 1")
         if order in terms:
             raise ConfigError(f"{where}: order {order} is given twice")
-        matrix = _complex(2)(matrix_node, where)
-        try:
-            terms[order] = PotentialTerm(order, matrix)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        terms[order] = _complex(2)(matrix_node, where)
     try:
         return HamiltonianSpec(d, max_order, terms)
     except ValueError as exc:
@@ -218,7 +218,7 @@ _KEYS = [f for f in fields(ExperimentConfig) if "parse" in f.metadata]
 def _canonical(value):
     # JSON form of a parsed value: complex arrays as nested [re, im] pairs
     if isinstance(value, HamiltonianSpec):
-        terms = {str(m): _canonical(term.matrix) for m, term in value.terms.items()}
+        terms = {str(m): _canonical(v) for m, v in value.terms.items()}
         return {"d": value.d, "max_order": value.max_order, "terms": terms}
     if isinstance(value, np.ndarray):
         return np.stack([value.real, value.imag], axis=-1).tolist()
@@ -269,11 +269,13 @@ def _price_run(values):
     # (what sets k, k, the N that k may not pass) for each dense order k; telescope
     # orders past N are skipped by run_bbgky, so only the largest N caps them
     orders = [("obs_m + obs_n", m + n, ns[0])] if scenario in ("lr", "corr") else []
+    walks = {1} if scenario == "converge" else {m + n}  # the RDM orders contracted
     if scenario == "bbgky":
         extra = max(spec.present_orders, default=1) - 1
         telescope = min(max(values["telescope_orders"]) + 1, ns[-1])
         orders = [(f"max(k_values) + {extra}", max(values["k_values"]) + extra, ns[0]),
                   ("max(telescope_orders) + 1", telescope, ns[-1])]
+        walks = {max(k for _, k, _ in orders), max(values["k_values"])}
     for path, order, max_n in orders:
         # rdm, rdm_derivative, the RDM functionals and run_bbgky peak at 2.0 to 7.0
         # of the 8 matrices counted (README); past an exponent of 64 every d >= 2 refuses
@@ -297,6 +299,17 @@ def _price_run(values):
     costs = [cost(x) for x in ns]
     refuse(lambda v: sum(c for x, c in zip(ns, costs) if x < v) + cost(v), ns[-1], limit,
            f"n_values: {what}", "n_values[-1]")
+    if scenario == "lr":  # commutator growth builds no basis, operator or walk
+        return
+    # the limits on one N's basis, H and walks; each price is non-decreasing in N
+    sizes = [(lambda x: sector_size(d, x), MAX_BASIS_SIZE, "C(N+d-1, d-1) states"),
+             (lambda x: _BYTES_PER_ENTRY * operator_entries(d, x, spec.present_orders),
+              MAX_TRIPLE_BYTES, "operator triples' 128 * D * sum_m C(d+m-1, m)^2 bytes")]
+    sizes += [(lambda x, k=k: walk_bytes(d, x, k), MAX_WALK_BYTES,
+               f"the order-{k} ladder walk's 16 * C(d+k-1, k)^2 * D(N-k) bytes")
+              for k in sorted(walks)]
+    for price, limit, what in sizes:
+        refuse(price, ns[-1], limit, f"n_values: {what}", "n_values[-1]")
 
 
 def load_config(text, overrides=None):

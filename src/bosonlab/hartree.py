@@ -110,7 +110,7 @@ def _contractions(spec):
     d, mats = spec.d, []
     for m in spec.present_orders:
         axes = [0, m] + [a for s in range(1, m) for a in (m + s, s)]
-        v = spec.terms[m].matrix.reshape((d,) * 2 * m).transpose(axes)
+        v = spec.terms[m].reshape((d,) * 2 * m).transpose(axes)
         mats.append(v.reshape(d * d, -1) / math.factorial(m - 1))
     return mats
 
@@ -154,7 +154,7 @@ def mean_field_energy(gamma, spec):
     g = gamma.matrix
     e = 0.0 + 0.0j
     for m in spec.present_orders:
-        e += np.trace(spec.terms[m].matrix @ tensor_power(g, m)) / math.factorial(m)
+        e += np.trace(spec.terms[m] @ tensor_power(g, m)) / math.factorial(m)
     return float(e.real)
 
 
@@ -212,7 +212,7 @@ def _guard_steps(spec, t_end):
     """Refuse a last time t_end past the step budget: ||h(gamma)|| <= L = sum_m
     ||V^(m)|| / (m-1)!, and every measured run takes at least 2 steps per unit
     of L*t (8 to 33 at tol <= 1e-9), so past MAX_STEPS units it cannot suffice."""
-    rate = sum(operator_norm(term.matrix) / math.factorial(m - 1) for m, term in spec.terms.items())
+    rate = sum(operator_norm(v) / math.factorial(m - 1) for m, v in spec.terms.items())
     refuse(lambda t: rate * t, t_end, MAX_STEPS, f"t = {t_end:.6g} is too long for the mean-field "
            f"integrator: with L = {rate:.3g} bounding ||h(gamma)||, L*t", None)
 
@@ -278,9 +278,11 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
             y, k0 = y_new, k_new
             log_t.append(t)
             if clipped:
-                states.append(
-                    DensityMatrix(1, d, y.reshape(d, d).copy(), atol=TRAJECTORY_ATOL)
-                )
+                try:
+                    states.append(DensityMatrix(1, d, y.reshape(d, d).copy(), atol=TRAJECTORY_ATOL))
+                except ValueError as exc:
+                    raise ValueError(f"the mean-field integrator at tol={tol} left an invalid state "
+                                     f"at t={t:.6g}: {exc}; a smaller tol may fix it") from None
         # an accepted clamped step says nothing about the natural step size
         if not (clipped and err <= 1.0):
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))

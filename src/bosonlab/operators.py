@@ -44,51 +44,28 @@ def slot_symmetrize(matrix, d, order):
     return acc / len(perms)
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialTerm:
-    """One interaction term acting on ``order`` particles at a time.
-
-    Construction only checks shape; physical validity (Hermiticity, slot
-    symmetry, dimension consistency with d) is the job of
-    :func:`validate_potential`, so that invalid matrices can be built and
-    reported on.
-    """
-
-    order: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("interaction order must be >= 1")
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("potential matrix must be square")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-def validate_potential(term, d, atol=DEFAULT_ATOL):
+def validate_potential(matrix, d, order, atol=DEFAULT_ATOL):
     """Return a list of human-readable invariant violations (empty = valid)."""
-    mat = term.matrix
+    mat = np.asarray(matrix)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        return [f"not a square matrix (shape {mat.shape})"]
     if not np.all(np.isfinite(mat)):
         return ["non-finite entries"]  # every deviation below would read nan
     report = []
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_dev > atol:
         report.append(f"not Hermitian (max deviation {herm_dev:.3e})")
-    expected = d**term.order
+    expected = d**order
     if mat.shape[0] != expected:
-        report.append(
-            f"dimension mismatch (expected {d}^{term.order} = {expected}, got {mat.shape[0]})"
-        )
+        report.append(f"dimension mismatch (expected {d}^{order} = {expected}, got {mat.shape[0]})")
         return report  # slot checks need the tensor shape
-    if term.order >= 2:
+    if order >= 2:
         # invariance under adjacent transpositions implies the full group
         sym_dev = 0.0
-        for s in range(term.order - 1):
-            perm = list(range(term.order))
+        for s in range(order - 1):
+            perm = list(range(order))
             perm[s], perm[s + 1] = perm[s + 1], perm[s]
-            swapped = permute_slots(mat, d, term.order, perm)
+            swapped = permute_slots(mat, d, order, perm)
             sym_dev = max(sym_dev, float(np.max(np.abs(swapped - mat))))
         if sym_dev > atol:
             report.append(f"not slot-permutation-symmetric (max deviation {sym_dev:.3e})")
@@ -99,9 +76,10 @@ def validate_potential(term, d, atol=DEFAULT_ATOL):
 class HamiltonianSpec:
     """Single-particle dimension d, maximal interaction order, and the terms.
 
-    ``terms`` maps the order m to its :class:`PotentialTerm`; orders may be
-    absent (treated as zero).  Construction validates every term, so holding
-    a spec means holding a physically valid model.
+    ``terms`` maps the order m to V^(m), a d^m x d^m matrix; orders may be
+    absent (treated as zero).  Construction validates every term and stores
+    it as a read-only complex128 array, so holding a spec means holding a
+    physically valid model.
     """
 
     d: int
@@ -114,14 +92,16 @@ class HamiltonianSpec:
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
         terms = dict(self.terms)
-        for m, term in sorted(terms.items()):
-            if not isinstance(m, int) or m != term.order:
-                raise ValueError(f"terms[{m}] holds a term of order {term.order}")
-            if m > self.max_order:
-                raise ValueError(f"terms[{m}] exceeds max_order {self.max_order}")
-            violations = validate_potential(term, self.d)
+        for m, v in terms.items():
+            if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= self.max_order:
+                raise ValueError(
+                    f"terms key {m!r} is not an order in [1, max_order = {self.max_order}]")
+            mat = np.array(v, dtype=np.complex128)
+            violations = validate_potential(mat, self.d, m)
             if violations:
                 raise ValueError(f"order-{m} potential invalid: " + "; ".join(violations))
+            mat.setflags(write=False)
+            terms[m] = mat
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -144,7 +124,7 @@ def vtilde(spec, strategy="ceiling"):
     # over the D^2 orthonormal product units, D = d^m the side of the matrix
     sums = [
         np.sum(np.abs(v)) if strategy == "canonical" else v.shape[0] * np.linalg.norm(v)
-        for v in (spec.terms[m].matrix for m in spec.interaction_orders)
+        for v in (spec.terms[m] for m in spec.interaction_orders)
     ]
     return float(max(sums, default=0.0))
 
@@ -172,7 +152,7 @@ def bound_constants(spec, vtilde_value):
     s1 = 0.0
     s2 = 0.0
     for m in spec.interaction_orders:
-        norm = operator_norm(spec.terms[m].matrix)
+        norm = operator_norm(spec.terms[m])
         s1 += m * norm
         s2 += m * m * norm
     lam = (16.0 * float(vtilde_value) + s2) / s1 if s1 > 0.0 else 0.0

@@ -107,8 +107,10 @@ def enumerate_basis(d, n_particles):
     if (n_particles + 1) ** d >= 2**62:
         raise ValueError("occupation keys would overflow int64; sector too large")
     # stars and bars: N stars and d - 1 bars in N + d - 1 places, n_i the stars
-    # between bars i - 1 and i; ascending bar positions give ascending vectors
-    bars = np.fromiter(chain.from_iterable(combinations(range(n_particles + d - 1), d - 1)),
+    # between bars i - 1 and i; ascending bar positions give ascending vectors.
+    # combinations copies its pool, N places at d = 1, where no bar needs one
+    places = range(n_particles + d - 1) if d > 1 else ()
+    bars = np.fromiter(chain.from_iterable(combinations(places, d - 1)),
                        dtype=np.int64, count=size * (d - 1)).reshape(size, d - 1)
     vectors = np.diff(bars[::-1], axis=1, prepend=-1, append=n_particles + d - 1) - 1
     keys = vectors @ _key_powers(d, n_particles)  # strictly descending by construction
@@ -152,10 +154,13 @@ def embed_product_state(phi, n_particles):
         raise ValueError(f"phi norm deviates from 1 by {dev:.3e}")
     basis = enumerate_basis(v.size, n_particles)
     occ = basis.vectors
-    log_factorial = np.array([math.lgamma(q + 1) for q in range(n_particles + 1)])
+    # lgamma of the occupations present only: at d = 1 they are just N
+    present, at = np.unique(occ, return_inverse=True)
+    log_factorial = np.array([math.lgamma(q + 1) for q in present.tolist()])
     magnitude = np.abs(v)
     nonzero = magnitude > 0
-    log_amp = 0.5 * (log_factorial[n_particles] - log_factorial[occ].sum(axis=1))
+    log_amp = 0.5 * (math.lgamma(n_particles + 1)
+                     - log_factorial[at.reshape(occ.shape)].sum(axis=1))
     log_amp += occ[:, nonzero] @ np.log(magnitude[nonzero])
     log_amp[occ[:, ~nonzero].any(axis=1)] = -np.inf
     return SymmetricState(basis, np.exp(log_amp) * np.exp(1j * (occ @ np.angle(v))))
@@ -279,28 +284,27 @@ def _compile_walk(basis, k):
     ]
 
 
-def _assemble(basis, weighted_terms):
-    """Sum of prefactor * (symmetric sum of term) over (term, prefactor) pairs."""
+def _assemble(basis, terms):
+    """Sum of prefactor * (symmetric sum of V) over (order, V, prefactor) triples."""
     d = basis.d
-    for term, _ in weighted_terms:
-        if term.order > basis.n_particles:
+    for m, v, _ in terms:
+        if m < 1:
+            raise ValueError("interaction order must be >= 1")
+        if m > basis.n_particles:
             raise ValueError("interaction order exceeds particle number")
-        if term.matrix.shape[0] != d**term.order:
-            raise ValueError(
-                f"potential dimension {term.matrix.shape[0]} does not match "
-                f"d^m = {d**term.order}"
-            )
-    orders = [term.order for term, _ in weighted_terms]
+        if v.shape != (d**m, d**m):
+            raise ValueError(f"potential shape {v.shape} does not match (d^m, d^m) = {(d**m,) * 2}")
+    orders = [m for m, _, _ in terms]
     refuse(lambda n: _BYTES_PER_ENTRY * operator_entries(d, n, orders), basis.n_particles,
            MAX_TRIPLE_BYTES, "operator triples' 128 * D * sum_m C(d+m-1, m)^2 bytes",
            f"N for d={d} and orders {orders}")
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
-    for term, prefactor in weighted_terms:
-        multisets, index = multiset_map(d, term.order)
+    for m, v, prefactor in terms:
+        multisets, index = multiset_map(d, m)
         weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
-        np.add.at(weights, (index[:, None], index[None, :]), term.matrix)
-        weights *= float(prefactor) / math.factorial(term.order)
-        for j, rows, cols, factor in ladder_walk(basis, term.order):
+        np.add.at(weights, (index[:, None], index[None, :]), v)
+        weights *= float(prefactor) / math.factorial(m)
+        for j, rows, cols, factor in ladder_walk(basis, m):
             # both (I, J) and (J, I), so that the triples are structurally symmetric
             keep = (weights[:, j] != 0) | (weights[j] != 0)
             if keep.any():
@@ -311,10 +315,10 @@ def _assemble(basis, weighted_terms):
     return SparseHermitian.from_triples(basis.size, rows, cols, values)
 
 
-def build_symmetric_operator(term, basis, prefactor):
-    """prefactor * sum over all m-subsets of particles of the interaction,
-    as an explicitly symmetrized :class:`SparseHermitian` on the basis."""
-    return _assemble(basis, [(term, prefactor)])
+def build_symmetric_operator(matrix, order, basis, prefactor):
+    """prefactor * sum over all m-subsets of particles of the order-m interaction
+    ``matrix``, slot-symmetric or not, as a :class:`SparseHermitian` on the basis."""
+    return _assemble(basis, [(order, np.asarray(matrix), prefactor)])
 
 
 def build_hamiltonian(spec, n_particles, basis=None):
@@ -323,8 +327,8 @@ def build_hamiltonian(spec, n_particles, basis=None):
         basis = enumerate_basis(spec.d, n_particles)
     elif basis.d != spec.d or basis.n_particles != n_particles:
         raise ValueError("basis does not match spec / particle number")
-    weighted = [(spec.terms[m], float(n_particles) ** (1 - m)) for m in spec.present_orders]
-    return _assemble(basis, weighted)
+    return _assemble(basis, [(m, spec.terms[m], float(n_particles) ** (1 - m))
+                             for m in spec.present_orders])
 
 
 def _walk_rdm(state, k, ket):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bosonlab import HamiltonianSpec, PotentialTerm, slot_symmetrize
+from bosonlab import HamiltonianSpec, slot_symmetrize
 
 from . import oracles
 
@@ -26,7 +26,7 @@ def random_spec(rng, d, orders, unit_norm=True):
             norm = np.linalg.norm(v, 2)
             if norm > 0:
                 v = v / norm
-        terms[m] = PotentialTerm(m, v)
+        terms[m] = v
     return HamiltonianSpec(d, max(orders), terms)
 
 

@@ -115,7 +115,7 @@ def hamiltonian_brute(spec, n_particles):
     for m in sorted(spec.terms):
         pre = 1.0 if m == 1 else float(n_particles) ** (1 - m)
         for sites in itertools.combinations(range(n_particles), m):
-            h += pre * embed_brute(spec.terms[m].matrix, sites, d, n_particles)
+            h += pre * embed_brute(spec.terms[m], sites, d, n_particles)
     return h
 
 
@@ -220,11 +220,11 @@ def literal_mean_field_rhs(gamma, spec):
     out = np.zeros((d, d), dtype=np.complex128)
     one = spec.terms.get(1)
     if one is not None:
-        out += one.matrix @ gamma - gamma @ one.matrix
+        out += one @ gamma - gamma @ one
     for m in sorted(spec.terms):
         if m == 1:
             continue
-        v = spec.terms[m].matrix
+        v = spec.terms[m]
         g_m = gamma
         for _ in range(m - 1):
             g_m = np.kron(g_m, gamma)

@@ -18,7 +18,6 @@ import pytest
 from bosonlab import (
     DensityMatrix,
     HamiltonianSpec,
-    PotentialTerm,
     bbgky_rhs,
     bound_constants,
     build_hamiltonian,
@@ -59,11 +58,11 @@ def _report(name, ok, detail):
 def _pinned_spec(max_order):
     """Transverse one-body field with a diagonal pair coupling; optional
     unit-norm random three-body term on top."""
-    terms = {1: PotentialTerm(1, SX), 2: PotentialTerm(2, np.kron(SZ, SZ))}
+    terms = {1: SX, 2: np.kron(SZ, SZ)}
     if max_order >= 3:
         rng = substream(2026, "accept-threebody")
         v3 = slot_symmetrize(oracles.rand_herm(rng, 8), 2, 3)
-        terms[3] = PotentialTerm(3, v3 / operator_norm(v3))
+        terms[3] = v3 / operator_norm(v3)
     return HamiltonianSpec(2, max_order, terms)
 
 
@@ -219,7 +218,7 @@ def test_commutator_growth_envelope_at_large_n():
     # there costs about as much as the rest of the test together
     start = time.monotonic()
     spec = _pinned_spec(2)
-    free = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SX)})
+    free = HamiltonianSpec(2, 1, {1: SX})
     consts = bound_constants(spec, vtilde(spec, "canonical"))
     cases = (
         (64, 1, 1, (0.0, 0.5, 1.0)),

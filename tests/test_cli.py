@@ -1,12 +1,14 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bosonlab
@@ -14,13 +16,15 @@ from bosonlab import cli as cli_module
 from bosonlab.cli import main
 from bosonlab.experiments import _KEYS, SCENARIOS, ConfigError, config_from_dict
 
-from .test_experiments import base_config
+from .test_experiments import _pairs, base_config
+from .test_hartree import _workload
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_module(*args, timeout=None):
-    """``python -m bosonlab`` in a subprocess that imports this same package."""
+def run_module(*args, timeout=None, address_space=None):
+    """``python -m bosonlab`` in a subprocess that imports this same package,
+    its address space capped at ``address_space`` bytes if given."""
     src = str(Path(bosonlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -29,6 +33,9 @@ def run_module(*args, timeout=None):
         text=True,
         timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=address_space and (
+            lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        ),
     )
 
 
@@ -291,15 +298,82 @@ def test_runs_priced_whole_at_config_time(tmp_path, capsys, monkeypatch, scenari
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_memory_error_ends_in_an_error_line(config_file, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 64.0 GiB for an array"),
+         "error: Unable to allocate 64.0 GiB for an array\n"),
+        (MemoryError(), "error: MemoryError\n"),  # Python's own carries no message
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_memory_error_ends_in_an_error_line(config_file, capsys, monkeypatch, exc, line):
     def exhausted(config):
-        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+        raise exc
 
     monkeypatch.setattr(cli_module.SCENARIOS["converge"], "run", exhausted)
     assert main(["converge", "--config", str(config_file)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: Unable to allocate 64.0 GiB for an array\n"
+    assert err == line
     assert "Traceback" not in err
+
+
+def test_one_mode_runs_at_a_billion_particles(tmp_path):
+    # d = 1: one state at every N, so nothing may grow with N; a pool or table of
+    # N entries would need 8 GB and more, and the cap turns it into a MemoryError
+    path = tmp_path / "d1.json"
+    spec = {"d": 1, "max_order": 2, "terms": {"1": [[[0.5, 0.0]]], "2": [[[1.0, 0.0]]]}}
+    path.write_text(json.dumps(base_config(
+        spec=spec, n_values=[4, 10**9], time_grid=[0.0, 1e-9], initial_phi=[[1.0, 0.0]],
+        output_path=str(tmp_path / "out.csv"))))
+    out = run_module("converge", "--config", str(path), timeout=60, address_space=3 * 2**30)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "converge: wrote 5 rows" in out.stdout
+
+
+def _one_body(scenario, d, **changes):
+    """A one-body spec on d modes, from the first mode: a size-only price decides."""
+    spec = {"d": d, "max_order": 1, "terms": {"1": _pairs(np.diag(np.linspace(-0.5, 0.5, d)))}}
+    phi = [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1)
+    return base_config(scenario=scenario, spec=spec, initial_phi=phi, time_grid=[0.0], **changes)
+
+
+@pytest.mark.parametrize(
+    "document, what",
+    [
+        (lambda: _one_body("converge", 2, n_values=[4, 2_000_000]), "C(N+d-1, d-1) states"),
+        (lambda: {**_workload("converge_sector", 7), "n_values": [300, 600, 1000],
+                  "time_grid": [0.0, 0.01]},
+         "operator triples' 128 * D * sum_m C(d+m-1, m)^2 bytes"),
+        (lambda: _one_body("corr", 3, n_values=[4, 1200], obs_m=1, obs_n=2),
+         "the order-3 ladder walk's"),
+        (lambda: _one_body("bbgky", 3, n_values=[4, 1200], k_values=[3], telescope_orders=[1]),
+         "the order-3 ladder walk's"),
+    ],
+    ids=["basis", "triples", "corr-walk", "bbgky-walk"],
+)
+def test_size_limits_priced_at_config_time(tmp_path, capsys, monkeypatch, document, what):
+    # each refused the last N only once the earlier ones had run: 4.4 s for "triples"
+    def never(config):
+        raise AssertionError("the runner must not start")
+
+    cfg = {**document(), "output_path": str(tmp_path / "out.csv")}
+    monkeypatch.setattr(cli_module.SCENARIOS[cfg["scenario"]], "run", never)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    assert main([cfg["scenario"], "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n_values: {what}")
+    max_n = int(re.search(r"the largest workable n_values\[-1\] is (\d+)\n$", err).group(1))
+    if what.startswith("operator triples"):
+        assert err.endswith(" bytes = 2888645760 > 1073741824; the largest workable "
+                            "n_values[-1] is 609\n")
+    config_from_dict({**cfg, "n_values": cfg["n_values"][:-1] + [max_n]})
+    with pytest.raises(ConfigError, match=re.escape(f"n_values: {what}")):
+        config_from_dict({**cfg, "n_values": cfg["n_values"][:-1] + [max_n + 1]})
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_removed_bbgky_dt_key_refused(tmp_path, capsys):
@@ -362,3 +436,13 @@ def test_readme_config_block_has_the_config_keys():
     block = re.search(r"```jsonc\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
     documented = json.loads(re.sub(r"//.*", "", block))
     assert sorted(documented) == sorted(f.name for f in _KEYS)
+
+
+def test_readme_quick_tour_stays_within_its_bound(capsys):
+    tour = README.read_text().split("## Quick tour\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", tour, flags=re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = re.fullmatch(r"N=64: \|gamma_exact - gamma_mf\| = (\S+) <= (\S+)\n",
+                           capsys.readouterr().out)
+    assert printed is not None
+    assert 0 < float(printed[1]) <= float(printed[2])

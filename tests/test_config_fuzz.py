@@ -64,7 +64,7 @@ def _finite(value):
     if isinstance(value, tuple):
         return all(_finite(v) for v in value)
     if isinstance(value, HamiltonianSpec):
-        return all(_finite(term.matrix) for term in value.terms.values())
+        return all(_finite(v) for v in value.terms.values())
     return bool(np.all(np.isfinite(value)))
 
 

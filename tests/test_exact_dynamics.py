@@ -11,7 +11,6 @@ import pytest
 from bosonlab import (
     DensityMatrix,
     HamiltonianSpec,
-    PotentialTerm,
     SparseHermitian,
     bbgky_rhs,
     build_hamiltonian,
@@ -263,13 +262,13 @@ class TestFullSpace:
         spec = random_spec(rng, 2, (1,), unit_norm=False)
         h = _full_space_hamiltonian(spec, 3)
         expected = sum(
-            oracles.embed_brute(spec.terms[1].matrix, (j,), 2, 3) for j in range(3)
+            oracles.embed_brute(spec.terms[1], (j,), 2, 3) for j in range(3)
         )
         np.testing.assert_allclose(h, expected, atol=1e-13)
 
     def test_build_two_particles_closed_form(self, rng):
         spec = random_spec(rng, 2, (1, 2), unit_norm=False)
-        v1, v2 = spec.terms[1].matrix, spec.terms[2].matrix
+        v1, v2 = spec.terms[1], spec.terms[2]
         h = _full_space_hamiltonian(spec, 2)
         expected = np.kron(v1, np.eye(2)) + np.kron(np.eye(2), v1) + v2 / 2
         np.testing.assert_allclose(h, expected, atol=1e-13)
@@ -317,7 +316,7 @@ class TestFullSpace:
 
     def test_evolve_factorizes_without_interactions(self, rng):
         spec = random_spec(rng, 2, (1,), unit_norm=False)
-        v1 = spec.terms[1].matrix
+        v1 = spec.terms[1]
         phi = _unit_phi(rng, 2)
         full0 = np.kron(np.kron(phi, phi), phi)
         t = 1.1
@@ -632,7 +631,7 @@ class TestBbgkyRhs:
         k = 2
         gamma = rdm(state, k)
         out = bbgky_rhs(spec, 4, k, gamma)
-        v1 = spec.terms[1].matrix
+        v1 = spec.terms[1]
         h = np.kron(v1, np.eye(2)) + np.kron(np.eye(2), v1)
         expected = -1j * (h @ gamma.matrix - gamma.matrix @ h)
         np.testing.assert_allclose(out, expected, atol=1e-12)

@@ -9,7 +9,6 @@ import pytest
 from bosonlab import (
     DensityMatrix,
     HamiltonianSpec,
-    PotentialTerm,
     hartree,
     hartree_evolve,
     hartree_rhs,
@@ -88,13 +87,13 @@ class TestDensityMatrix:
 
 class TestMeanFieldHamiltonian:
     def test_without_interactions_is_bare_term(self, rng):
-        spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SX)})
+        spec = HamiltonianSpec(2, 1, {1: SX})
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         np.testing.assert_allclose(mean_field_hamiltonian(gamma, spec), SX, atol=1e-14)
 
     def test_identity_interaction_shifts_by_one(self, rng):
         spec = HamiltonianSpec(
-            2, 2, {1: PotentialTerm(1, SX), 2: PotentialTerm(2, np.eye(4))}
+            2, 2, {1: SX, 2: np.eye(4)}
         )
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         np.testing.assert_allclose(
@@ -105,7 +104,7 @@ class TestMeanFieldHamiltonian:
     def test_zz_interaction_closed_form(self, p):
         # explicit 4x4 partial trace gives V1 + (2p-1) sigma_z
         spec = HamiltonianSpec(
-            2, 2, {1: PotentialTerm(1, SX), 2: PotentialTerm(2, np.kron(SZ, SZ))}
+            2, 2, {1: SX, 2: np.kron(SZ, SZ)}
         )
         gamma = DensityMatrix(1, 2, np.diag([p, 1.0 - p]).astype(complex))
         h = mean_field_hamiltonian(gamma, spec)
@@ -140,7 +139,7 @@ class TestMeanFieldHamiltonian:
 class TestHartreeRhs:
     def test_stationary_when_everything_diagonal(self):
         spec = HamiltonianSpec(
-            2, 2, {1: PotentialTerm(1, SZ), 2: PotentialTerm(2, np.kron(SZ, SZ))}
+            2, 2, {1: SZ, 2: np.kron(SZ, SZ)}
         )
         gamma = DensityMatrix(1, 2, np.diag([0.7, 0.3]).astype(complex))
         np.testing.assert_allclose(hartree_rhs(gamma, spec), 0.0, atol=1e-14)
@@ -166,13 +165,13 @@ class TestHartreeRhs:
 
 class TestMeanFieldEnergy:
     def test_single_particle_expectation(self):
-        spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SZ)})
+        spec = HamiltonianSpec(2, 1, {1: SZ})
         for p in (0.0, 0.25, 1.0):
             gamma = DensityMatrix(1, 2, np.diag([p, 1.0 - p]).astype(complex))
             assert mean_field_energy(gamma, spec) == pytest.approx(2 * p - 1)
 
     def test_identity_pair_interaction_gives_half(self, rng):
-        spec = HamiltonianSpec(2, 2, {2: PotentialTerm(2, np.eye(4))})
+        spec = HamiltonianSpec(2, 2, {2: np.eye(4)})
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         assert mean_field_energy(gamma, spec) == pytest.approx(0.5, abs=1e-13)
 
@@ -180,7 +179,7 @@ class TestMeanFieldEnergy:
 class TestHartreeEvolve:
     def test_linear_case_matches_conjugation(self, rng):
         spec = random_spec(rng, 2, (1,), unit_norm=False)
-        v1 = spec.terms[1].matrix
+        v1 = spec.terms[1]
         gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         t = 1.4
         traj = hartree_evolve(gamma0, spec, [t], tol=1e-10)
@@ -192,7 +191,7 @@ class TestHartreeEvolve:
 
     def test_diagonal_problem_is_stationary(self):
         spec = HamiltonianSpec(
-            2, 2, {1: PotentialTerm(1, SZ), 2: PotentialTerm(2, np.kron(SZ, SZ))}
+            2, 2, {1: SZ, 2: np.kron(SZ, SZ)}
         )
         gamma0 = DensityMatrix(1, 2, np.diag([0.8, 0.2]).astype(complex))
         traj = hartree_evolve(gamma0, spec, [0.5, 2.0], tol=1e-10)
@@ -276,6 +275,19 @@ class TestHartreeEvolve:
         gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         with pytest.raises(ValueError):
             hartree_evolve(gamma0, spec, [1.0])
+
+    def test_loose_tolerance_failure_names_time_and_tolerance(self):
+        # at tol = 1e-6 the state at t = 5 has an eigenvalue of -1.07e-6, past
+        # TRAJECTORY_ATOL; the message must say where and at which tol
+        config = config_from_dict({**_workload("converge_sector", 7), "n_values": [4, 8],
+                                   "time_grid": [0, 5, 10, 20], "integrator_tol": 1e-6})
+        gamma0 = pure_state_density(config.initial_phi)
+        with pytest.raises(ValueError, match=r"^the mean-field integrator at tol=1e-06 left an "
+                           r"invalid state at t=5: not positive semidefinite \(min eigenvalue "
+                           r"-\S+\); a smaller tol may fix it$"):
+            hartree_evolve(gamma0, config.spec, config.time_grid, config.integrator_tol)
+        traj = hartree_evolve(gamma0, config.spec, config.time_grid, 1e-9)
+        assert len(traj.states) == 4
 
 
 class TestStepper:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bosonlab import (
-    PotentialTerm,
     SparseHermitian,
     build_hamiltonian,
     build_symmetric_operator,
@@ -71,15 +70,16 @@ def _chains(basis, k):
             yield i, j, basis.positions(occ_out), cols, np.sqrt(f_ann * f_cre)
 
 
-def _reference_assembly(basis, weighted_terms):
-    """Assembly from the reference chains, in the walk's (J, then I) order."""
+def _reference_assembly(basis, terms):
+    """Assembly of (order, V, prefactor) triples from the reference chains,
+    in the walk's (J, then I) order."""
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
-    for term, prefactor in weighted_terms:
-        multisets, index = multiset_map(basis.d, term.order)
+    for m, v, prefactor in terms:
+        multisets, index = multiset_map(basis.d, m)
         weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
-        np.add.at(weights, (index[:, None], index[None, :]), term.matrix)
-        weights *= float(prefactor) / math.factorial(term.order)
-        for i, j, rows, cols, factor in _chains(basis, term.order):
+        np.add.at(weights, (index[:, None], index[None, :]), v)
+        weights *= float(prefactor) / math.factorial(m)
+        for i, j, rows, cols, factor in _chains(basis, m):
             if weights[i, j] != 0 or weights[j, i] != 0:
                 parts.append((rows, cols, weights[i, j] * factor))
     rows, cols, values = (np.concatenate(p) for p in zip(*parts))
@@ -111,9 +111,9 @@ class TestLadderWalk:
 
     def test_assembly_scale_is_linear(self):
         basis = enumerate_basis(2, 4)
-        term = PotentialTerm(2, oracles.rand_herm(substream(3, "kern"), 4))
-        once = build_symmetric_operator(term, basis, 0.37)
-        twice = build_symmetric_operator(term, basis, 0.74)
+        v = oracles.rand_herm(substream(3, "kern"), 4)
+        once = build_symmetric_operator(v, 2, basis, 0.37)
+        twice = build_symmetric_operator(v, 2, basis, 0.74)
         np.testing.assert_array_equal(twice.rows, once.rows)
         np.testing.assert_array_equal(twice.cols, once.cols)
         np.testing.assert_allclose(twice.values, 2 * once.values, atol=1e-13)
@@ -176,8 +176,8 @@ class TestLadderWalk:
         spec = random_spec(substream(61, "walk-assembly", d), d, (1, 2, 3), unit_norm=False)
         basis = enumerate_basis(d, n)
         h = build_hamiltonian(spec, n, basis)
-        weighted = [(spec.terms[m], float(n) ** (1 - m)) for m in spec.present_orders]
-        reference = _reference_assembly(basis, weighted)
+        terms = [(m, spec.terms[m], float(n) ** (1 - m)) for m in spec.present_orders]
+        reference = _reference_assembly(basis, terms)
         for name in ("rows", "cols", "values"):
             got, expected = getattr(h, name), getattr(reference, name)
             assert got.dtype == expected.dtype

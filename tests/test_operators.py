@@ -4,7 +4,6 @@ import pytest
 from bosonlab import (
     BoundConstants,
     HamiltonianSpec,
-    PotentialTerm,
     bound_constants,
     operator_norm,
     permute_slots,
@@ -52,50 +51,68 @@ def test_slot_symmetrize_output_is_invariant_and_idempotent(rng):
 
 class TestValidatePotential:
     def test_zz_is_clean(self):
-        assert validate_potential(PotentialTerm(2, np.kron(SZ, SZ)), 2) == []
+        assert validate_potential(np.kron(SZ, SZ), 2, 2) == []
 
     def test_asymmetric_term_is_reported(self):
-        report = validate_potential(PotentialTerm(2, np.kron(SX, SZ)), 2)
+        report = validate_potential(np.kron(SX, SZ), 2, 2)
         assert any("not slot-permutation-symmetric" in line for line in report)
 
     def test_non_hermitian_is_reported(self):
-        report = validate_potential(PotentialTerm(1, np.array([[0, 1], [0, 0]])), 2)
+        report = validate_potential(np.array([[0, 1], [0, 0]]), 2, 1)
         assert any("not Hermitian" in line for line in report)
 
     def test_dimension_mismatch_is_reported(self):
-        report = validate_potential(PotentialTerm(2, np.eye(3)), 2)
+        report = validate_potential(np.eye(3), 2, 2)
         assert report and "dimension mismatch" in report[0]
 
     def test_non_finite_entries_are_reported(self):
         for bad in (np.nan, np.inf):
-            report = validate_potential(PotentialTerm(1, np.array([[bad, 0], [0, 0]])), 2)
+            report = validate_potential(np.array([[bad, 0], [0, 0]]), 2, 1)
             assert report == ["non-finite entries"]
+
+    def test_non_square_is_reported(self):
+        assert validate_potential(np.zeros((2, 3)), 2, 1) == ["not a square matrix (shape (2, 3))"]
+        assert validate_potential(np.zeros(4), 2, 1) == ["not a square matrix (shape (4,))"]
 
 
 class TestSpecConstruction:
     def test_order_below_one_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            PotentialTerm(0, np.eye(1))
+        with pytest.raises(ValueError, match=r"key 0 is not an order in \[1, max_order = 1\]"):
+            HamiltonianSpec(1, 1, {0: np.eye(1)})
+
+    @pytest.mark.parametrize("key", ["1", 1.0, True])
+    def test_key_must_be_an_int(self, key):
+        with pytest.raises(ValueError, match="is not an order"):
+            HamiltonianSpec(2, 1, {key: SZ})
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            PotentialTerm(1, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"order-1 potential invalid: not a square matrix"):
+            HamiltonianSpec(2, 1, {1: np.zeros((2, 3))})
 
     def test_key_order_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"terms\[2\]"):
-            HamiltonianSpec(2, 2, {2: PotentialTerm(1, SZ)})
+        with pytest.raises(ValueError, match="order-2 potential invalid: dimension mismatch"):
+            HamiltonianSpec(2, 2, {2: SZ})
+
+    def test_terms_are_read_only_complex_arrays(self):
+        source = np.kron(SZ, SZ).real.copy()
+        spec = HamiltonianSpec(2, 2, {1: [[0, 1], [1, 0]], 2: source})
+        for m, v in spec.terms.items():
+            assert v.dtype == np.complex128 and v.shape == (2**m, 2**m)
+            assert not v.flags.writeable
+        source[0, 0] = 5.0  # the spec holds its own copy
+        assert spec.terms[2][0, 0] == 1.0
 
     def test_invalid_term_message_names_the_order(self):
         with pytest.raises(ValueError, match="order-2 potential invalid"):
-            HamiltonianSpec(2, 2, {2: PotentialTerm(2, np.kron(SX, SZ))})
+            HamiltonianSpec(2, 2, {2: np.kron(SX, SZ)})
 
     def test_order_above_max_rejected(self):
         with pytest.raises(ValueError, match="max_order"):
-            HamiltonianSpec(2, 1, {2: PotentialTerm(2, np.kron(SZ, SZ))})
+            HamiltonianSpec(2, 1, {2: np.kron(SZ, SZ)})
 
     def test_present_and_interaction_orders(self):
         spec = HamiltonianSpec(
-            2, 3, {1: PotentialTerm(1, SX), 3: PotentialTerm(3, np.kron(SZ, np.kron(SZ, SZ)))}
+            2, 3, {1: SX, 3: np.kron(SZ, np.kron(SZ, SZ))}
         )
         assert spec.present_orders == (1, 3)
         assert spec.interaction_orders == (3,)
@@ -109,19 +126,19 @@ def _haar_unitary(rng, dim):
 
 class TestVtilde:
     def test_single_particle_only_gives_zero(self):
-        spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SZ)})
+        spec = HamiltonianSpec(2, 1, {1: SZ})
         assert vtilde(spec) == 0.0
 
     def test_zz_canonical_value(self):
         # basis-expansion oracle: four matrix-unit coefficients of magnitude 1
-        spec = HamiltonianSpec(2, 2, {2: PotentialTerm(2, np.kron(SZ, SZ))})
+        spec = HamiltonianSpec(2, 2, {2: np.kron(SZ, SZ)})
         assert vtilde(spec, "canonical") == pytest.approx(4.0, abs=1e-12)
 
     def test_canonical_matches_enumeration_oracle(self, rng):
         for d, orders in ((2, (1, 2)), (3, (2,)), (2, (2, 3))):
             spec = random_spec(rng, d, orders, unit_norm=False)
             expected = max(
-                oracles.coefficient_l1(spec.terms[m].matrix, d, m)
+                oracles.coefficient_l1(spec.terms[m], d, m)
                 for m in spec.interaction_orders
             )
             assert vtilde(spec, "canonical") == pytest.approx(expected, rel=1e-12)
@@ -130,7 +147,7 @@ class TestVtilde:
         # d^m ||V||_F = 4 * 2; per-slot u = exp(-i pi/8 sigma_y) turns sigma_z
         # into (sigma_z + sigma_x)/sqrt(2), whose entries sum to 2 sqrt(2) in magnitude
         zz = np.kron(SZ, SZ)
-        assert vtilde(HamiltonianSpec(2, 2, {2: PotentialTerm(2, zz)}), "ceiling") == 8.0
+        assert vtilde(HamiltonianSpec(2, 2, {2: zz}), "ceiling") == 8.0
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
         u = np.array([[c, -s], [s, c]])
         conjugation = np.kron(u, u.conj())
@@ -145,7 +162,7 @@ class TestVtilde:
             spec = random_spec(rng, d, orders, unit_norm=False)
             ceiling = vtilde(spec, "ceiling")
             for m in spec.interaction_orders:
-                mat = spec.terms[m].matrix
+                mat = spec.terms[m]
                 units = oracles.product_basis_l1(mat, d, [np.eye(d * d)] * m)
                 assert units == pytest.approx(oracles.coefficient_l1(mat, d, m), rel=1e-12)
                 for draw in range(40):
@@ -162,14 +179,14 @@ class TestVtilde:
             assert vtilde(spec, "ceiling") >= vtilde(spec, "canonical")
 
     def test_unknown_strategy_rejected(self):
-        spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SZ)})
+        spec = HamiltonianSpec(2, 1, {1: SZ})
         with pytest.raises(ValueError, match="strategy"):
             vtilde(spec, "exhaustive")
 
 
 class TestBoundConstants:
     def test_single_pair_term(self):
-        spec = HamiltonianSpec(2, 2, {2: PotentialTerm(2, np.kron(SZ, SZ))})
+        spec = HamiltonianSpec(2, 2, {2: np.kron(SZ, SZ)})
         consts = bound_constants(spec, 2.0)
         assert consts.sum_l1_v == pytest.approx(2.0)
         assert consts.sum_l2_v == pytest.approx(4.0)
@@ -177,14 +194,14 @@ class TestBoundConstants:
         assert consts.m_max == 2
 
     def test_no_interactions_all_zero(self):
-        spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SX)})
+        spec = HamiltonianSpec(2, 1, {1: SX})
         consts = bound_constants(spec, 0.0)
         assert consts.sum_l1_v == 0.0
         assert consts.sum_l2_v == 0.0
         assert consts.lambda_v == 0.0
 
     def test_negative_vtilde_rejected(self):
-        spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, SX)})
+        spec = HamiltonianSpec(2, 1, {1: SX})
         with pytest.raises(ValueError, match="non-negative"):
             bound_constants(spec, -1.0)
 
@@ -192,8 +209,8 @@ class TestBoundConstants:
         spec = random_spec(rng, 2, (1, 2, 3), unit_norm=False)
         vt = vtilde(spec)
         consts = bound_constants(spec, vt)
-        s1 = sum(m * operator_norm(spec.terms[m].matrix) for m in (2, 3))
-        s2 = sum(m * m * operator_norm(spec.terms[m].matrix) for m in (2, 3))
+        s1 = sum(m * operator_norm(spec.terms[m]) for m in (2, 3))
+        s2 = sum(m * m * operator_norm(spec.terms[m]) for m in (2, 3))
         assert consts.sum_l1_v == pytest.approx(s1, rel=1e-12)
         assert consts.sum_l2_v == pytest.approx(s2, rel=1e-12)
         assert consts.lambda_v == pytest.approx((16 * vt + s2) / s1, rel=1e-12)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -9,7 +10,6 @@ import pytest
 
 from bosonlab import (
     HamiltonianSpec,
-    PotentialTerm,
     SparseHermitian,
     SymmetricState,
     build_hamiltonian,
@@ -83,6 +83,20 @@ class TestEmbedProductState:
         expected = np.zeros(6)
         expected[0] = 1.0  # occupation (5, 0) comes first
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+
+    def test_one_mode_costs_nothing_that_grows_with_n(self):
+        # one state at every N: no pool of N bar places, no lgamma table of N + 1
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            state = embed_product_state([1.0], 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.1
+        assert peak < 2**20
+        assert state.basis.vectors.tolist() == [[10**12]]
+        assert state.amplitudes.tolist() == [1.0]
 
     def test_two_particle_amplitudes(self):
         alpha, beta = 0.6, 0.8j
@@ -179,46 +193,55 @@ class TestSymmetricState:
 class TestBuildSymmetricOperator:
     def test_identity_pair_term_counts_pairs(self):
         basis = enumerate_basis(2, 5)
-        op = build_symmetric_operator(PotentialTerm(2, np.eye(4)), basis, 1.0)
+        op = build_symmetric_operator(np.eye(4), 2, basis, 1.0)
         np.testing.assert_allclose(op, math.comb(5, 2) * np.eye(basis.size), atol=1e-12)
 
     def test_total_spin_z(self):
         basis = enumerate_basis(2, 2)
-        op = build_symmetric_operator(PotentialTerm(1, SZ), basis, 1.0)
+        op = build_symmetric_operator(SZ, 1, basis, 1.0)
         np.testing.assert_allclose(op, np.diag([2.0, 0.0, -2.0]), atol=1e-13)
 
     def test_matches_isometry_conjugated_brute_force(self, rng):
-        terms = [(2, 3, random_spec(rng, 2, (2,), unit_norm=False).terms[2])]
+        terms = [(2, 3, 2, random_spec(rng, 2, (2,), unit_norm=False).terms[2])]
         # Hermitian but not slot-symmetric: assembly sums each multiset orbit
         for d, n, m in ((2, 4, 2), (3, 3, 2), (2, 4, 3), (3, 3, 3)):
             v = oracles.rand_herm(rng, d**m)
             assert np.max(np.abs(v - slot_symmetrize(v, d, m))) > 0.1
-            terms.append((d, n, PotentialTerm(m, v)))
-        for d, n, term in terms:
+            terms.append((d, n, m, v))
+        for d, n, m, v in terms:
             basis = enumerate_basis(d, n)
-            op = build_symmetric_operator(term, basis, 1.0)
+            op = build_symmetric_operator(v, m, basis, 1.0)
             t = oracles.symmetric_isometry(basis)
             brute = np.zeros((d**n, d**n), dtype=complex)
-            for sites in itertools.combinations(range(n), term.order):
-                brute += oracles.embed_brute(term.matrix, sites, d, n)
+            for sites in itertools.combinations(range(n), m):
+                brute += oracles.embed_brute(v, sites, d, n)
             np.testing.assert_allclose(op, t.conj().T @ brute @ t, atol=1e-12)
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="interaction order must be >= 1"):
+            build_symmetric_operator(np.eye(1), 0, enumerate_basis(2, 3), 1.0)
 
     def test_order_exceeding_particle_number_rejected(self):
         basis = enumerate_basis(2, 2)
         with pytest.raises(ValueError, match="exceeds"):
-            build_symmetric_operator(PotentialTerm(3, np.eye(8)), basis, 1.0)
+            build_symmetric_operator(np.eye(8), 3, basis, 1.0)
 
     def test_dimension_mismatch_rejected(self):
         basis = enumerate_basis(3, 3)
         with pytest.raises(ValueError, match="match"):
-            build_symmetric_operator(PotentialTerm(2, np.eye(4)), basis, 1.0)
+            build_symmetric_operator(np.eye(4), 2, basis, 1.0)
+
+    def test_non_square_rejected(self):
+        basis = enumerate_basis(2, 3)
+        with pytest.raises(ValueError, match=r"shape \(4, 2\) does not match .* = \(4, 4\)"):
+            build_symmetric_operator(np.zeros((4, 2)), 2, basis, 1.0)
 
     def test_triple_byte_budget_refuses_before_assembly(self):
         basis = enumerate_basis(4, 60)  # 39711 states; order 4 gives C(7, 4)^2 = 1225 pairs
         nbytes = _BYTES_PER_ENTRY * basis.size * math.comb(7, 4) ** 2
         assert nbytes > MAX_TRIPLE_BYTES
         with pytest.raises(ValueError, match=f"bytes = {nbytes} > "):
-            build_symmetric_operator(PotentialTerm(4, np.eye(256)), basis, 1.0)
+            build_symmetric_operator(np.eye(256), 4, basis, 1.0)
 
 
     @pytest.mark.parametrize(
@@ -242,7 +265,7 @@ class TestBuildSymmetricOperator:
 class TestBuildHamiltonian:
     def test_single_particle_term_eigenvalues(self):
         # diagonal V1 -> diagonal H with occupation-weighted sums of eigenvalues
-        spec = HamiltonianSpec(2, 1, {1: PotentialTerm(1, np.diag([1.5, -0.5]))})
+        spec = HamiltonianSpec(2, 1, {1: np.diag([1.5, -0.5])})
         h = build_hamiltonian(spec, 3)
         basis = enumerate_basis(2, 3)
         expected = [1.5 * occ[0] - 0.5 * occ[1] for occ in basis.vectors]
@@ -250,7 +273,7 @@ class TestBuildHamiltonian:
 
     def test_identity_interaction_shifts_by_half_n_minus_one(self):
         spec = HamiltonianSpec(
-            2, 2, {2: PotentialTerm(2, np.eye(4))}
+            2, 2, {2: np.eye(4)}
         )
         for n in (2, 3, 6):
             h = build_hamiltonian(spec, n)
