@@ -64,9 +64,10 @@ def evolve_exact(hamiltonian, state, times):
 
     ``hamiltonian`` is a :class:`SparseHermitian` on the state's basis.  One
     Chebyshev recurrence in H~ = (H - c)/R, [c - R, c + R] the Gershgorin
-    interval of H, serves every time; its K terms are fixed by R t_max before
-    any matvec, and a call with K > MAX_CHEBYSHEV_TERMS, or whose table of
-    coefficients would pass MAX_COEFFICIENT_BYTES, is refused.
+    interval of H, serves every time; c comes off every row's slot 0, the
+    diagonal, stored even where it is 0.  The K terms are fixed by R t_max
+    before any matvec, and a call with K > MAX_CHEBYSHEV_TERMS, or whose
+    table of coefficients would pass MAX_COEFFICIENT_BYTES, is refused.
     """
     h, basis = hamiltonian, state.basis
     if h.shape != (basis.size, basis.size):
@@ -78,9 +79,11 @@ def evolve_exact(hamiltonian, state, times):
                    f"{reach:.3g} (R the spectral half-width), in Chebyshev terms", None)
     refuse(lambda n: 16 * n * (terms + 1), grid.size, MAX_COEFFICIENT_BYTES,
            f"coefficients of {terms + 1} terms, 16 * times * (terms + 1) bytes", "number of times")
-    # 2 H~, scaled once, so that each further vector takes one matvec and one subtraction
-    values = (h.values - center * (h.rows == h.cols)) * (2 / radius)
-    twice = SparseHermitian(h.size, h.rows, h.cols, values)
+    # 2 H~, so that each further vector takes one matvec and one subtraction;
+    # shifted before it is scaled, or H = c (R tiny) would give inf - inf
+    values = h.values.copy()
+    values[:, 0] -= center
+    twice = SparseHermitian(h.cols, values * (2 / radius))
     coeffs = _chebyshev_coefficients(radius * grid, terms)
     acc = np.zeros((grid.size, basis.size), dtype=np.complex128)
     block = np.empty((_BLOCK, basis.size), dtype=np.complex128)
@@ -98,12 +101,10 @@ def evolve_exact(hamiltonian, state, times):
 
 
 def _enclosure(h):
-    """Center c and half-width R of the Gershgorin interval [lo, hi] of H; R
-    is floored at the smallest normal float, so H = c needs no case of its own."""
-    on_diag = h.rows == h.cols
-    diag = np.zeros(h.size)
-    diag[h.rows[on_diag]] = h.values[on_diag].real
-    radii = np.bincount(h.cols[~on_diag], np.abs(h.values[~on_diag]), h.size)
+    """Center c and half-width R of the Gershgorin interval [lo, hi] of H, from
+    each row's diagonal (slot 0) and the magnitudes of its other slots; R is
+    floored at the smallest normal float, so H = c needs no case of its own."""
+    diag, radii = h.values[:, 0].real, np.abs(h.values[:, 1:]).sum(axis=1)
     lo, hi = np.min(diag - radii), np.max(diag + radii)
     return (hi + lo) / 2, max((hi - lo) / 2, np.finfo(float).tiny)  # max keeps a NaN
 

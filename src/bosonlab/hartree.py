@@ -88,11 +88,6 @@ class DensityMatrix:
     def purity(self):
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def is_pure(self, atol=DENSITY_ATOL):
-        """Rank one within atol: all but the leading eigenvalue below atol."""
-        w = self.eigenvalues
-        return bool(np.all(np.abs(w[:-1]) <= atol) and abs(w[-1] - 1.0) <= max(atol, self.atol))
-
 
 def pure_state_density(phi, atol=DENSITY_ATOL):
     """|phi><phi| as an order-1 density matrix; phi must be normalized."""

@@ -13,8 +13,9 @@ index multisets I, J, and the sum runs over multiset pairs with the
 orbit-summed weight sum_{i_vec in I, j_vec in J} <i_vec|V|j_vec>: exact for
 any V, slot-symmetric or not.  One ladder walk (:func:`ladder_walk`) applies
 the chains a+_I a_J to every occupation vector at once, one J and all I per
-step; assembly streams it into sparse (row, col, value) triples.  The walk
-depends only on the basis and k, so the basis compiles it once per order
+step; assembly streams it into triples that :class:`SparseHermitian` sums
+into fixed-width rows, the diagonal first.  The walk depends only on the
+basis and k, so the basis compiles it once per order
 (:meth:`OccupationBasis.walk`) and every k-RDM of that N contracts its state
 against it, evaluating each multiset pair once and scattering it to all
 index tuples of the orbit: ``configs/corr.json`` compiles 3 order-2 walks
@@ -32,9 +33,9 @@ import numpy as np
 from ._limits import MAX_BASIS_SIZE, MAX_TRIPLE_BYTES, MAX_WALK_BYTES, refuse
 from .hartree import DensityMatrix
 
-# Triples take 32 bytes an entry and live on while from_triples sorts and reduces
-# them: build_hamiltonian peaks at 70 to 100 bytes an entry (tracemalloc, d = 2
-# to 12; more where fewer entries share a (row, col)), and 128 are charged.
+# Triples (32 bytes each) live on while from_triples sorts, reduces and lays them
+# out in (D, w) rows of 24 bytes a slot: build_hamiltonian peaks at 76 bytes an
+# operator_entries entry or less (tracemalloc, d = 2 to 8, orders up to 3); 128 charged.
 _BYTES_PER_ENTRY = 4 * 32
 
 
@@ -45,8 +46,9 @@ def sector_size(d, n_particles):
 
 def operator_entries(d, n_particles, orders):
     """At most D * sum_m C(d+m-1, m)^2 entries in an operator with terms of
-    these orders: each chain a+_I a_J maps a state to at most one."""
-    return sector_size(d, n_particles) * sum(math.comb(d + m - 1, m) ** 2 for m in orders)
+    these orders: each chain a+_I a_J maps a state to at most one.  At least
+    D, as every diagonal is stored, even without terms."""
+    return sector_size(d, n_particles) * max(1, sum(math.comb(d + m - 1, m) ** 2 for m in orders))
 
 
 def walk_bytes(d, n_particles, k):
@@ -84,12 +86,6 @@ class OccupationBasis:
         if k not in self._walks:
             self._walks[k] = _compile_walk(self, k)
         return self._walks[k]
-
-    def index_of(self, occupation):
-        occ = np.asarray(occupation, dtype=np.int64)
-        if occ.shape != (self.d,) or occ.min() < 0 or occ.sum() != self.n_particles:
-            raise KeyError(f"{occupation!r} is not an occupation of this sector")
-        return int(self.positions(occ))
 
 
 def _key_powers(d, n_particles):
@@ -147,6 +143,7 @@ def embed_product_state(phi, n_particles):
     magnitude is taken in log space, 0.5 (lgamma(N+1) - sum lgamma(n_i+1)) +
     sum n_i log|phi_i|, and the phase prod (phi_i/|phi_i|)^{n_i} apart, so no
     multinomial overflows at large N; a zero phi_i with n_i > 0 gives 0.
+    The magnitudes are renormalized once: their rounding passes 1e-10 at large N.
     """
     v = np.asarray(phi, dtype=np.complex128).reshape(-1)
     dev = abs(np.linalg.norm(v) - 1.0)
@@ -163,26 +160,28 @@ def embed_product_state(phi, n_particles):
                      - log_factorial[at.reshape(occ.shape)].sum(axis=1))
     log_amp += occ[:, nonzero] @ np.log(magnitude[nonzero])
     log_amp[occ[:, ~nonzero].any(axis=1)] = -np.inf
-    return SymmetricState(basis, np.exp(log_amp) * np.exp(1j * (occ @ np.angle(v))))
+    magnitude = np.exp(log_amp)
+    magnitude /= np.linalg.norm(magnitude)
+    return SymmetricState(basis, magnitude * np.exp(1j * (occ @ np.angle(v))))
 
 
 @dataclass(frozen=True, eq=False)
 class SparseHermitian:
-    """Hermitian D x D matrix as unique (row, col, value) triples sorted by
-    (row, col).  ``np.asarray`` gives the dense matrix, for checks at small D."""
+    """Hermitian D x D matrix as fixed-width rows: ``cols`` and ``values`` are
+    (D, w) arrays whose slot 0 holds each row's diagonal, stored even when 0;
+    a row narrower than w is padded with (its own index, 0).  ``np.asarray``
+    gives the dense matrix, for checks at small D."""
 
-    size: int
-    rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.rows * self.size + self.cols) <= 0):
-            raise ValueError("triples must be unique and sorted by (row, col)")
-        for a in (self.rows, self.cols, self.values):
+        if self.cols.ndim != 2 or self.cols.shape != self.values.shape or not self.cols.shape[1]:
+            raise ValueError("cols and values must be (D, w) arrays of one shape, w >= 1")
+        if not np.array_equal(self.cols[:, 0], np.arange(len(self.cols))):
+            raise ValueError("slot 0 of each row must be its diagonal")
+        for a in (self.cols, self.values):
             a.setflags(write=False)
-        # first entry of each non-empty row, for the row sums of matvec
-        object.__setattr__(self, "_row_starts", np.flatnonzero(np.diff(self.rows, prepend=-1)))
 
     @classmethod
     def from_triples(cls, size, rows, cols, values):
@@ -202,25 +201,31 @@ class SparseHermitian:
             raise ValueError("triples must be structurally symmetric")
         del keys
         # (a + conj b)/2 and (b + conj a)/2 are exact conjugates
-        return cls(size, rows, cols, (values + values[partner].conj()) / 2)
+        values = (values + values[partner].conj()) / 2
+        # the diagonal to slot 0, each row's other entries to slots 1, 2, .. in column order
+        off = rows != cols
+        counts = np.bincount(rows[off], minlength=size)
+        slots = np.where(off, np.cumsum(off) - (np.cumsum(counts) - counts)[rows], 0)
+        out_cols = np.repeat(np.arange(size), 1 + counts.max(initial=0)).reshape(size, -1)
+        out_values = np.zeros(out_cols.shape, dtype=np.complex128)
+        out_cols[rows, slots], out_values[rows, slots] = cols, values
+        return cls(out_cols, out_values)
 
     @property
     def shape(self):
-        return (self.size, self.size)
+        return (len(self.cols),) * 2
 
     @property
     def nnz(self):
-        return self.values.size
+        """Stored entries: every diagonal and the off-diagonal entries, not the padding."""
+        return len(self.cols) + int(np.count_nonzero(self.cols[:, 1:] != self.cols[:, :1]))
 
     def matvec(self, x):
-        out = np.zeros(self.size, dtype=np.complex128)
-        starts = self._row_starts
-        out[self.rows[starts]] = np.add.reduceat(self.values * x[self.cols], starts)
-        return out
+        return np.einsum("ij,ij->i", self.values, x[self.cols])
 
     def __array__(self, dtype=None, copy=None):
         out = np.zeros(self.shape, dtype=np.complex128)
-        out[self.rows, self.cols] = self.values
+        np.add.at(out, (np.arange(len(out))[:, None], self.cols), self.values)  # padding adds 0
         return out if dtype is None else out.astype(dtype)
 
 
@@ -367,6 +372,4 @@ def rdm_derivative(state, hamiltonian, k):
     """d/dt of rdm(state, k) under exp(-iHt): -i (X - X^dagger), X the walk
     with ket H psi; exact, for one matvec.  Traceless and Hermitian."""
     x = _walk_rdm(state, k, hamiltonian.matvec(state.amplitudes))
-    x -= x.conj().T
-    x *= -1j
-    return x
+    return -1j * (x - x.conj().T)

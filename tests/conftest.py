@@ -30,6 +30,18 @@ def random_spec(rng, d, orders, unit_norm=True):
     return HamiltonianSpec(d, max(orders), terms)
 
 
+def structured_spec(rng, d, orders):
+    """Seeded valid spec with structurally zero diagonals (oracles.structured_terms)."""
+    return HamiltonianSpec(d, max(orders), oracles.structured_terms(rng, d, orders))
+
+
+# spec families for the operator and propagation oracle comparisons
+SPEC_FAMILIES = {
+    "random": lambda rng, d, orders: random_spec(rng, d, orders, unit_norm=False),
+    "structured": structured_spec,
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)

@@ -23,6 +23,26 @@ def rand_unit_herm(rng, dim):
     return h / np.linalg.norm(h, 2)
 
 
+def structured_terms(rng, d, orders):
+    """Seeded Hermitian, slot-symmetric terms {m: V^(m)} whose blocks between
+    index tuples of one multiset of modes vanish, but for a projector:
+    V^(m) = W + c_m |a..a><a..a|, one mode a for all orders, W random and
+    zero wherever row and column hold the same modes.  The H they make has a
+    structurally zero diagonal on every state with mode a empty, which random
+    terms never leave; at d = 1 only the projector is left."""
+    terms, a = {}, int(rng.integers(d))
+    for m in orders:
+        tuples = list(itertools.product(range(d), repeat=m))
+        same = np.array([[sorted(p) == sorted(q) for q in tuples] for p in tuples])
+        w = np.where(same, 0, rand_herm(rng, d**m))
+        perms = list(itertools.permutations(range(m)))
+        w = sum(p @ w @ p.T for p in (permutation_operator(d, m, q) for q in perms)) / len(perms)
+        corner = _ravel((a,) * m, d)
+        w[corner, corner] += rng.standard_normal()
+        terms[m] = w
+    return terms
+
+
 def rand_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T + 1e-6 * np.eye(dim)

@@ -19,6 +19,7 @@ from bosonlab import (
     embed_product_state,
     enumerate_basis,
     evolve_exact,
+    hartree_evolve,
     pure_state_density,
     rdm,
     telescoping_residual,
@@ -27,7 +28,7 @@ from bosonlab import exact_dynamics, experiments
 from bosonlab.exact_dynamics import MAX_CHEBYSHEV_TERMS
 from bosonlab.experiments import config_from_dict, run_convergence
 
-from .conftest import SX, SZ, random_spec, substream
+from .conftest import SPEC_FAMILIES, SX, SZ, random_spec, substream
 from . import oracles
 from .oracles import FullSpaceState, fullspace_evolve
 
@@ -70,10 +71,11 @@ class TestEvolveExact:
             rdm(out, 1).matrix, rdm(state, 1).matrix, atol=1e-13
         )
 
-    def test_matches_fullspace_oracle(self):
-        rng = substream(23, "evolve")
+    @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+    def test_matches_fullspace_oracle(self, family):
+        rng = substream(23, "evolve" if family == "random" else f"evolve:{family}")
         d, n, t = 2, 3, 0.7
-        spec = random_spec(rng, d, (1, 2), unit_norm=False)
+        spec = SPEC_FAMILIES[family](rng, d, (1, 2))
         state0 = embed_product_state(_unit_phi(rng, d), n)
         out = evolve_exact(build_hamiltonian(spec, n), state0, [t])[0]
 
@@ -133,9 +135,10 @@ class TestPropagation:
     TIMES = [20.0, 0.3, 0.0, 7.5, 0.3, 20.0, 1e-6]  # unsorted, repeated, t = 0
 
     @pytest.mark.parametrize("d,n,orders", [(2, 12, (1, 2)), (3, 8, (1, 2, 3)), (4, 5, (1, 2))])
-    def test_matches_dense_eigh_reference(self, d, n, orders):
-        rng = substream(61, "taylor", d)
-        spec = random_spec(rng, d, orders, unit_norm=False)
+    @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+    def test_matches_dense_eigh_reference(self, family, d, n, orders):
+        rng = substream(61, "taylor" if family == "random" else f"taylor:{family}", d)
+        spec = SPEC_FAMILIES[family](rng, d, orders)
         h = build_hamiltonian(spec, n)
         state0 = embed_product_state(_unit_phi(rng, d), n)
         out = evolve_exact(h, state0, self.TIMES)
@@ -207,10 +210,9 @@ class TestPropagation:
         rng = substream(61, "offset", 2)
         spec = random_spec(rng, 2, (1, 2), unit_norm=False)
         h = build_hamiltonian(spec, 10)
-        diag = np.arange(h.size)
-        shifted = SparseHermitian.from_triples(
-            h.size, np.r_[h.rows, diag], np.r_[h.cols, diag], np.r_[h.values, np.full(h.size, 1e4)]
-        )
+        values = h.values.copy()
+        values[:, 0] += 1e4  # slot 0 is the diagonal
+        shifted = SparseHermitian(h.cols, values)
         assert exact_dynamics._enclosure(shifted)[1] == pytest.approx(
             exact_dynamics._enclosure(h)[1], rel=1e-9
         )
@@ -252,6 +254,67 @@ class TestPropagation:
         run_convergence(config)
         assert len(matvecs) == len(config.n_values)
         assert matvecs == expected
+
+
+def _projector_spec():
+    # {1: sigma_x, 2: |00><00|}: the diagonal of H is structurally zero on
+    # every state with fewer than two bosons in mode 0
+    p00 = np.zeros((4, 4), dtype=complex)
+    p00[0, 0] = 1.0
+    return HamiltonianSpec(2, 2, {1: SX, 2: p00})
+
+
+def _projector_hamiltonian(basis):
+    """H of _projector_spec on |n0, n1> by hand: n0 (n0 - 1) / 2N on the
+    diagonal, sqrt((n0 + 1) n1) between |n0, n1> and |n0 + 1, n1 - 1>."""
+    n = basis.n_particles
+    h = np.zeros((basis.size, basis.size), dtype=complex)
+    for i, (n0, n1) in enumerate(basis.vectors.tolist()):
+        h[i, i] = n0 * (n0 - 1) / (2 * n)
+        for j, (m0, _) in enumerate(basis.vectors.tolist()):
+            if m0 == n0 + 1:
+                h[i, j] = h[j, i] = math.sqrt((n0 + 1) * n1)
+    return h
+
+
+class TestStructurallyZeroDiagonal:
+    """The spectral shift reaches every row, stored diagonal or not."""
+
+    def test_evolve_exact_matches_expm(self):
+        state = embed_product_state(np.array([0.6, 0.8]), 6)
+        h = build_hamiltonian(_projector_spec(), 6)
+        dense = _projector_hamiltonian(state.basis)
+        times = [0.5, 1.0, 3.0]
+        for t, out in zip(times, evolve_exact(h, state, times)):
+            expected = oracles.expm_taylor(-1j * t * dense) @ state.amplitudes
+            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+    def test_convergence_rows_match_the_dense_oracle(self):
+        spec = _projector_spec()
+        pairs = {str(m): [[[x.real, x.imag] for x in row] for row in v] for m, v in spec.terms.items()}
+        config = config_from_dict({
+            "scenario": "converge",
+            "spec": {"d": 2, "max_order": 2, "terms": pairs},
+            "n_values": [4, 8, 16],
+            "time_grid": [0.0, 0.5, 1.0],
+            "initial_phi": [[0.6, 0.0], [0.8, 0.0]],
+        })
+        hartree = hartree_evolve(pure_state_density(config.initial_phi), spec,
+                                 config.time_grid, config.integrator_tol)
+        rows = [r for r in run_convergence(config) if r["kind"] == "point"]
+        assert len(rows) == 9
+        for row in rows:
+            basis = enumerate_basis(2, row["N"])
+            n0, n1 = basis.vectors.T
+            psi0 = np.sqrt([math.comb(row["N"], k) for k in n0.tolist()]) * 0.6**n0 * 0.8**n1
+            psi = oracles.expm_taylor(-1j * row["t"] * _projector_hamiltonian(basis)) @ psi0
+            # gamma_ab = <a+_b a_a> / N; a+_1 a_0 moves a boson from mode 0 to 1
+            hop = np.vdot(psi[1:], np.sqrt(n0[:-1] * (n1[:-1] + 1)) * psi[:-1])
+            gamma = np.array([[np.vdot(psi, n0 * psi), hop],
+                              [np.conj(hop), np.vdot(psi, n1 * psi)]]) / row["N"]
+            mean_field = hartree.states[config.time_grid.index(row["t"])].matrix
+            expected = np.linalg.svd(gamma - mean_field, compute_uv=False).sum()
+            assert abs(row["trace_distance"] - expected) <= 1e-10
 
 
 class TestFullSpace:

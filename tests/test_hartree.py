@@ -37,12 +37,12 @@ class TestDensityMatrix:
     def test_valid_mixed_state(self, rng):
         gamma = DensityMatrix(1, 3, oracles.rand_density(rng, 3))
         assert gamma.order == 1
-        assert not gamma.is_pure()
+        assert gamma.eigenvalues[-2] > 1e-3  # rank above one: mixed
 
     def test_purity_of_pure_state(self):
         gamma = pure_state_density(np.array([0.6, 0.8]))
         assert gamma.purity() == pytest.approx(1.0, abs=1e-12)
-        assert gamma.is_pure()
+        np.testing.assert_allclose(gamma.eigenvalues, [0.0, 1.0], atol=1e-12)
 
     def test_eigenvalues_sorted_and_trace_one(self, rng):
         gamma = DensityMatrix(1, 4, oracles.rand_density(rng, 4))

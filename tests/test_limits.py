@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonlab import _limits, build_hamiltonian, exact_dynamics
+from bosonlab import HamiltonianSpec, _limits, build_hamiltonian, exact_dynamics
 from bosonlab._limits import MAX_KERNEL_WORK, refuse
 from bosonlab.exact_dynamics import _chebyshev_terms, _enclosure, _radius_ceiling, propagation_work
 from bosonlab.experiments import SCENARIOS, config_from_dict
@@ -88,6 +88,12 @@ def test_propagation_price_bounds_the_hamiltonian(d, orders, n, t, seed):
     assert entries >= h.nnz
     assert propagation_work(spec, n, t) / entries >= _chebyshev_terms(radius * t)
     assert propagation_work(spec, n, t) >= h.nnz * _chebyshev_terms(radius * t)
+
+
+def test_entries_bound_an_operator_without_terms():
+    # the layout stores every diagonal, even of H = 0
+    h = build_hamiltonian(HamiltonianSpec(2, 1, {}), 5)
+    assert operator_entries(2, 5, ()) >= h.nnz == 6
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-12, 0.3, 1.0, 7.0, 19.9, 20.0, 54.0, 1e3, 123456.7])

@@ -28,7 +28,7 @@ from bosonlab.symmetric_space import (
     rdm_derivative,
 )
 
-from .conftest import SZ, random_spec, substream
+from .conftest import SPEC_FAMILIES, SZ, random_spec, substream
 from . import oracles
 
 
@@ -62,15 +62,10 @@ class TestEnumerateBasis:
         assert vectors.dtype == np.int64 and vectors.flags.c_contiguous
         assert vectors.tolist() == [list(v) for v in want]
 
-    def test_index_of_roundtrip(self):
+    def test_positions_roundtrip(self):
         basis = enumerate_basis(3, 4)
         for i, occ in enumerate(basis.vectors):
-            assert basis.index_of(occ) == i
-
-    def test_index_of_rejects_wrong_total(self):
-        basis = enumerate_basis(2, 3)
-        with pytest.raises(KeyError):
-            basis.index_of((2, 2))
+            assert basis.positions(occ) == i
 
     def test_oversized_sector_rejected(self):
         with pytest.raises(ValueError, match="refusing to enumerate"):
@@ -153,8 +148,14 @@ class TestEmbedProductState:
                     * Decimal(math.sin(theta)) ** (n - n1)
                 )
                 expected = float(magnitude) * np.exp(1j * alpha * (n - n1))
-                got = state.amplitudes[state.basis.index_of((n1, n - n1))]
+                got = state.amplitudes[state.basis.positions(np.asarray((n1, n - n1)))]
                 assert abs(got - expected) <= 1e-10 * abs(expected)
+
+    def test_norm_holds_where_the_log_amplitudes_drift(self):
+        # unnormalized, the rounding of the log-amplitudes passes the 1e-10
+        # norm check from N of about 257,000 at d = 2 (1.333e-10 here)
+        state = embed_product_state(np.array([0.6, 0.8]), 260_000)
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-13
 
     def test_zero_component_gives_zero_amplitudes_without_warnings(self):
         with warnings.catch_warnings():
@@ -294,25 +295,34 @@ class TestBuildHamiltonian:
         h = np.asarray(build_hamiltonian(spec, 4))
         np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
-    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3)])
-    def test_sparse_matches_projected_brute_force(self, d, n):
-        rng = substream(43, "sparse-ham", d)
-        spec = random_spec(rng, d, (1, 2, 3), unit_norm=False)
+    @pytest.mark.parametrize("orders", [(1,), (2,), (3,), (1, 2, 3)])
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 5), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+    def test_sparse_matches_projected_brute_force(self, family, d, n, orders):
+        rng = substream(43, f"sparse-ham:{family}:{orders}", d)
+        spec = SPEC_FAMILIES[family](rng, d, orders)
         basis = enumerate_basis(d, n)
         h = build_hamiltonian(spec, n, basis)
         t = oracles.symmetric_isometry(basis)
         expected = t.conj().T @ oracles.hamiltonian_brute(spec, n) @ t
         assert h.shape == (basis.size, basis.size)
+        # the structured family leaves diagonals structurally zero from d = 2
+        assert (family == "structured" and d > 1) == (expected.diagonal() == 0).any()
         assert np.max(np.abs(np.asarray(h) - expected)) <= 1e-12
 
-        keys = h.rows * basis.size + h.cols
-        assert h.nnz == keys.size and np.all(np.diff(keys) > 0)  # unique, sorted
+        # slot 0 holds the diagonal; a later slot holding the row's own index is padding
+        stored = np.c_[np.ones(basis.size, bool), h.cols[:, 1:] != h.cols[:, :1]]
+        keys = (np.arange(basis.size)[:, None] * basis.size + h.cols)[stored]
+        assert h.nnz == keys.size == np.unique(keys).size  # each (row, col) stored once
+        assert not h.values[~stored].any()
         x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         np.testing.assert_allclose(h.matvec(x), expected @ x, rtol=0, atol=1e-12)
 
-    def test_unsorted_triples_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            SparseHermitian(2, np.array([1, 0]), np.array([0, 1]), np.array([1.0, 1.0]))
+    def test_misplaced_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="slot 0"):
+            SparseHermitian(np.array([[1, 0], [0, 1]]), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="one shape"):
+            SparseHermitian(np.array([[0, 1], [1, 0]]), np.ones((2, 1)))
 
 
 class TestFromTriples:
@@ -359,7 +369,7 @@ class TestRdm:
     def test_dicke_state_single_particle(self):
         basis = enumerate_basis(3, 4)
         amps = np.zeros(basis.size)
-        amps[basis.index_of((4, 0, 0))] = 1.0
+        amps[basis.positions(np.asarray((4, 0, 0)))] = 1.0
         state = SymmetricState(basis, amps)
         np.testing.assert_allclose(
             rdm(state, 1).matrix, np.diag([1.0, 0.0, 0.0]), atol=1e-14
