@@ -13,7 +13,6 @@ from .bounds import (
     commutator_growth_bound,
     correlation_gap_bound,
     mean_field_error_bound,
-    telescoping_residual,
     trace_distance,
 )
 from .exact_dynamics import (
@@ -105,7 +104,6 @@ __all__ = [
     "run_corr",
     "run_lr",
     "slot_symmetrize",
-    "telescoping_residual",
     "trace_distance",
     "validate_potential",
     "vtilde",

@@ -29,7 +29,6 @@ from .bounds import (
     correlation_gap_bound,
     mean_field_error_bound,
     trace_distance,
-    telescoping_residual,
 )
 from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
 from .exact_dynamics import _dense_peak_bytes, block_work, propagation_work
@@ -208,7 +207,6 @@ class ExperimentConfig:
     obs_n: int = _key(_integer(1), 1)
     n_samples: int = _key(_integer(1), 16)
     k_values: tuple = _key(_int_list, [1])
-    telescope_orders: tuple = _key(_int_list, [1, 2])
     config_hash: str
 
 
@@ -266,29 +264,29 @@ def _price_run(values):
     if scenario == "bounds":  # closed forms only
         return
     d, m, n, samples = spec.d, values["obs_m"], values["obs_n"], values["n_samples"]
-    # (what sets k, k, the N that k may not pass) for each dense order k; telescope
-    # orders past N are skipped by run_bbgky, so only the largest N caps them
-    orders = [("obs_m + obs_n", m + n, ns[0])] if scenario in ("lr", "corr") else []
+    max_present = max(spec.present_orders, default=1)
+    # (what sets k, k) for each dense order k; no k may pass the smallest N
+    orders = [("obs_m + obs_n", m + n)] if scenario in ("lr", "corr") else []
     walks = {1} if scenario == "converge" else {m + n}  # the RDM orders contracted
     if scenario == "bbgky":
-        extra = max(spec.present_orders, default=1) - 1
-        telescope = min(max(values["telescope_orders"]) + 1, ns[-1])
-        orders = [(f"max(k_values) + {extra}", max(values["k_values"]) + extra, ns[0]),
-                  ("max(telescope_orders) + 1", telescope, ns[-1])]
-        walks = {max(k for _, k, _ in orders), max(values["k_values"])}
-    for path, order, max_n in orders:
+        k_max = max(values["k_values"])
+        orders = [(f"max(k_values) + {max_present - 1}", k_max + max_present - 1)]
+        walks = {k_max + max_present - 1, k_max}
+    for path, order in orders:
         # rdm, rdm_derivative, the RDM functionals and run_bbgky peak at 2.0 to 7.0
         # of the 8 matrices counted (README); past an exponent of 64 every d >= 2 refuses
         refuse(lambda k: _dense_peak_bytes(d ** min(k, 64)), order, MAX_DENSE_BYTES,
                f"{path}: dense d^k x d^k matrices at this order k, 8 * 16 * d^(2k) bytes",
                f"order for d={d}")
-        if order > max_n:
-            raise ConfigError(f"{path}: order {order} exceeds N = {max_n} in n_values")
+        if order > ns[0]:
+            raise ConfigError(f"{path}: order {order} exceeds N = {ns[0]} in n_values")
+    if max_present > ns[0]:  # an M-body term acts on M particles; bbgky's order above is >= M
+        raise ConfigError(f"spec.terms: order {max_present} exceeds N = {ns[0]} in n_values")
     if scenario in ("lr", "corr"):
         refuse(lambda s: 16 * s * (d ** (2 * m) + d ** (2 * n)), samples, MAX_DENSE_BYTES,
                f"n_samples: {samples} observable pairs' 16 * n_samples * (d^(2 obs_m) + "
                f"d^(2 obs_n)) bytes", f"n_samples for d={d}, obs_m={m} and obs_n={n}")
-    if scenario in ("converge", "bbgky"):
+    if scenario == "converge":
         _guard_steps(spec, t[-1])
     if scenario == "lr":
         cost = lambda x: block_work(d, x, m + n, len(t), samples)
@@ -465,39 +463,29 @@ def run_corr(config):
 
 
 def run_bbgky(config):
-    """Hierarchy RHS residuals against the exact RDM derivative, and telescoping rows.
+    """Hierarchy RHS residuals against the exact RDM derivative.
 
-    One grid time at a time: one rdm at the highest order its rows read, the
+    One grid time at a time: one rdm at order max(k_values) + M - 1, the
     lower orders being its marginals, freed before one rdm_derivative at
     max(k_values), whose partial traces give the lower k."""
     spec = config.spec
     d = spec.d
     max_present = max(spec.present_orders, default=1)
     k_max = max(config.k_values)
-    gamma0 = pure_state_density(config.initial_phi)
-    traj = hartree_evolve(gamma0, spec, config.time_grid, config.integrator_tol)
     rows = []
     for n_particles, hamiltonian, states in _exact_trajectories(config, config.time_grid):
-        telescope = [m for m in config.telescope_orders if m + 1 <= n_particles]
-        top = max([m + 1 for m in telescope] + [k_max + max_present - 1])
         at_n = []
-        for i, (t, state) in enumerate(zip(config.time_grid, states)):
-            gamma = rdm(state, top)
-            for m in telescope:
-                value = telescoping_residual(gamma, traj.states[i], m)
-                at_n.append({"kind": "telescope", "N": n_particles, "m": m, "t": t, "value": value})
-            rhs = [
-                bbgky_rhs(spec, n_particles, k, gamma.marginal(k + max_present - 1))
-                for k in config.k_values
-            ]
+        for t, state in zip(config.time_grid, states):
+            gamma = rdm(state, k_max + max_present - 1)
+            rhs = [bbgky_rhs(spec, n_particles, k, gamma.marginal(k + max_present - 1))
+                   for k in config.k_values]
             del gamma  # the derivative is formed beside rhs only
             exact = rdm_derivative(state, hamiltonian, k_max)
             for k, r in zip(config.k_values, rhs):
                 value = float(np.max(np.abs(partial_trace_last(exact, d, k_max, k_max - k) - r)))
                 at_n.append({"kind": "residual", "N": n_particles, "k": k, "t": t, "value": value})
             del rhs, exact  # no RDM outlives its grid time
-        # residual rows by k then t, then telescope rows by m then t
-        at_n.sort(key=lambda row: (row["kind"] == "telescope", row.get("k", row.get("m"))))
+        at_n.sort(key=lambda row: row["k"])  # by k then t
         rows += at_n
         del states, state  # this N's basis and its compiled walks go before the next N is built
     return rows
@@ -647,8 +635,8 @@ SCENARIOS = {
     ),
     "bbgky": Scenario(
         run_bbgky,
-        "hierarchy RHS against the exact RDM derivative, and telescoping rows",
-        ("kind", "N", "k", "m", "t", "value"),
+        "hierarchy RHS against the exact RDM derivative",
+        ("kind", "N", "k", "t", "value"),
         Curves("residual", ("N", "k"), "t", (("residual_vs_t", "value", _first),)),
     ),
     "bounds": Scenario(

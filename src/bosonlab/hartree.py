@@ -41,7 +41,7 @@ class DensityMatrix:
 
     ``atol`` is the construction tolerance for the three invariants
     (Hermiticity, unit trace, positivity); order 0 is the scalar 1 in a 1x1
-    matrix, used as the anchor of telescoping identities.
+    matrix, what ``marginal(0)`` traces every slot down to.
     """
 
     order: int

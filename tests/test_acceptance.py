@@ -35,7 +35,6 @@ from bosonlab import (
     pure_state_density,
     rdm,
     slot_symmetrize,
-    telescoping_residual,
     trace_distance,
     vtilde,
 )
@@ -355,21 +354,6 @@ def test_hierarchy_rhs_second_order_accuracy():
         f"p(k=1)={orders[1]:.3f}, p(k=2)={orders[2]:.3f}, window [1.8, 2.2]"
     )
     _report("hierarchy-accuracy", ok, detail)
-    assert ok, detail
-
-
-def test_telescoping_identity_batch():
-    worst = 0.0
-    for i in range(100):
-        rng = substream(2026, "accept-telescope", i)
-        d = int(rng.integers(2, 4))
-        m = int(rng.integers(1, 4))
-        exact = DensityMatrix(m + 1, d, oracles.rand_density(rng, d ** (m + 1)))
-        gamma = DensityMatrix(1, d, oracles.rand_density(rng, d))
-        worst = max(worst, telescoping_residual(exact, gamma, m))
-    ok = worst <= 1e-12
-    detail = f"worst residual {worst:.3e} over 100 instances with m <= 3 (allowed 1e-12)"
-    _report("telescoping-identity", ok, detail)
     assert ok, detail
 
 

@@ -6,19 +6,14 @@ import pytest
 from bosonlab import (
     BoundConstants,
     DensityMatrix,
-    build_hamiltonian,
     commutator_growth_bound,
     correlation_gap_bound,
-    embed_product_state,
-    evolve_exact,
     mean_field_error_bound,
     pure_state_density,
-    rdm,
-    telescoping_residual,
     trace_distance,
 )
 
-from .conftest import random_spec, substream
+from .conftest import substream
 from . import oracles
 
 
@@ -144,51 +139,3 @@ class TestCorrelationGapBound:
         assert correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 88.0) == 16.0 / 8 * math.expm1(704.0)
         assert correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 1000.0) == math.inf
         assert correlation_gap_bound(1, 1, 1.0, 0.0, self.CONSTS, 8, 1000.0) == 0.0
-
-
-class TestTelescopingResidual:
-    def test_two_term_telescope_is_exact(self):
-        rng = substream(91, "tel")
-        gamma = _density(rng, 2)
-        assert telescoping_residual(_density(rng, 2, order=2), gamma, 1) < 1e-12
-
-    def test_product_state_with_matching_gamma_vanishes(self, rng):
-        phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        phi /= np.linalg.norm(phi)
-        state = embed_product_state(phi, 5)
-        assert telescoping_residual(rdm(state, 3), pure_state_density(phi), 2) < 1e-13
-
-    def test_evolved_state_identity(self):
-        rng = substream(92, "tel")
-        spec = random_spec(rng, 2, (1, 2), unit_norm=False)
-        phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        phi /= np.linalg.norm(phi)
-        state = evolve_exact(
-            build_hamiltonian(spec, 5), embed_product_state(phi, 5), [0.8]
-        )[0]
-        gamma = _density(rng, 2)  # identity holds for ANY comparison state
-        assert telescoping_residual(rdm(state, 3), gamma, 2) < 1e-12
-
-    def test_random_densities_satisfy_identity(self):
-        for i in range(20):
-            rng = substream(93, "tel", i)
-            d = int(rng.integers(2, 4))
-            m = int(rng.integers(1, 4))
-            exact = _density(rng, d, order=m + 1)
-            gamma = _density(rng, d)
-            assert telescoping_residual(exact, gamma, m) < 1e-12
-
-    def test_higher_order_rdm_is_read_through_marginals(self, rng):
-        exact = _density(rng, 2, order=4)
-        gamma = _density(rng, 2)
-        for m in (1, 2, 3):
-            assert telescoping_residual(exact, gamma, m) < 1e-12
-
-    @pytest.mark.parametrize("m", [0, 2, 3])
-    def test_m_out_of_range_rejected(self, rng, m):
-        with pytest.raises(ValueError, match=rf"m = {m} is not in \[1, 1\] for an order-2 RDM"):
-            telescoping_residual(_density(rng, 2, order=2), _density(rng, 2), m)
-
-    def test_mismatched_hartree_gamma_rejected(self, rng):
-        with pytest.raises(ValueError, match="hartree_gamma must be an order-1"):
-            telescoping_residual(_density(rng, 2, order=2), _density(rng, 3), 1)

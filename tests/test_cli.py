@@ -16,10 +16,11 @@ from bosonlab import cli as cli_module
 from bosonlab.cli import main
 from bosonlab.experiments import _KEYS, SCENARIOS, ConfigError, config_from_dict
 
-from .test_experiments import _pairs, base_config
+from .test_experiments import CONFIG_DIR, _pairs, base_config
 from .test_hartree import _workload
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+THREE_BODY_SPEC = json.loads((CONFIG_DIR / "bounds.json").read_text())["spec"]  # d = 2, M = 3
 
 
 def run_module(*args, timeout=None, address_space=None):
@@ -175,7 +176,6 @@ def test_lr_runs_past_the_full_space_limit(tmp_path, capsys):
         ("lr", {"obs_m": 14}, "obs_m + obs_n"),
         ("corr", {"obs_m": 14}, "obs_m + obs_n"),
         ("bbgky", {"k_values": [40]}, "max(k_values) + 2"),
-        ("bbgky", {"n_values": [64], "telescope_orders": [1, 40]}, "max(telescope_orders) + 1"),
     ],
 )
 def test_oversized_dense_orders_refused_before_allocating(
@@ -204,6 +204,11 @@ def test_oversized_dense_orders_refused_before_allocating(
         ("lr", {"obs_m": 5, "obs_n": 2}, "obs_m + obs_n: order 7 exceeds N = 6"),
         ("corr", {"obs_m": 3, "obs_n": 2}, "obs_m + obs_n: order 5 exceeds N = 4"),
         ("bbgky", {"k_values": [4]}, "max(k_values) + 2: order 6 exceeds N = 5"),
+        # configs/bounds.json's three-body spec at N = 2 once passed the config
+        # check, and the run ended in a message that named no field and no N
+        *[(scenario, {"spec": THREE_BODY_SPEC, "n_values": [2, 4]},
+           "spec.terms: order 3 exceeds N = 2 in n_values")
+          for scenario in ("converge", "corr", "lr")],
     ],
 )
 def test_orders_above_the_smallest_n_refused_at_config_time(
@@ -214,7 +219,9 @@ def test_orders_above_the_smallest_n_refused_at_config_time(
 
     monkeypatch.setattr(cli_module.SCENARIOS[scenario], "run", never)
     path = _shipped(tmp_path, scenario, **changes)
+    start = time.perf_counter()
     assert main([scenario, "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out.csv").exists()
 
@@ -347,7 +354,7 @@ def _one_body(scenario, d, **changes):
          "operator triples' 128 * D * sum_m C(d+m-1, m)^2 bytes"),
         (lambda: _one_body("corr", 3, n_values=[4, 1200], obs_m=1, obs_n=2),
          "the order-3 ladder walk's"),
-        (lambda: _one_body("bbgky", 3, n_values=[4, 1200], k_values=[3], telescope_orders=[1]),
+        (lambda: _one_body("bbgky", 3, n_values=[4, 1200], k_values=[3]),
          "the order-3 ladder walk's"),
     ],
     ids=["basis", "triples", "corr-walk", "bbgky-walk"],
@@ -391,10 +398,12 @@ def test_removed_bbgky_dt_key_refused(tmp_path, capsys):
     [
         ({"vtilde_restarts": 6}, "unknown config key(s): vtilde_restarts"),
         ({"vtilde_strategy": "search"}, "vtilde_strategy: 'search' is not one of canonical, ceiling"),
+        ({"telescope_orders": [1, 2]}, "unknown config key(s): telescope_orders"),
     ],
 )
 def test_removed_vtilde_search_refused(tmp_path, capsys, changes, message):
-    # the randomized vtilde search is gone; an old config asking for it is refused
+    # the randomized vtilde search and bbgky's telescope rows are gone; an old
+    # config asking for either is refused
     path = _shipped(tmp_path, "bounds", **changes)
     start = time.perf_counter()
     assert main(["bounds", "--config", str(path)]) == 1

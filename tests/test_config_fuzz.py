@@ -52,7 +52,6 @@ FIELDS = [
     "obs_n",
     "n_samples",
     "k_values",
-    "telescope_orders",
 ]
 
 

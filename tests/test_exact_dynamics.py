@@ -22,7 +22,6 @@ from bosonlab import (
     hartree_evolve,
     pure_state_density,
     rdm,
-    telescoping_residual,
 )
 from bosonlab import exact_dynamics, experiments
 from bosonlab.exact_dynamics import MAX_CHEBYSHEV_TERMS
@@ -732,7 +731,7 @@ class TestBbgkyRhs:
             bbgky_rhs(spec, 3, 2, rdm(state, 3))
 
 
-@pytest.mark.parametrize("functional", ["correlation_gap", "bbgky_rhs", "telescoping_residual"])
+@pytest.mark.parametrize("functional", ["correlation_gap", "bbgky_rhs"])
 def test_rdm_functionals_construct_no_density_matrix(rng, monkeypatch, functional):
     # lower orders are partial traces of the given RDM's matrix, which rdm
     # has validated once; none is built and re-checked as a DensityMatrix
@@ -740,11 +739,9 @@ def test_rdm_functionals_construct_no_density_matrix(rng, monkeypatch, functiona
     state0 = embed_product_state(_unit_phi(rng, 2), 6)
     gamma = rdm(evolve_exact(build_hamiltonian(spec, 6), state0, [0.5])[0], 3)
     a, b = oracles.rand_unit_herm(rng, 2), oracles.rand_unit_herm(rng, 4)
-    mean_field = pure_state_density(_unit_phi(rng, 2))
     calls = {
         "correlation_gap": lambda: correlation_gap(gamma, 1, 2, [a], [b]),
         "bbgky_rhs": lambda: bbgky_rhs(spec, 6, 2, gamma),
-        "telescoping_residual": lambda: telescoping_residual(gamma, mean_field, 2),
     }
     constructed = []
     validate = DensityMatrix.__post_init__

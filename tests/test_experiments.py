@@ -126,7 +126,6 @@ class TestConfigParsing:
         assert config.output_path == "results.csv"
         assert (config.obs_m, config.obs_n, config.n_samples) == (1, 1, 16)
         assert config.k_values == (1,)
-        assert config.telescope_orders == (1, 2)
         assert len(config.config_hash) == 16
         int(config.config_hash, 16)
 
@@ -318,28 +317,32 @@ class TestCorrRunner:
 
 
 class TestBbgkyRunner:
-    def test_residual_order_and_telescope(self):
+    def test_residual_order(self):
         config = config_from_dict(
             base_config(
                 scenario="bbgky",
                 n_values=[4, 5],
                 time_grid=[0.0, 0.4, 0.8],
                 k_values=[1, 2],
-                telescope_orders=[1],
             )
         )
         rows = run_bbgky(config)
-        residuals = [r for r in rows if r["kind"] == "residual"]
-        telescopes = [r for r in rows if r["kind"] == "telescope"]
-        assert {r["kind"] for r in rows} == {"residual", "telescope"}  # no order rows
+        assert {r["kind"] for r in rows} == {"residual"}  # no order rows
         # one residual row per (N, k, t), t = 0 included, by k then t within each N
-        keys = [(r["N"], r["k"], r["t"]) for r in residuals]
+        keys = [(r["N"], r["k"], r["t"]) for r in rows]
         assert keys == [(n, k, t) for n in (4, 5) for k in (1, 2) for t in (0.0, 0.4, 0.8)]
-        for r in residuals:
+        for r in rows:
             assert r["value"] <= 1e-12  # the hierarchy RHS is the exact derivative
-        assert len(telescopes) == 2 * 3  # every N and grid time
-        for r in telescopes:
-            assert r["value"] < 1e-12
+
+    def test_no_mean_field_integration(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("bbgky reads no mean-field state")
+
+        monkeypatch.setattr(experiments, "hartree_evolve", never)
+        rows = run_bbgky(config_from_dict(_shipped("bbgky")))
+        keys = [(r["kind"], r["k"]) for r in rows]
+        assert keys == [("residual", k) for k in (1, 2) for _ in range(3)]
+        assert all(r["value"] <= 1e-12 for r in rows)
 
     def test_one_rdm_per_needed_time(self, monkeypatch):
         orders = _count_rdm_orders(monkeypatch)
@@ -356,12 +359,11 @@ class TestBbgkyRunner:
                 n_values=[4, 5],
                 time_grid=[0.0, 0.4],
                 k_values=[1, 2],
-                telescope_orders=[1, 2],
             )
         )
         run_bbgky(config)
-        # per N and grid time: one rdm at order 3 (telescope m = 2 and
-        # k + M - 1 both read it), then one derivative walk at max(k_values)
+        # per N and grid time: one rdm at order 3 = max(k_values) + M - 1, whose
+        # marginals give every k, then one derivative walk at max(k_values)
         assert orders == [3, 3] * 2
         assert derivative_orders == [2, 2] * 2
 
@@ -374,7 +376,7 @@ class TestBbgkyRunner:
         """tracemalloc peak of run_bbgky in bytes, and the highest RDM order K
         it forms."""
         max_present = max(config.spec.present_orders)
-        top = max(max(config.k_values) + max_present - 1, max(config.telescope_orders) + 1)
+        top = max(config.k_values) + max_present - 1
         tracemalloc.start()
         try:
             run_bbgky(config)

@@ -54,3 +54,37 @@ def test_every_config_key_is_read():
     keys = list(_config_keys(ast.parse((SRC / "experiments.py").read_text())))
     assert len(keys) > 1
     assert [key for key in keys if key not in reads] == []
+
+
+def _imported_names(tree):
+    """Names an import statement binds in the module, with no import resolved."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _read_names(tree):
+    """Names the module loads, and for a package ``__init__`` the names in ``__all__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            yield from (elt.value for elt in node.value.elts)
+
+
+def test_every_import_is_read():
+    # an import no code reads is stale, as one left behind by a deleted function
+    # would be; dunders are exempt
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = set(_read_names(tree))
+        unread += [
+            f"{path.stem}.{name}"
+            for name in _imported_names(tree)
+            if not (name.startswith("__") and name.endswith("__")) and name not in read
+        ]
+    assert unread == []
