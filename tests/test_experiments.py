@@ -9,6 +9,7 @@ import pytest
 
 from bosonlab import (
     __version__,
+    bbgky_rhs,
     bound_constants,
     commutator_growth,
     correlation_gap,
@@ -18,6 +19,7 @@ from bosonlab import (
     vtilde,
 )
 from bosonlab.experiments import (
+    SCENARIOS,
     VERSION,
     ConfigError,
     config_from_dict,
@@ -128,6 +130,15 @@ class TestConfigParsing:
         assert config.k_values == (1,)
         assert len(config.config_hash) == 16
         int(config.config_hash, 16)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_step_budget_priced_for_converge_only(self, monkeypatch, scenario):
+        # only converge integrates the mean field, so only its config check
+        # prices the integrator's step budget
+        priced = []
+        monkeypatch.setattr(experiments, "_guard_steps", lambda spec, t_end: priced.append(t_end))
+        config = config_from_dict(_shipped(scenario))
+        assert priced == ([config.time_grid[-1]] if scenario == "converge" else [])
 
     def test_one_body_term_optional(self):
         cfg = base_config()
@@ -344,6 +355,16 @@ class TestBbgkyRunner:
         assert keys == [("residual", k) for k in (1, 2) for _ in range(3)]
         assert all(r["value"] <= 1e-12 for r in rows)
 
+    def test_residual_sees_the_hierarchy_of_a_wrong_n(self, monkeypatch):
+        # the residual is a check that can fail: the hierarchy for N + 1
+        # particles misses the exact derivative of the N-particle state
+        monkeypatch.setattr(
+            experiments, "bbgky_rhs", lambda spec, n, k, gamma: bbgky_rhs(spec, n + 1, k, gamma)
+        )
+        rows = run_bbgky(config_from_dict(_shipped("bbgky")))
+        assert len(rows) == 6
+        assert min(r["value"] for r in rows) > 1e-6
+
     def test_one_rdm_per_needed_time(self, monkeypatch):
         orders = _count_rdm_orders(monkeypatch)
         derivative_orders = []
@@ -445,6 +466,15 @@ class TestOutputFiles:
         assert lines[0] == f"# config_hash={config.config_hash} version=0.1.0"
         assert lines[1].startswith("config_hash,kind,N,t,trace_distance")
         assert "\r" not in text and text.endswith("\n")
+
+    def test_bbgky_csv_layout(self, tmp_path):
+        # residual rows only, with no column that only another row kind fills
+        config = config_from_dict(_shipped("bbgky"))
+        out = tmp_path / "res.csv"
+        write_rows(out, config, run_bbgky(config))
+        lines = out.read_text().splitlines()
+        assert lines[1] == "config_hash,kind,N,k,t,value"
+        assert [line.split(",")[1] for line in lines[2:]] == ["residual"] * 6
 
     def test_header_version_is_package_version(self):
         # one source for the version, whether installed or run from the tree

@@ -72,6 +72,19 @@ class TestDensityMatrix:
         np.testing.assert_allclose(gamma.marginal(1).matrix, a, atol=1e-14)
         assert gamma.marginal(0).order == 0
 
+    @pytest.mark.parametrize("d, order", [(2, 4), (3, 3)])
+    def test_marginals_compose(self, d, order):
+        # run_bbgky reads every lower order as a marginal of one top RDM
+        rng = substream(17, "marginal-compose", d)
+        gamma = DensityMatrix(order, d, oracles.rand_density(rng, d**order))
+        for upper in range(order + 1):
+            for lower in range(upper + 1):
+                np.testing.assert_allclose(
+                    gamma.marginal(upper).marginal(lower).matrix,
+                    gamma.marginal(lower).matrix,
+                    atol=1e-14,
+                )
+
     def test_marginal_order_out_of_range_rejected(self):
         gamma = DensityMatrix(2, 2, np.eye(4) / 4)
         for order in (-1, 3):
