@@ -2,7 +2,7 @@
 function of a size, next to its layer; library guards and experiments._price_run read it."""
 
 MAX_BASIS_SIZE = 2_000_000  # states of a symmetric basis
-MAX_TRIPLE_BYTES = 2**30  # operator triples while they are sorted, reduced and laid out
+MAX_OPERATOR_BYTES = 2**30  # H's move grid and packed rows (at most 38 B an entry; 128 charged)
 MAX_WALK_BYTES = 2**30  # one compiled RDM walk
 MAX_DENSE_BYTES = 2**32  # dense matrices at their peak
 MAX_KERNEL_WORK = 2**38  # dim^3 units of dense commutator growth, about 1 ns each

@@ -5,9 +5,9 @@ byte-identical output files.  All randomness flows through counter-based
 Philox streams keyed by (seed, purpose, index); floats are written with 17
 significant digits; rows are emitted in a fixed nested loop order; line
 endings are LF.  The first line of every CSV is a comment carrying the
-config hash (sha256 over a canonical re-serialization of the effective
-config, output path excluded) and ``bosonlab.__version__``, which is the
-same whether the package is installed or imported from the source tree.
+config hash (sha256 over a canonical re-serialization of the keys the
+scenario reads, so not of output_path) and ``bosonlab.__version__``, which is
+the same whether the package is installed or imported from the source tree.
 """
 
 import csv
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_KERNEL_WORK, MAX_MATVEC_WORK,
-                      MAX_TRIPLE_BYTES, MAX_WALK_BYTES, refuse)
+                      MAX_OPERATOR_BYTES, MAX_WALK_BYTES, refuse)
 from ._tensor import partial_trace_last
 from ._version import __version__ as VERSION
 from .bounds import (
@@ -182,17 +182,16 @@ def _spec(node, path):
 _REQUIRED = object()
 
 
-def _key(parse, default=_REQUIRED, hashed=True):
-    """A config key: its parser, its default (none: required) and whether
-    it enters config_hash."""
-    return field(metadata={"parse": parse, "default": default, "hashed": hashed})
+def _key(parse, default=_REQUIRED):
+    """A config key: its parser and its default (none: required)."""
+    return field(metadata={"parse": parse, "default": default})
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A validated config.  Each field declared with ``_key`` is one config
-    key; ``config_from_dict`` derives the key set, the defaults, the
-    validation and the hashed serialization from these declarations."""
+    key; ``config_from_dict`` derives the key set, the defaults and the
+    validation from these declarations, and hashes the keys the scenario reads."""
 
     spec: HamiltonianSpec = _key(_spec)
     scenario: str = _key(_scenario)
@@ -202,7 +201,7 @@ class ExperimentConfig:
     integrator_tol: float = _key(_positive, 1e-9)
     seed: int = _key(_integer(0, 2**64), 0)
     vtilde_strategy: str = _key(_choice("canonical", "ceiling"), "ceiling")
-    output_path: str = _key(_nonempty_str, "results.csv", hashed=False)
+    output_path: str = _key(_nonempty_str, "results.csv")
     obs_m: int = _key(_integer(1), 1)
     obs_n: int = _key(_integer(1), 1)
     n_samples: int = _key(_integer(1), 16)
@@ -250,7 +249,8 @@ def config_from_dict(data, overrides=None):
     except ValueError as exc:  # a library guard's refusal, at config time
         raise ConfigError(str(exc)) from None
 
-    hashed = {f.name: _canonical(values[f.name]) for f in _KEYS if f.metadata["hashed"]}
+    read = ("spec", "scenario", "n_values", "time_grid") + SCENARIOS[values["scenario"]].keys
+    hashed = {key: _canonical(values[key]) for key in read}
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
@@ -302,7 +302,7 @@ def _price_run(values):
     # the limits on one N's basis, H and walks; each price is non-decreasing in N
     sizes = [(lambda x: sector_size(d, x), MAX_BASIS_SIZE, "C(N+d-1, d-1) states"),
              (lambda x: _BYTES_PER_ENTRY * operator_entries(d, x, spec.present_orders),
-              MAX_TRIPLE_BYTES, "operator triples' 128 * D * sum_m C(d+m-1, m)^2 bytes")]
+              MAX_OPERATOR_BYTES, "operator rows' 128 * D * sum_m C(d+m-1, m)^2 bytes")]
     sizes += [(lambda x, k=k: walk_bytes(d, x, k), MAX_WALK_BYTES,
                f"the order-{k} ladder walk's 16 * C(d+k-1, k)^2 * D(N-k) bytes")
               for k in sorted(walks)]
@@ -599,6 +599,7 @@ class Scenario:
 
     run: Callable  # config -> rows
     help: str
+    keys: tuple  # the config keys run reads past spec, scenario, n_values and time_grid
     columns: tuple  # the CSV columns after config_hash, which leads every CSV
     curves: Curves
 
@@ -614,6 +615,7 @@ SCENARIOS = {
     "converge": Scenario(
         run_convergence,
         "exact one-particle reduced state vs mean-field evolution across N",
+        ("initial_phi", "integrator_tol", "vtilde_strategy"),
         ("kind", "N", "t", "trace_distance", "mean_field_error_bound", "ratio", "slope",
          "violation"),
         Curves("point", ("t",), "N", (
@@ -624,24 +626,28 @@ SCENARIOS = {
     "lr": Scenario(
         run_lr,
         "Heisenberg commutator growth for disjointly supported observables",
+        ("seed", "vtilde_strategy", "obs_m", "obs_n", "n_samples"),
         ("N", "m", "n", "sample", "t", "lhs", "rhs", "violation"),
         _PAIR_CURVES,
     ),
     "corr": Scenario(
         run_corr,
         "correlation gap of evolved product states vs its bound",
+        ("seed", "vtilde_strategy", "obs_m", "obs_n", "n_samples", "initial_phi"),
         ("kind", "N", "m", "n", "sample", "t", "lhs", "rhs", "slope", "violation"),
         _PAIR_CURVES,
     ),
     "bbgky": Scenario(
         run_bbgky,
         "hierarchy RHS against the exact RDM derivative",
+        ("initial_phi", "k_values"),
         ("kind", "N", "k", "t", "value"),
         Curves("residual", ("N", "k"), "t", (("residual_vs_t", "value", _first),)),
     ),
     "bounds": Scenario(
         run_bounds,
         "bound constants at both ends of the vtilde bracket, and bound curves",
+        ("vtilde_strategy",),
         ("kind", "strategy", "m_max", "sum_l1_v", "sum_l2_v", "vtilde", "lambda_v", "N", "t",
          "mean_field_error_bound", "commutator_growth_bound", "correlation_gap_bound"),
         Curves("curve", ("N",), "t", (

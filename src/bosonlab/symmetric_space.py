@@ -13,9 +13,9 @@ index multisets I, J, and the sum runs over multiset pairs with the
 orbit-summed weight sum_{i_vec in I, j_vec in J} <i_vec|V|j_vec>: exact for
 any V, slot-symmetric or not.  One ladder walk (:func:`ladder_walk`) applies
 the chains a+_I a_J to every occupation vector at once, one J and all I per
-step; assembly streams it into triples that :class:`SparseHermitian` sums
-into fixed-width rows, the diagonal first.  The walk depends only on the
-basis and k, so the basis compiles it once per order
+step; assembly writes each chain into its move's slot of the fixed-width
+rows of a :class:`SparseHermitian`, the diagonal first.  The walk depends
+only on the basis and k, so the basis compiles it once per order
 (:meth:`OccupationBasis.walk`) and every k-RDM of that N contracts its state
 against it, evaluating each multiset pair once and scattering it to all
 index tuples of the orbit: ``configs/corr.json`` compiles 3 order-2 walks
@@ -30,13 +30,13 @@ from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._limits import MAX_BASIS_SIZE, MAX_TRIPLE_BYTES, MAX_WALK_BYTES, refuse
+from ._limits import MAX_BASIS_SIZE, MAX_OPERATOR_BYTES, MAX_WALK_BYTES, refuse
 from .hartree import DensityMatrix
 
-# Triples (32 bytes each) live on while from_triples sorts, reduces and lays them
-# out in (D, w) rows of 24 bytes a slot: build_hamiltonian peaks at 76 bytes an
-# operator_entries entry or less (tracemalloc, d = 2 to 8, orders up to 3); 128 charged.
-_BYTES_PER_ENTRY = 4 * 32
+# The (D, moves) grid of 24-byte cells, moves <= sum_m C(d+m-1, m)^2, then its packed
+# rows: build_hamiltonian peaks at 38 bytes an operator_entries entry or less
+# (tracemalloc, d = 2 to 8, orders up to 3); 128 charged.
+_BYTES_PER_ENTRY = 128
 
 
 def sector_size(d, n_particles):
@@ -183,34 +183,6 @@ class SparseHermitian:
         for a in (self.cols, self.values):
             a.setflags(write=False)
 
-    @classmethod
-    def from_triples(cls, size, rows, cols, values):
-        """(A + A^dagger)/2 for the A whose entries are the sums of the
-        values given at each (row, col).  Each (row, col) needs a (col, row),
-        as in every ladder walk and diagonal; others are refused."""
-        keys = rows * size + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        values = np.add.reduceat(values[order], starts)
-        keys = keys[starts]
-        del order, starts  # the sort's full-length copies go before the work on unique entries
-        rows, cols = keys // size, keys % size
-        partner = np.searchsorted(keys, cols * size + rows)
-        if not np.array_equal(keys.take(partner, mode="clip"), cols * size + rows):
-            raise ValueError("triples must be structurally symmetric")
-        del keys
-        # (a + conj b)/2 and (b + conj a)/2 are exact conjugates
-        values = (values + values[partner].conj()) / 2
-        # the diagonal to slot 0, each row's other entries to slots 1, 2, .. in column order
-        off = rows != cols
-        counts = np.bincount(rows[off], minlength=size)
-        slots = np.where(off, np.cumsum(off) - (np.cumsum(counts) - counts)[rows], 0)
-        out_cols = np.repeat(np.arange(size), 1 + counts.max(initial=0)).reshape(size, -1)
-        out_values = np.zeros(out_cols.shape, dtype=np.complex128)
-        out_cols[rows, slots], out_values[rows, slots] = cols, values
-        return cls(out_cols, out_values)
-
     @property
     def shape(self):
         return (len(self.cols),) * 2
@@ -290,34 +262,55 @@ def _compile_walk(basis, k):
 
 
 def _assemble(basis, terms):
-    """Sum of prefactor * (symmetric sum of V) over (order, V, prefactor) triples."""
-    d = basis.d
-    for m, v, _ in terms:
+    """Sum of prefactor * (symmetric sum of V) over (order, V, prefactor) triples.
+
+    Keys are unique and a+_I a_J moves each by key(I) - key(J): a row meets one column per
+    move, so each kept pair writes into its move's slot, and one J's pairs never collide."""
+    d, size = basis.d, basis.size
+    chains = []
+    for m, v, prefactor in terms:
         if m < 1:
             raise ValueError("interaction order must be >= 1")
         if m > basis.n_particles:
             raise ValueError("interaction order exceeds particle number")
         if v.shape != (d**m, d**m):
             raise ValueError(f"potential shape {v.shape} does not match (d^m, d^m) = {(d**m,) * 2}")
-    orders = [m for m, _, _ in terms]
-    refuse(lambda n: _BYTES_PER_ENTRY * operator_entries(d, n, orders), basis.n_particles,
-           MAX_TRIPLE_BYTES, "operator triples' 128 * D * sum_m C(d+m-1, m)^2 bytes",
-           f"N for d={d} and orders {orders}")
-    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
-    for m, v, prefactor in terms:
         multisets, index = multiset_map(d, m)
         weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
         np.add.at(weights, (index[:, None], index[None, :]), v)
         weights *= float(prefactor) / math.factorial(m)
-        for j, rows, cols, factor in ladder_walk(basis, m):
-            # both (I, J) and (J, I), so that the triples are structurally symmetric
-            keep = (weights[:, j] != 0) | (weights[j] != 0)
-            if keep.any():
-                values = weights[keep, j][:, None] * factor[keep]
-                parts.append((rows[keep].ravel(), np.tile(cols, keep.sum()), values.ravel()))
-    rows, cols, values = (np.concatenate(p) for p in zip(*parts))
-    del parts  # the walk's pieces would otherwise live through from_triples
-    return SparseHermitian.from_triples(basis.size, rows, cols, values)
+        keys = _key_powers(d, basis.n_particles)[np.array(multisets)].sum(axis=1)
+        chains.append((m, weights, (weights != 0) | (weights.T != 0), keys[:, None] - keys))
+    orders = [m for m, _, _ in terms]
+    refuse(lambda n: _BYTES_PER_ENTRY * operator_entries(d, n, orders), basis.n_particles,
+           MAX_OPERATOR_BYTES, "operator rows' 128 * D * sum_m C(d+m-1, m)^2 bytes",
+           f"N for d={d} and orders {orders}")
+    # keep is symmetric, so the moves lie symmetric about 0: slot 0 holds no move, the
+    # diagonal, and slot 1 + i moves[i], ascending with the column (a set, as a plain
+    # np.unique imports numpy.ma on first use, 10-17 ms)
+    moves = np.array(sorted(set().union(*(mv[k].tolist() for *_, k, mv in chains)) - {0}), np.int64)
+    width = 1 + moves.size
+    cols = np.repeat(np.arange(size), width)  # the grid, flat; a slot never written keeps its row
+    values = np.zeros(cols.size, dtype=np.complex128)
+    for m, weights, keep, move in chains:
+        slots = np.where(move == 0, 0, 1 + np.searchsorted(moves, move))
+        for j, rows, walk_cols, factor in ladder_walk(basis, m):
+            flat = rows[keep[j]] * width + slots[keep[j], j][:, None]
+            cols[flat] = walk_cols
+            values[flat] += weights[keep[j], j][:, None] * factor[keep[j]]
+    cols = cols.reshape(size, width)
+    stored = (cols != np.arange(size)[:, None]) | (np.arange(width) == 0)
+    # an entry's transpose is in its column's row at the reverse move, slot 1 + i's
+    # being width - 1 - i; (a + conj b)/2 and (b + conj a)/2 are exact conjugates
+    transpose = (cols * width + np.r_[0, width - 1:0:-1])[stored]
+    values = (values[transpose].conj() + values.reshape(size, width)[stored]) / 2
+    # rows packed left, in row-major order, so in slot order; padded with (row, 0)
+    count = stored.sum(axis=1)
+    out_cols = np.repeat(np.arange(size), count.max()).reshape(size, -1)
+    out_values = np.zeros(out_cols.shape, dtype=np.complex128)
+    packed = np.arange(count.max()) < count[:, None]
+    out_cols[packed], out_values[packed] = cols[stored], values
+    return SparseHermitian(out_cols, out_values)
 
 
 def build_symmetric_operator(matrix, order, basis, prefactor):

@@ -76,6 +76,24 @@ def test_out_seed_and_tol_overrides(config_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "scenario, flags, same",
+    [("bbgky", ["--tol", "1e-3", "--seed", "5"], True), ("converge", ["--seed", "9"], True),
+     ("corr", ["--seed", "9"], False)],
+)
+def test_overrides_of_unread_keys_change_no_byte(tmp_path, capsys, scenario, flags, same):
+    # bbgky reads neither integrator_tol nor seed, and converge no seed: the
+    # CSV, config_hash included, is the plain run's; corr draws from the seed
+    path = _shipped(tmp_path, scenario)
+    assert main([scenario, "--config", str(path)]) == 0
+    other = tmp_path / "other.csv"
+    assert main([scenario, "--config", str(path), "--out", str(other), *flags]) == 0
+    capsys.readouterr()
+    plain, changed = (tmp_path / "out.csv").read_text(), other.read_text()
+    assert (changed == plain) == same
+    assert (changed.split("\n")[0] == plain.split("\n")[0]) == same
+
+
 def test_plot_data_flag(config_file, tmp_path, capsys):
     assert main(["converge", "--config", str(config_file), "--plot-data"]) == 0
     assert "plot data:" in capsys.readouterr().out
@@ -351,16 +369,16 @@ def _one_body(scenario, d, **changes):
         (lambda: _one_body("converge", 2, n_values=[4, 2_000_000]), "C(N+d-1, d-1) states"),
         (lambda: {**_workload("converge_sector", 7), "n_values": [300, 600, 1000],
                   "time_grid": [0.0, 0.01]},
-         "operator triples' 128 * D * sum_m C(d+m-1, m)^2 bytes"),
+         "operator rows' 128 * D * sum_m C(d+m-1, m)^2 bytes"),
         (lambda: _one_body("corr", 3, n_values=[4, 1200], obs_m=1, obs_n=2),
          "the order-3 ladder walk's"),
         (lambda: _one_body("bbgky", 3, n_values=[4, 1200], k_values=[3]),
          "the order-3 ladder walk's"),
     ],
-    ids=["basis", "triples", "corr-walk", "bbgky-walk"],
+    ids=["basis", "operator", "corr-walk", "bbgky-walk"],
 )
 def test_size_limits_priced_at_config_time(tmp_path, capsys, monkeypatch, document, what):
-    # each refused the last N only once the earlier ones had run: 4.4 s for "triples"
+    # each refused the last N only once the earlier ones had run: 4.4 s for "operator"
     def never(config):
         raise AssertionError("the runner must not start")
 
@@ -374,7 +392,7 @@ def test_size_limits_priced_at_config_time(tmp_path, capsys, monkeypatch, docume
     err = capsys.readouterr().err
     assert err.startswith(f"error: n_values: {what}")
     max_n = int(re.search(r"the largest workable n_values\[-1\] is (\d+)\n$", err).group(1))
-    if what.startswith("operator triples"):
+    if what.startswith("operator rows"):
         assert err.endswith(" bytes = 2888645760 > 1073741824; the largest workable "
                             "n_values[-1] is 609\n")
     config_from_dict({**cfg, "n_values": cfg["n_values"][:-1] + [max_n]})

@@ -40,8 +40,7 @@ def _unit_phi(rng, d):
 
 
 def _scalar_hamiltonian(c, size):
-    diag = np.arange(size)
-    return SparseHermitian.from_triples(size, diag, diag, np.full(size, c, dtype=complex))
+    return SparseHermitian(np.arange(size)[:, None], np.full((size, 1), c, dtype=complex))
 
 
 def _full_space_hamiltonian(spec, n):

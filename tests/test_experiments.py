@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,9 +202,22 @@ class TestConfigParsing:
         assert a.config_hash == b.config_hash
 
     def test_seed_changes_hash(self):
-        a = config_from_dict(base_config(seed=1))
-        b = config_from_dict(base_config(seed=2))
+        # corr draws its observables from the seed
+        a = config_from_dict(base_config(scenario="corr", seed=1))
+        b = config_from_dict(base_config(scenario="corr", seed=2))
         assert a.config_hash != b.config_hash
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_only_the_keys_read_are_hashed(self, scenario):
+        # a key the runner does not read changes no output, so not the hash either
+        changes = {"initial_phi": [[0.0, 0.0], [1.0, 0.0]], "integrator_tol": 1e-4, "seed": 7,
+                   "vtilde_strategy": "canonical", "obs_m": 2, "obs_n": 2, "n_samples": 2,
+                   "k_values": [2]}
+        base = config_from_dict(base_config(scenario=scenario))
+        for key, value in changes.items():
+            changed = config_from_dict(base_config(scenario=scenario, **{key: value}))
+            read = key in SCENARIOS[scenario].keys
+            assert (changed.config_hash != base.config_hash) == read, key
 
     def test_load_config_rejects_bad_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -475,6 +489,24 @@ class TestOutputFiles:
         lines = out.read_text().splitlines()
         assert lines[1] == "config_hash,kind,N,k,t,value"
         assert [line.split(",")[1] for line in lines[2:]] == ["residual"] * 6
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_runner_reads_only_hashed_keys(self, tmp_path, scenario):
+        # every key config_hash omits is poisoned: a runner that read one would fail
+        # or write other bytes, while its output is unchanged
+        config = config_from_dict(base_config(scenario=scenario, n_values=[4, 6]))
+        hashed = ("spec", "scenario", "n_values", "time_grid") + SCENARIOS[scenario].keys
+        poison = {f.name: object() for f in fields(config)
+                  if f.name not in hashed + ("config_hash",)}
+        assert poison  # every scenario leaves some key unread
+        written = []
+        for run_config in (config, replace(config, **poison)):
+            out = tmp_path / f"{len(written)}.csv"
+            rows = SCENARIOS[scenario].run(run_config)
+            write_rows(out, run_config, rows)
+            plots = write_plot_data(out, run_config, rows)
+            written.append([Path(p).read_bytes() for p in [out, *plots]])
+        assert written[0] == written[1]
 
     def test_header_version_is_package_version(self):
         # one source for the version, whether installed or run from the tree

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from bosonlab import (
-    SparseHermitian,
     build_hamiltonian,
     build_symmetric_operator,
     embed_product_state,
     enumerate_basis,
     experiments,
     rdm,
+    slot_symmetrize,
     symmetric_space,
 )
 from bosonlab.experiments import config_from_dict, run_convergence, run_corr
 from bosonlab.symmetric_space import MAX_WALK_BYTES, ladder_walk, multiset_map
 
-from .conftest import random_spec, substream
+from .conftest import SPEC_FAMILIES, substream
 from .test_experiments import base_config
 from . import oracles
 
@@ -71,9 +71,11 @@ def _chains(basis, k):
 
 
 def _reference_assembly(basis, terms):
-    """Assembly of (order, V, prefactor) triples from the reference chains,
-    in the walk's (J, then I) order."""
-    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))]
+    """Dense (A + A^dagger)/2 of (order, V, prefactor) triples, A summed from the
+    reference chains one at a time, and the positions the kept chains reach:
+    a chain is kept when it or its reverse has a nonzero weight."""
+    a = np.zeros((basis.size, basis.size), dtype=np.complex128)
+    reached = np.eye(basis.size, dtype=bool)  # every diagonal is stored
     for m, v, prefactor in terms:
         multisets, index = multiset_map(basis.d, m)
         weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
@@ -81,9 +83,19 @@ def _reference_assembly(basis, terms):
         weights *= float(prefactor) / math.factorial(m)
         for i, j, rows, cols, factor in _chains(basis, m):
             if weights[i, j] != 0 or weights[j, i] != 0:
-                parts.append((rows, cols, weights[i, j] * factor))
-    rows, cols, values = (np.concatenate(p) for p in zip(*parts))
-    return SparseHermitian.from_triples(basis.size, rows, cols, values)
+                np.add.at(a, (rows, cols), weights[i, j] * factor)
+                reached[rows, cols] = True
+    return (a + a.conj().T) / 2, int(reached.sum())
+
+
+def _assert_assembled(op, basis, terms):
+    """op is exactly Hermitian, within 1e-13 of the dense chain sum and stores
+    exactly the positions the kept chains reach."""
+    dense = np.asarray(op)
+    np.testing.assert_array_equal(dense, dense.conj().T)
+    expected, nnz = _reference_assembly(basis, terms)
+    assert np.max(np.abs(dense - expected)) <= 1e-13
+    assert op.nnz == nnz
 
 
 class TestLadderWalk:
@@ -170,17 +182,34 @@ class TestLadderWalk:
         assert len(basis.walk(3)) == len(walk)
         assert enumerate_basis(2, 3).walk(5) == []  # past N no state is left: nothing charged
 
-    @pytest.mark.parametrize("d, n", [(2, 9), (3, 6), (4, 4)])
-    def test_assembly_bit_identical_to_one_chain_at_a_time(self, d, n):
-        spec = random_spec(substream(61, "walk-assembly", d), d, (1, 2, 3), unit_norm=False)
+
+class TestAssembly:
+    """Assembly writes each chain into its move's slot and hermitizes by one
+    gather: H is exactly Hermitian and equals the dense (A + A^dagger)/2."""
+
+    @pytest.mark.parametrize("orders", [(1,), (2,), (3,), (1, 2, 3)])
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 9), (3, 6), (4, 4)])
+    @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+    def test_hamiltonian_matches_dense_sum_of_one_chain_at_a_time(self, family, d, n, orders):
+        spec = SPEC_FAMILIES[family](substream(61, f"walk-assembly:{family}:{orders}", d), d, orders)
         basis = enumerate_basis(d, n)
-        h = build_hamiltonian(spec, n, basis)
         terms = [(m, spec.terms[m], float(n) ** (1 - m)) for m in spec.present_orders]
-        reference = _reference_assembly(basis, terms)
-        for name in ("cols", "values"):
-            got, expected = getattr(h, name), getattr(reference, name)
-            assert got.dtype == expected.dtype
-            assert got.tobytes() == expected.tobytes()
+        _assert_assembled(build_hamiltonian(spec, n, basis), basis, terms)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("d, n, m", [(1, 4, 2), (2, 6, 1), (2, 6, 2), (3, 5, 2), (2, 5, 3),
+                                         (3, 4, 3), (4, 4, 2)])
+    def test_symmetric_operator_of_a_non_slot_symmetric_v(self, d, n, m, hermitian):
+        # assembly sums each multiset orbit of V; a V that is not Hermitian
+        # gives an A that is not, whose Hermitian part the gather must form
+        rng = substream(71, f"non-slot-symmetric:{hermitian}", d * 10 + m)
+        v = oracles.rand_herm(rng, d**m)
+        if not hermitian:
+            v = v + 1j * oracles.rand_herm(rng, d**m)
+        if d > 1 and m > 1:
+            assert np.max(np.abs(v - slot_symmetrize(v, d, m))) > 0.1
+        basis = enumerate_basis(d, n)
+        _assert_assembled(build_symmetric_operator(v, m, basis, 0.7), basis, [(m, v, 0.7)])
 
 
 def _count_compiled_walks(monkeypatch):

@@ -1,10 +1,14 @@
 """Static checks on the package source, with no linter dependency."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
+import bosonlab
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "bosonlab"
+README = SRC.parents[1] / "README.md"
 
 
 def _module_level_names(tree):
@@ -88,3 +92,35 @@ def test_every_import_is_read():
             if not (name.startswith("__") and name.endswith("__")) and name not in read
         ]
     assert unread == []
+
+
+def test_readme_dotted_names_resolve():
+    # a backticked a.b in README whose head is the package, a public name or a
+    # module names code: it must resolve attribute by attribute, so that README
+    # cannot keep naming what was renamed or deleted; a.py is a file name
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    modules = {path.stem for path in SRC.glob("*.py")}
+    names = {
+        name
+        for span in re.findall(r"`([^`]+)`", text)
+        for name in re.findall(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+        if not name.endswith(".py")
+    }
+    stale = []
+    for name in sorted(names):
+        head, *attrs = name.split(".")
+        if head == "bosonlab":
+            obj = bosonlab
+        elif head in modules:
+            obj = importlib.import_module(f"bosonlab.{head}")
+        elif head in bosonlab.__all__:
+            obj = getattr(bosonlab, head)
+        else:
+            continue
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                stale.append(name)
+                break
+            obj = getattr(obj, attr)
+    assert len(names) > 5
+    assert stale == []

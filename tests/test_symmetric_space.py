@@ -22,9 +22,8 @@ from bosonlab import (
 )
 from bosonlab.symmetric_space import (
     _BYTES_PER_ENTRY,
-    MAX_TRIPLE_BYTES,
+    MAX_OPERATOR_BYTES,
     _walk_rdm,
-    ladder_walk,
     rdm_derivative,
 )
 
@@ -237,10 +236,10 @@ class TestBuildSymmetricOperator:
         with pytest.raises(ValueError, match=r"shape \(4, 2\) does not match .* = \(4, 4\)"):
             build_symmetric_operator(np.zeros((4, 2)), 2, basis, 1.0)
 
-    def test_triple_byte_budget_refuses_before_assembly(self):
+    def test_operator_byte_budget_refuses_before_assembly(self):
         basis = enumerate_basis(4, 60)  # 39711 states; order 4 gives C(7, 4)^2 = 1225 pairs
         nbytes = _BYTES_PER_ENTRY * basis.size * math.comb(7, 4) ** 2
-        assert nbytes > MAX_TRIPLE_BYTES
+        assert nbytes > MAX_OPERATOR_BYTES
         with pytest.raises(ValueError, match=f"bytes = {nbytes} > "):
             build_symmetric_operator(np.eye(256), 4, basis, 1.0)
 
@@ -249,8 +248,8 @@ class TestBuildSymmetricOperator:
         "d, orders, n", [(3, (1, 2, 3), 50), (3, (1, 2, 3), 100), (2, (1, 2), 3000)]
     )
     def test_assembly_peak_within_charged_bytes(self, d, orders, n):
-        # the byte guard charges for the path that runs: the concatenated
-        # triples alive while from_triples sorts and reduces them
+        # the byte guard charges for the path that runs: the move grid alive
+        # while the walk scatters into it and it is hermitized and packed
         spec = random_spec(substream(47, "assembly-peak", n), d, orders)
         basis = enumerate_basis(d, n)
         pairs = sum(math.comb(d + m - 1, m) ** 2 for m in orders)
@@ -310,9 +309,15 @@ class TestBuildHamiltonian:
         assert (family == "structured" and d > 1) == (expected.diagonal() == 0).any()
         assert np.max(np.abs(np.asarray(h) - expected)) <= 1e-12
 
-        # slot 0 holds the diagonal; a later slot holding the row's own index is padding
-        stored = np.c_[np.ones(basis.size, bool), h.cols[:, 1:] != h.cols[:, :1]]
-        keys = (np.arange(basis.size)[:, None] * basis.size + h.cols)[stored]
+        # slot 0 holds the diagonal, the other stored columns ascend, and the
+        # padding (own index, 0) comes last
+        own = np.arange(basis.size)[:, None]
+        stored = np.c_[np.ones(basis.size, bool), h.cols[:, 1:] != own]
+        np.testing.assert_array_equal(h.cols[:, :1], own)
+        assert not (stored[:, 1:] & ~stored[:, :-1]).any()
+        ascending = np.diff(h.cols[:, 1:], axis=1) > 0
+        assert (ascending | ~stored[:, 2:]).all()
+        keys = (own * basis.size + h.cols)[stored]
         assert h.nnz == keys.size == np.unique(keys).size  # each (row, col) stored once
         assert not h.values[~stored].any()
         x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
@@ -323,35 +328,6 @@ class TestBuildHamiltonian:
             SparseHermitian(np.array([[1, 0], [0, 1]]), np.ones((2, 2)))
         with pytest.raises(ValueError, match="one shape"):
             SparseHermitian(np.array([[0, 1], [1, 0]]), np.ones((2, 1)))
-
-
-class TestFromTriples:
-    """from_triples against the dense (A + A^dagger)/2 of the summed triples."""
-
-    @pytest.mark.parametrize("d,n", [(2, 7), (3, 5), (4, 4)])
-    def test_matches_dense_hermitian_part(self, d, n):
-        rng = substream(47, "from-triples", d)
-        basis = enumerate_basis(d, n)
-        parts = []
-        for k in (1, 2):
-            # one random weight per chain: A is not Hermitian, and chains of
-            # both orders land on shared (row, col) positions
-            for _, rows, cols, factor in ladder_walk(basis, k):
-                for chain_rows, chain_factor in zip(rows, factor):
-                    weight = rng.standard_normal() + 1j * rng.standard_normal()
-                    parts.append((chain_rows, cols, weight * chain_factor))
-        rows, cols, values = (np.concatenate(p) for p in zip(*parts))
-        assert np.unique(rows * basis.size + cols).size < rows.size  # repeated positions
-        a = np.zeros((basis.size, basis.size), dtype=np.complex128)
-        np.add.at(a, (rows, cols), values)
-        out = np.asarray(SparseHermitian.from_triples(basis.size, rows, cols, values))
-        assert np.max(np.abs(out - (a + a.conj().T) / 2)) <= 1e-13
-        np.testing.assert_array_equal(out, out.conj().T)
-
-    def test_one_sided_triple_refused(self):
-        rows, cols = np.array([0, 1, 2]), np.array([0, 1, 0])
-        with pytest.raises(ValueError, match="structurally symmetric"):
-            SparseHermitian.from_triples(3, rows, cols, np.ones(3, dtype=np.complex128))
 
 
 class TestRdm:
