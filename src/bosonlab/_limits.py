@@ -1,10 +1,11 @@
-"""Every resource limit, and the one refusal path.  A price is a pure, non-decreasing
-function of a size, next to its layer; library guards and experiments._price_run read it."""
+"""Every resource limit, and the one refusal path.  A price is a pure, non-decreasing function
+of a size, next to its layer or, shared, here; library guards and experiments._price_run read it."""
 
 MAX_BASIS_SIZE = 2_000_000  # states of a symmetric basis
 MAX_OPERATOR_BYTES = 2**30  # H's move grid and packed rows (at most 38 B an entry; 128 charged)
 MAX_WALK_BYTES = 2**30  # one compiled RDM walk
 MAX_DENSE_BYTES = 2**32  # dense matrices at their peak
+_LIVE_MATRICES = 8  # dense matrices of the largest size a dense path holds at once
 MAX_KERNEL_WORK = 2**38  # dim^3 units of dense commutator growth, about 1 ns each
 MAX_CHEBYSHEV_TERMS = 1_000_000  # one propagation, a matvec each
 MAX_COEFFICIENT_BYTES = 2**30  # one propagation's table of Chebyshev coefficients
@@ -12,6 +13,14 @@ MAX_STEPS = 1_000_000  # the mean-field integrator's step budget, in units of L*
 # propagation summed over a run, in nnz x terms: admits the size-ladder rungs (d=2,
 # N=16384 at 3.9e10; d=3, N=240 at 7.8e9), refuses converge.json at N = 2..2999
 MAX_MATVEC_WORK = 2**36
+
+
+def _dense_peak_bytes(dim):
+    # dim x dim complex128 matrices: commutator_growth holds at most 7.2 of its largest block,
+    # block building included, for one pair or a stack (tracemalloc peak / 16 D^2 = 7.17 and
+    # 7.11 at d = 2, N = 60 and 40, m + n = 2 and 3; 7.02 and 7.00 at d = 3, N = 6 and 7); the
+    # RDM routines at most 5.0 of d^k x d^k at order k (README)
+    return _LIVE_MATRICES * 16 * dim * dim
 
 
 def refuse(price, value, limit, what, name):

@@ -29,8 +29,6 @@ def build_parser():
         p = sub.add_parser(name, help=scenario.help, description=scenario.help)
         p.add_argument("--config", required=True, type=Path, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="override output_path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--tol", type=float, default=None, help="override integrator_tol")
         p.add_argument(
             "--plot-data",
             action="store_true",
@@ -41,13 +39,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.tol is not None:
-        overrides["integrator_tol"] = args.tol
-    if args.out is not None:
-        overrides["output_path"] = str(args.out)
+    overrides = {} if args.out is None else {"output_path": str(args.out)}
     try:
         config = load_config(args.config.read_text(encoding="utf-8"), overrides=overrides)
         if config.scenario != args.scenario:

@@ -16,29 +16,17 @@ from itertools import combinations, product
 import numpy as np
 
 from ._limits import (
-    MAX_CHEBYSHEV_TERMS, MAX_COEFFICIENT_BYTES, MAX_DENSE_BYTES, MAX_KERNEL_WORK, refuse,
+    MAX_CHEBYSHEV_TERMS, MAX_COEFFICIENT_BYTES, MAX_DENSE_BYTES, MAX_KERNEL_WORK,
+    _dense_peak_bytes, refuse,
 )
 from ._tensor import embed_on_sites, partial_trace_last
+from .hartree import _check_times
 from .symmetric_space import SparseHermitian, SymmetricState, operator_entries
 
-_LIVE_MATRICES = 8  # dense matrices commutator_growth holds at once (_dense_peak_bytes)
 _UNIT_ROUNDOFF = 2.0**-53
 _BLOCK = 16  # evolve_exact sums its vectors into the states _BLOCK at a time
 
 _HERM_ATOL = 1e-12
-
-# correlation_gap forms A (x) B for a chunk of pairs at once, at most
-# max(d^(2(m+n)), _GAP_STACK_ENTRIES) entries a chunk
-_GAP_STACK_ENTRIES = 2**16
-
-
-def _check_times(times):
-    t = np.asarray(times, dtype=np.float64)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a non-empty 1-d sequence")
-    if not np.all((t >= 0) & np.isfinite(t)):
-        raise ValueError("times must be finite and non-negative")
-    return t
 
 
 def _pair_stacks(d, m, n, a, b):
@@ -59,20 +47,28 @@ def _pair_stacks(d, m, n, a, b):
     return a, b
 
 
+def state_bytes(n_times, size):
+    """evolve_exact's (T, D) sums and the T states copied from them, 16 bytes an amplitude."""
+    return 32 * n_times * size
+
+
 def evolve_exact(hamiltonian, state, times):
-    """Propagate a symmetric state to each requested time, in any order.
+    """Propagate a symmetric state to each requested time.
 
     ``hamiltonian`` is a :class:`SparseHermitian` on the state's basis.  One
     Chebyshev recurrence in H~ = (H - c)/R, [c - R, c + R] the Gershgorin
     interval of H, serves every time; c comes off every row's slot 0, the
     diagonal, stored even where it is 0.  The K terms are fixed by R t_max
     before any matvec, and a call with K > MAX_CHEBYSHEV_TERMS, or whose
-    table of coefficients would pass MAX_COEFFICIENT_BYTES, is refused.
+    table of coefficients would pass MAX_COEFFICIENT_BYTES, is refused, as is
+    one whose states would pass MAX_DENSE_BYTES (:func:`state_bytes`).
     """
     h, basis = hamiltonian, state.basis
     if h.shape != (basis.size, basis.size):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis size {basis.size}")
-    grid, slot = np.unique(_check_times(times), return_inverse=True)
+    grid = _check_times(times)
+    refuse(lambda n: state_bytes(n, basis.size), grid.size, MAX_DENSE_BYTES,
+           f"the propagated states at D = {basis.size}, 32 * times * D bytes", "number of times")
     center, radius = _enclosure(h)
     reach = radius * grid[-1]  # NaN or inf in H reads inf terms
     terms = refuse(_chebyshev_terms, reach, MAX_CHEBYSHEV_TERMS, f"propagation to R t = "
@@ -96,8 +92,7 @@ def evolve_exact(hamiltonian, state, times):
             first = k - k % _BLOCK
             acc += coeffs[:, first : k + 1] @ block[: k + 1 - first]
     acc *= np.exp(-1j * center * grid)[:, None]
-    states = [state if t == 0 else SymmetricState(basis, v) for t, v in zip(grid, acc)]
-    return [states[i] for i in slot]
+    return [state if t == 0 else SymmetricState(basis, v) for t, v in zip(grid, acc)]
 
 
 def _enclosure(h):
@@ -154,14 +149,6 @@ def _chebyshev_coefficients(xs, terms):
     table = np.array([np.fft.fft(f)[:m] for f in samples]) / m
     table[:, 0] /= 2
     return table
-
-
-def _dense_peak_bytes(dim):
-    # commutator_growth holds at most _LIVE_MATRICES dense D x D complex128
-    # matrices of its largest block at once, block building included, for one
-    # pair or a stack (tracemalloc peak / 16 D^2 = 7.17 and 7.11 at d = 2,
-    # N = 60 and 40 with m + n = 2 and 3; 7.02 and 7.00 at d = 3, N = 6 and 7)
-    return _LIVE_MATRICES * 16 * dim * dim
 
 
 def _tensor_slots(d, n_particles, n_active):
@@ -338,13 +325,6 @@ def commutator_growth(spec, n_particles, m, n, a, b, times):
     return [[float(x) for x in row] for row in norms]
 
 
-def _check_rdm(gamma, order, d):
-    if gamma.order != order or gamma.d != d:
-        raise ValueError(
-            f"expected an RDM of order {order} (d={d}), got order {gamma.order} (d={gamma.d})"
-        )
-
-
 def correlation_gap(gamma, m, n, a, b):
     """|tr((A (x) B) (gamma^(m+n) - gamma^(m) (x) gamma^(n)))| from the
     order-(m+n) RDM ``gamma`` of a symmetric state, one gap per pair of the
@@ -353,26 +333,26 @@ def correlation_gap(gamma, m, n, a, b):
     gamma^(m) and gamma^(n) are its marginals, taken once for every pair.
     Equal, by the definition of the RDMs, to the product-expectation gap
     |<A B> - <A><B>| with A on the first m particles and B on the next n.
+    No A (x) B is formed: tr((A (x) B) C) = sum A_ij B_kl C_(jl),(ik), so the
+    connected RDM C, its slots reordered to (ij),(kl), takes one (1 x d^2m) @
+    (d^2m x d^2n) product per pair, the same for a pair alone or in a stack.
     """
     d = gamma.d
-    _check_rdm(gamma, m + n, d)
+    if gamma.order != m + n:
+        raise ValueError(f"expected an RDM of order {m + n}, got order {gamma.order}")
     a, b = _pair_stacks(d, m, n, a, b)
     g = gamma.matrix
     connected = g - np.kron(partial_trace_last(g, d, m + n, n), partial_trace_last(g, d, m + n, m))
-    # the pairs' A (x) B, one broadcast product and one stacked matmul per chunk
-    chunk = max(1, _GAP_STACK_ENTRIES // connected.size)
-    gaps = []
-    for x, y in ((a[s : s + chunk], b[s : s + chunk]) for s in range(0, len(a), chunk)):
-        krons = (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(-1, *connected.shape)
-        gaps += np.abs(np.trace(krons @ connected, axis1=1, axis2=2)).tolist()
-    return gaps
+    slots = connected.reshape((d**m, d**n) * 2).transpose(2, 0, 3, 1).reshape(d ** (2 * m), -1)
+    traces = (a.reshape(len(a), 1, -1) @ slots) @ b.reshape(len(b), -1, 1)
+    return np.abs(traces).reshape(-1).tolist()
 
 
 def bbgky_rhs(spec, n_particles, k, gamma):
     """d(gamma^(k))/dt predicted by the finite-N hierarchy.
 
-    ``gamma`` is the order-(k+M-1) RDM, M the highest order present in the
-    spec; the order-(k+l) RDMs the hierarchy couples to are its marginals.
+    ``gamma`` is an RDM of order k+M-1 or more, M the highest order present
+    in the spec; the order-(k+l) RDMs the hierarchy couples to are its marginals.
     The order-m term enters with weight C(N-k, l)/N^(m-1) for each way of
     placing m-l of its slots on the kept particles and l on traced ones (the
     traced slots are interchangeable, hence the binomial count); at m = 1
@@ -389,7 +369,9 @@ def bbgky_rhs(spec, n_particles, k, gamma):
             f"hierarchy needs RDM order k + {max_present - 1} = {k + max_present - 1}"
             f" > N = {n_particles}"
         )
-    _check_rdm(gamma, k + max_present - 1, d)
+    if gamma.order < k + max_present - 1 or gamma.d != d:
+        raise ValueError(f"expected an RDM of order >= {k + max_present - 1} (d={d}), "
+                         f"got order {gamma.order} (d={gamma.d})")
     y = np.zeros((d**k, d**k), dtype=np.complex128)
     for m in spec.present_orders:
         vmat = spec.terms[m]

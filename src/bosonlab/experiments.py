@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_KERNEL_WORK, MAX_MATVEC_WORK,
-                      MAX_OPERATOR_BYTES, MAX_WALK_BYTES, refuse)
+                      MAX_OPERATOR_BYTES, MAX_WALK_BYTES, _dense_peak_bytes, refuse)
 from ._tensor import partial_trace_last
 from ._version import __version__ as VERSION
 from .bounds import (
@@ -31,7 +31,7 @@ from .bounds import (
     trace_distance,
 )
 from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
-from .exact_dynamics import _dense_peak_bytes, block_work, propagation_work
+from .exact_dynamics import block_work, propagation_work, state_bytes
 from .hartree import _guard_steps, hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, bound_constants, operator_norm, vtilde
 from .symmetric_space import _BYTES_PER_ENTRY, build_hamiltonian, embed_product_state, rdm
@@ -299,13 +299,15 @@ def _price_run(values):
            f"n_values: {what}", "n_values[-1]")
     if scenario == "lr":  # commutator growth builds no basis, operator or walk
         return
-    # the limits on one N's basis, H and walks; each price is non-decreasing in N
+    # the limits on one N's basis, H, walks and states; each price is non-decreasing in N
     sizes = [(lambda x: sector_size(d, x), MAX_BASIS_SIZE, "C(N+d-1, d-1) states"),
              (lambda x: _BYTES_PER_ENTRY * operator_entries(d, x, spec.present_orders),
               MAX_OPERATOR_BYTES, "operator rows' 128 * D * sum_m C(d+m-1, m)^2 bytes")]
     sizes += [(lambda x, k=k: walk_bytes(d, x, k), MAX_WALK_BYTES,
                f"the order-{k} ladder walk's 16 * C(d+k-1, k)^2 * D(N-k) bytes")
               for k in sorted(walks)]
+    sizes.append((lambda x: state_bytes(len(t), sector_size(d, x)), MAX_DENSE_BYTES,
+                  "the propagated states' 32 * times * D bytes"))
     for price, limit, what in sizes:
         refuse(price, ns[-1], limit, f"n_values: {what}", "n_values[-1]")
 
@@ -458,15 +460,15 @@ def run_corr(config):
                 for s, lhs in enumerate(sample_lhs)
             ]
             mean_by_time[i].append((n_particles, float(np.mean(sample_lhs))))
-        del states, state  # this N's basis and its compiled walk go before the next N is built
+        del states, state  # this N's walk goes once the next N's basis is enumerated
     return rows + _slope_rows(config, mean_by_time)
 
 
 def run_bbgky(config):
     """Hierarchy RHS residuals against the exact RDM derivative.
 
-    One grid time at a time: one rdm at order max(k_values) + M - 1, the
-    lower orders being its marginals, freed before one rdm_derivative at
+    One grid time at a time: one rdm at order max(k_values) + M - 1, which
+    bbgky_rhs takes for every k, freed before one rdm_derivative at
     max(k_values), whose partial traces give the lower k."""
     spec = config.spec
     d = spec.d
@@ -477,8 +479,7 @@ def run_bbgky(config):
         at_n = []
         for t, state in zip(config.time_grid, states):
             gamma = rdm(state, k_max + max_present - 1)
-            rhs = [bbgky_rhs(spec, n_particles, k, gamma.marginal(k + max_present - 1))
-                   for k in config.k_values]
+            rhs = [bbgky_rhs(spec, n_particles, k, gamma) for k in config.k_values]
             del gamma  # the derivative is formed beside rhs only
             exact = rdm_derivative(state, hamiltonian, k_max)
             for k, r in zip(config.k_values, rhs):
@@ -487,7 +488,7 @@ def run_bbgky(config):
             del rhs, exact  # no RDM outlives its grid time
         at_n.sort(key=lambda row: row["k"])  # by k then t
         rows += at_n
-        del states, state  # this N's basis and its compiled walks go before the next N is built
+        del states, state  # as in run_corr
     return rows
 
 

@@ -126,6 +126,17 @@ def _rhs(g, contractions):
     return -1j * (h @ g - g @ h)
 
 
+def _check_times(times):
+    """times as a float64 array; the one time-grid rule of every propagator:
+    non-empty, 1-d, finite, non-negative and strictly increasing."""
+    t = np.asarray(times, dtype=np.float64)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("times must be a non-empty 1-d sequence")
+    if not (np.all(np.isfinite(t)) and t[0] >= 0 and np.all(np.diff(t) > 0)):
+        raise ValueError("times must be finite, non-negative and strictly increasing")
+    return t
+
+
 def _check_one_body(gamma, spec, name="gamma"):
     if gamma.order != 1 or gamma.d != spec.d:
         raise ValueError(f"{name} must be an order-1 density matrix matching spec.d")
@@ -223,11 +234,7 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     _check_one_body(gamma0, spec, "gamma0")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-d sequence")
-    if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) > 0)):
-        raise ValueError("times must be finite, non-negative and strictly increasing")
+    times = _check_times(times)
     t_end = float(times[-1])
     _guard_steps(spec, t_end)
 

@@ -30,7 +30,8 @@ from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._limits import MAX_BASIS_SIZE, MAX_OPERATOR_BYTES, MAX_WALK_BYTES, refuse
+from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_OPERATOR_BYTES, MAX_WALK_BYTES,
+                      _dense_peak_bytes, refuse)
 from .hartree import DensityMatrix
 
 # The (D, moves) grid of 24-byte cells, moves <= sum_m C(d+m-1, m)^2, then its packed
@@ -331,13 +332,17 @@ def build_hamiltonian(spec, n_particles, basis=None):
 
 def _walk_rdm(state, k, ket):
     """The walk behind rdm, with ket in place of the state's own amplitudes:
-    scale * <state| a+_b a_a |ket> at ((a_1..a_k),(b_1..b_k)), not hermitized."""
+    scale * <state| a+_b a_a |ket> at ((a_1..a_k),(b_1..b_k)), not hermitized;
+    refused before the walk once order k's dense matrices would pass MAX_DENSE_BYTES."""
     basis = state.basis
     n = basis.n_particles
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k = {k} exceeds the particle number {n}")
+    # past an exponent of 64 every d >= 2 refuses
+    refuse(lambda x: _dense_peak_bytes(basis.d ** min(x, 64)), k, MAX_DENSE_BYTES,
+           "dense d^k x d^k matrices at order k, 8 * 16 * d^(2k) bytes", f"order for d={basis.d}")
     scale = 1.0 / math.perm(n, k)
     bra = np.conj(state.amplitudes)
     multisets, index = multiset_map(basis.d, k)

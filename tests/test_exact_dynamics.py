@@ -12,6 +12,7 @@ from bosonlab import (
     DensityMatrix,
     HamiltonianSpec,
     SparseHermitian,
+    SymmetricState,
     bbgky_rhs,
     build_hamiltonian,
     commutator_growth,
@@ -121,6 +122,34 @@ def _forbid_matvec(monkeypatch):
     monkeypatch.setattr(SparseHermitian, "matvec", no_matvec)
 
 
+@pytest.mark.parametrize(
+    "times, match",
+    [
+        ([0.0, 0.7, 0.3], "strictly increasing"),
+        ([0.0, 0.3, 0.3], "strictly increasing"),
+        ([-0.5, 1.0], "non-negative"),
+        ([0.0, math.nan], "finite"),
+        ([0.0, math.inf], "finite"),
+        ([], "non-empty 1-d"),
+        ([[0.0, 1.0]], "non-empty 1-d"),
+    ],
+    ids=["unsorted", "repeated", "negative", "nan", "inf", "empty", "2-d"],
+)
+@pytest.mark.parametrize("propagator", ["evolve_exact", "hartree_evolve", "commutator_growth"])
+def test_one_time_grid_rule_for_every_propagator(rng, monkeypatch, propagator, times, match):
+    spec = random_spec(rng, 2, (1, 2))
+    phi = _unit_phi(rng, 2)
+    calls = {
+        "evolve_exact": lambda: evolve_exact(build_hamiltonian(spec, 3),
+                                             embed_product_state(phi, 3), times),
+        "hartree_evolve": lambda: hartree_evolve(pure_state_density(phi), spec, times),
+        "commutator_growth": lambda: commutator_growth(spec, 3, 1, 1, [SX], [SZ], times),
+    }
+    _forbid_matvec(monkeypatch)
+    with pytest.raises(ValueError, match=f"^times must be .*{match}"):
+        calls[propagator]()
+
+
 def _eigh_states(hamiltonian, amplitudes, times):
     w, v = np.linalg.eigh(np.asarray(hamiltonian))
     coeff = v.conj().T @ amplitudes
@@ -130,7 +159,7 @@ def _eigh_states(hamiltonian, amplitudes, times):
 class TestPropagation:
     """The Chebyshev path against a dense eigendecomposition written here."""
 
-    TIMES = [20.0, 0.3, 0.0, 7.5, 0.3, 20.0, 1e-6]  # unsorted, repeated, t = 0
+    TIMES = [0.0, 1e-6, 0.3, 7.5, 20.0]
 
     @pytest.mark.parametrize("d,n,orders", [(2, 12, (1, 2)), (3, 8, (1, 2, 3)), (4, 5, (1, 2))])
     @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
@@ -144,7 +173,7 @@ class TestPropagation:
         for state, ref in zip(out, _eigh_states(h, state0.amplitudes, self.TIMES)):
             assert np.max(np.abs(state.amplitudes - ref)) <= 1e-10
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
-        np.testing.assert_array_equal(out[2].amplitudes, state0.amplitudes)
+        np.testing.assert_array_equal(out[0].amplitudes, state0.amplitudes)
 
     @pytest.mark.parametrize("c", [0.0, 0.83, -2.5])
     def test_scalar_hamiltonian_gives_exact_phase(self, rng, c):
@@ -192,6 +221,22 @@ class TestPropagation:
         finally:
             tracemalloc.stop()
         assert elapsed < 1.0 and peak < 2**20
+
+    def test_state_bytes_refused_before_propagating(self, rng, monkeypatch):
+        # 8192 states of D = 16385 amplitudes and their sums: 32 * 8192 * 16385 > 2^32 bytes
+        state = embed_product_state(_unit_phi(rng, 2), 16384)
+        h = _scalar_hamiltonian(0.5, state.basis.size)
+        times = np.linspace(0.0, 1.0, 8192)
+        _forbid_matvec(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^the propagated states at D = 16385, 32 \* times \* D "
+                               r"bytes = \d+ > 4294967296; the largest workable number of times is 8191$"):
+                evolve_exact(h, state, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_all_times_in_one_call_match_one_call_per_time(self):
         rng = substream(61, "one call", 3)
@@ -621,6 +666,11 @@ class TestCommutatorGrowth:
             commutator_growth(spec, 3, 2, 2, [np.eye(4)], [np.eye(4)], [0.1])
 
 
+def _random_symmetric_state(rng, basis):
+    amplitudes = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    return SymmetricState(basis, amplitudes / np.linalg.norm(amplitudes))
+
+
 class TestCorrelationGap:
     def test_product_state_has_no_correlations(self, rng):
         state = embed_product_state(_unit_phi(rng, 2), 5)
@@ -661,16 +711,22 @@ class TestCorrelationGap:
         assert gaps == [correlation_gap(gamma, 1, 2, [x], [y])[0] for x, y in zip(a, b)]
         assert max(gaps) > 1e-3
 
-    def test_stack_over_several_chunks_matches_kron_per_pair(self, rng):
-        # d^(m+n) = 64: 16 pairs a chunk, so 20 pairs take two
-        spec = random_spec(rng, 2, (1, 2))
-        state0 = embed_product_state(_unit_phi(rng, 2), 7)
-        gamma = rdm(evolve_exact(build_hamiltonian(spec, 7), state0, [0.6])[0], 6)
-        a = np.array([oracles.rand_unit_herm(rng, 8) for _ in range(20)])
-        b = np.array([oracles.rand_unit_herm(rng, 8) for _ in range(20)])
-        connected = gamma.matrix - np.kron(gamma.marginal(3).matrix, gamma.marginal(3).matrix)
-        expected = [float(abs(np.trace(np.kron(x, y) @ connected))) for x, y in zip(a, b)]
-        assert correlation_gap(gamma, 3, 3, a, b) == expected
+    @pytest.mark.parametrize(
+        "d, m, n", [(2, 1, 1), (2, 2, 1), (2, 1, 3), (2, 3, 3), (2, 2, 4), (3, 1, 2), (3, 2, 2),
+                    (3, 3, 3), (4, 1, 1), (4, 2, 1), (4, 2, 2)],
+    )
+    def test_matches_the_kronecker_trace(self, d, m, n):
+        # the literal |tr((A (x) B) (gamma - gamma^(m) (x) gamma^(n)))|, each pair's A (x) B
+        # formed; on a random symmetric state, so that every gap is far from 0
+        rng = substream(62, f"gap:{d}:{m}:{n}")
+        state = _random_symmetric_state(rng, enumerate_basis(d, m + n + 1))
+        gamma = rdm(state, m + n)
+        a = np.array([oracles.rand_unit_herm(rng, d**m) for _ in range(3)])
+        b = np.array([oracles.rand_unit_herm(rng, d**n) for _ in range(3)])
+        connected = gamma.matrix - np.kron(gamma.marginal(m).matrix, gamma.marginal(n).matrix)
+        expected = [abs(np.trace(np.kron(x, y) @ connected)) for x, y in zip(a, b)]
+        np.testing.assert_allclose(correlation_gap(gamma, m, n, a, b), expected, rtol=0, atol=1e-14)
+        assert max(expected) > 1e-3
 
     def test_wrong_order_rdm_rejected(self, rng):
         state = embed_product_state(_unit_phi(rng, 2), 4)
@@ -717,11 +773,22 @@ class TestBbgkyRhs:
         fd = (rdm(fwd, k).matrix - rdm(back, k).matrix) / (2 * dt)
         assert np.max(np.abs(fd - rhs)) < 50 * dt**2
 
-    def test_wrong_order_rdm_rejected(self, rng):
+    def test_too_low_order_rdm_rejected(self, rng):
         spec = random_spec(rng, 2, (1, 2))
         state = embed_product_state(_unit_phi(rng, 2), 4)
-        with pytest.raises(ValueError, match="order"):
-            bbgky_rhs(spec, 4, 1, rdm(state, 3))
+        with pytest.raises(ValueError, match="expected an RDM of order >= 2 \\(d=2\\), got order 1"):
+            bbgky_rhs(spec, 4, 1, rdm(state, 1))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_higher_order_rdm_gives_the_same_rhs(self, k):
+        # the order-(k+l) RDMs are partial traces of whichever RDM is given
+        rng = substream(51, f"bbgky:order:{k}")
+        spec = random_spec(rng, 2, (1, 2, 3), unit_norm=False)
+        state = _random_symmetric_state(rng, enumerate_basis(2, 6))
+        exact = bbgky_rhs(spec, 6, k, rdm(state, k + 2))
+        for order in range(k + 3, 7):
+            np.testing.assert_allclose(bbgky_rhs(spec, 6, k, rdm(state, order)), exact,
+                                       rtol=0, atol=1e-14)
 
     def test_hierarchy_depth_guard(self, rng):
         spec = random_spec(rng, 2, (1, 2, 3))

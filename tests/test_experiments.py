@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bosonlab import (
+    DensityMatrix,
     __version__,
     bbgky_rhs,
     bound_constants,
@@ -387,7 +388,11 @@ class TestBbgkyRunner:
             derivative_orders.append(k)
             return rdm_derivative(state, hamiltonian, k)
 
+        def no_marginal(self, order):
+            raise AssertionError("bbgky_rhs takes the top-order RDM for every k")
+
         monkeypatch.setattr(experiments, "rdm_derivative", counting)
+        monkeypatch.setattr(DensityMatrix, "marginal", no_marginal)
         config = config_from_dict(
             base_config(
                 scenario="bbgky",
@@ -397,8 +402,8 @@ class TestBbgkyRunner:
             )
         )
         run_bbgky(config)
-        # per N and grid time: one rdm at order 3 = max(k_values) + M - 1, whose
-        # marginals give every k, then one derivative walk at max(k_values)
+        # per N and grid time: one rdm at order 3 = max(k_values) + M - 1, which
+        # bbgky_rhs takes for every k, then one derivative walk at max(k_values)
         assert orders == [3, 3] * 2
         assert derivative_orders == [2, 2] * 2
 

@@ -124,3 +124,12 @@ def test_readme_dotted_names_resolve():
             obj = getattr(obj, attr)
     assert len(names) > 5
     assert stale == []
+
+
+def test_readme_limits_table_has_one_row_per_limit():
+    # every MAX_* of _limits.py, and nothing else, heads exactly one row of the table
+    section = README.read_text().split("\n## Resource limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == "limit"  # the header, then the separator row
+    limits = sorted(name for name in vars(bosonlab._limits) if name.startswith("MAX_"))
+    assert sorted(rows[2:]) == limits

@@ -390,6 +390,21 @@ class TestRdm:
         assert top.marginal(k) is top
         np.testing.assert_allclose(top.marginal(0).matrix, [[1.0]], atol=1e-14)
 
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_dense_order_refused_before_allocating(self, derivative):
+        # order 15 at d = 2 passes the walk's byte guard; its dense matrices are 16 GiB each
+        state = embed_product_state(np.array([0.6, 0.8]), 20)
+        h = build_hamiltonian(HamiltonianSpec(2, 1, {1: SZ}), 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^dense d\^k x d\^k matrices at order k, .* "
+                               r"bytes = \d+ > 4294967296; the largest workable order for d=2 is 12$"):
+                rdm_derivative(state, h, 15) if derivative else rdm(state, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_k_bounds_enforced(self):
         state = embed_product_state(np.array([1.0, 0.0]), 3)
         with pytest.raises(ValueError):
