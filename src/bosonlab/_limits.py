@@ -2,11 +2,11 @@
 of a size, next to its layer or, shared, here; library guards and experiments._price_run read it."""
 
 MAX_BASIS_SIZE = 2_000_000  # states of a symmetric basis
-MAX_OPERATOR_BYTES = 2**30  # H's move grid and packed rows (at most 38 B an entry; 128 charged)
+MAX_OPERATOR_BYTES = 2**30  # H's move grid, its rows (at most 60 B an entry at scale; 128 charged)
 MAX_WALK_BYTES = 2**30  # one compiled RDM walk
 MAX_DENSE_BYTES = 2**32  # dense matrices at their peak
 _LIVE_MATRICES = 8  # dense matrices of the largest size a dense path holds at once
-MAX_KERNEL_WORK = 2**38  # dim^3 units of dense commutator growth, about 1 ns each
+MAX_KERNEL_WORK = 2**38  # dim^3 units of dense commutator growth or RDM work, about 1 ns each
 MAX_CHEBYSHEV_TERMS = 1_000_000  # one propagation, a matvec each
 MAX_COEFFICIENT_BYTES = 2**30  # one propagation's table of Chebyshev coefficients
 MAX_STEPS = 1_000_000  # the mean-field integrator's step budget, in units of L*t

@@ -7,15 +7,6 @@ row-major tensor-product index, matching ``np.kron`` argument order.
 import numpy as np
 
 
-def tensor_power(matrix, count):
-    """Kronecker power; count 0 gives the 1x1 identity."""
-    out = np.array([[1.0 + 0.0j]])
-    mat = np.asarray(matrix, dtype=np.complex128)
-    for _ in range(count):
-        out = np.kron(out, mat)
-    return out
-
-
 def partial_trace_last(matrix, d, n_slots, n_traced):
     """Trace out the trailing n_traced slots of an n_slots-slot operator;
     with none traced, the operator itself, not a copy."""

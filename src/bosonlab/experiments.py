@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
 from .exact_dynamics import block_work, propagation_work, state_bytes
-from .hartree import _guard_steps, hartree_evolve, pure_state_density
+from .hartree import _check_times, _guard_steps, hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, bound_constants, operator_norm, vtilde
 from .symmetric_space import _BYTES_PER_ENTRY, build_hamiltonian, embed_product_state, rdm
 from .symmetric_space import operator_entries, rdm_derivative, sector_size, walk_bytes
@@ -112,22 +112,20 @@ def _list(node, path):
     return node
 
 
-def _increasing(values, path):
+def _int_list(node, path):
+    parse = _integer(1)
+    values = [parse(x, f"{path}[{i}]") for i, x in enumerate(_list(node, path))]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"{path}: values must be strictly increasing")
     return tuple(values)
 
 
-def _int_list(node, path):
-    parse = _integer(1)
-    return _increasing([parse(x, f"{path}[{i}]") for i, x in enumerate(_list(node, path))], path)
-
-
 def _time_grid(node, path):
     times = [_number(x, f"{path}[{i}]") for i, x in enumerate(_list(node, path))]
-    if times[0] < 0:
-        raise ConfigError(f"{path}: values must be non-negative and strictly increasing")
-    return _increasing(times, path)
+    try:
+        return tuple(_check_times(times).tolist())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _complex(ndim):
@@ -278,6 +276,10 @@ def _price_run(values):
         refuse(lambda k: _dense_peak_bytes(d ** min(k, 64)), order, MAX_DENSE_BYTES,
                f"{path}: dense d^k x d^k matrices at this order k, 8 * 16 * d^(2k) bytes",
                f"order for d={d}")
+        if scenario != "lr":  # an RDM's eigvalsh and its functionals, per N and grid time
+            refuse(lambda k: len(ns) * len(t) * d ** (3 * min(k, 64)), order, MAX_KERNEL_WORK,
+                   f"{path}: dense RDM work at this order k, len(n_values) * len(time_grid) * "
+                   f"d^(3k) units", f"order for d={d}")
         if order > ns[0]:
             raise ConfigError(f"{path}: order {order} exceeds N = {ns[0]} in n_values")
     if max_present > ns[0]:  # an M-body term acts on M particles; bbgky's order above is >= M
@@ -377,13 +379,18 @@ def _bound_constants(config, strategy):
     return bound_constants(config.spec, vtilde(config.spec, strategy))
 
 
-def _exact_trajectories(config, times):
-    """Yield (N, H, states) for each N in n_values: the fixed-N Hamiltonian H
-    and the N-fold product of initial_phi, evolved under H to each of times."""
+def _each_n(config, measure):
+    """The rows measure(N, H, states) gives for each N in n_values: H the fixed-N
+    Hamiltonian, and states the N-fold product of initial_phi evolved under H to
+    each grid time.  Each N's basis, walks, H and states live only through its
+    call, so they are freed before the next N's basis is enumerated."""
+    rows = []
     for n_particles in config.n_values:
         psi0 = embed_product_state(config.initial_phi, n_particles)
         hamiltonian = build_hamiltonian(config.spec, n_particles, psi0.basis)
-        yield n_particles, hamiltonian, evolve_exact(hamiltonian, psi0, times)
+        rows += measure(n_particles, hamiltonian, evolve_exact(hamiltonian, psi0, config.time_grid))
+        del psi0, hamiltonian  # before the next N's basis is enumerated
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -396,25 +403,24 @@ def run_convergence(config):
     gamma0 = pure_state_density(config.initial_phi)
     traj = hartree_evolve(gamma0, spec, config.time_grid, config.integrator_tol)
     consts = _bound_constants(config, config.vtilde_strategy)
-    rows = []
     by_time = {i: [] for i in range(len(config.time_grid))}
-    for n, _, states in _exact_trajectories(config, config.time_grid):
+
+    def measure(n, _, states):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
             dist = trace_distance(rdm(state, 1), traj.states[i])
             bound = mean_field_error_bound(consts, n, t)
             by_time[i].append((n, dist))
-            rows.append(
-                {
-                    "kind": "point",
-                    "N": n,
-                    "t": t,
-                    "trace_distance": dist,
-                    "mean_field_error_bound": bound,
-                    "ratio": dist * n,
-                    "violation": int(dist > bound + VIOLATION_ATOL),
-                }
-            )
-    return rows + _slope_rows(config, by_time)
+            yield {
+                "kind": "point",
+                "N": n,
+                "t": t,
+                "trace_distance": dist,
+                "mean_field_error_bound": bound,
+                "ratio": dist * n,
+                "violation": int(dist > bound + VIOLATION_ATOL),
+            }
+
+    return _each_n(config, measure) + _slope_rows(config, by_time)
 
 
 def _pair_row(config, bound, consts, n_particles, sample, t, lhs):
@@ -449,19 +455,17 @@ def run_corr(config):
     m, n = config.obs_m, config.obs_n
     consts = _bound_constants(config, config.vtilde_strategy)
     a_stack, b_stack = _observable_stacks(config, "corr")
-    rows = []
     mean_by_time = {i: [] for i in range(len(config.time_grid))}
-    for n_particles, _, states in _exact_trajectories(config, config.time_grid):
+
+    def measure(n_particles, _, states):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
             # one RDM contraction and one pair of marginals per state, for every sample
             sample_lhs = correlation_gap(rdm(state, m + n), m, n, a_stack, b_stack)
-            rows += [
-                _pair_row(config, correlation_gap_bound, consts, n_particles, s, t, lhs)
-                for s, lhs in enumerate(sample_lhs)
-            ]
             mean_by_time[i].append((n_particles, float(np.mean(sample_lhs))))
-        del states, state  # this N's walk goes once the next N's basis is enumerated
-    return rows + _slope_rows(config, mean_by_time)
+            yield from (_pair_row(config, correlation_gap_bound, consts, n_particles, s, t, lhs)
+                        for s, lhs in enumerate(sample_lhs))
+
+    return _each_n(config, measure) + _slope_rows(config, mean_by_time)
 
 
 def run_bbgky(config):
@@ -474,9 +478,9 @@ def run_bbgky(config):
     d = spec.d
     max_present = max(spec.present_orders, default=1)
     k_max = max(config.k_values)
-    rows = []
-    for n_particles, hamiltonian, states in _exact_trajectories(config, config.time_grid):
-        at_n = []
+
+    def measure(n_particles, hamiltonian, states):
+        rows = []
         for t, state in zip(config.time_grid, states):
             gamma = rdm(state, k_max + max_present - 1)
             rhs = [bbgky_rhs(spec, n_particles, k, gamma) for k in config.k_values]
@@ -484,12 +488,11 @@ def run_bbgky(config):
             exact = rdm_derivative(state, hamiltonian, k_max)
             for k, r in zip(config.k_values, rhs):
                 value = float(np.max(np.abs(partial_trace_last(exact, d, k_max, k_max - k) - r)))
-                at_n.append({"kind": "residual", "N": n_particles, "k": k, "t": t, "value": value})
+                rows.append({"kind": "residual", "N": n_particles, "k": k, "t": t, "value": value})
             del rhs, exact  # no RDM outlives its grid time
-        at_n.sort(key=lambda row: row["k"])  # by k then t
-        rows += at_n
-        del states, state  # as in run_corr
-    return rows
+        return sorted(rows, key=lambda row: row["k"])  # by k then t
+
+    return _each_n(config, measure)
 
 
 def run_bounds(config):

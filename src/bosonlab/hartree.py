@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._limits import MAX_STEPS, refuse
-from ._tensor import partial_trace_last, tensor_power
 from .operators import operator_norm
 
 DENSITY_ATOL = 1e-10
@@ -37,11 +36,10 @@ TRAJECTORY_ATOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Positive unit-trace Hermitian matrix on ``order`` particle slots.
+    """Positive unit-trace Hermitian matrix on ``order`` >= 1 particle slots.
 
     ``atol`` is the construction tolerance for the three invariants
-    (Hermiticity, unit trace, positivity); order 0 is the scalar 1 in a 1x1
-    matrix, what ``marginal(0)`` traces every slot down to.
+    (Hermiticity, unit trace, positivity).
     """
 
     order: int
@@ -50,8 +48,8 @@ class DensityMatrix:
     atol: float = field(default=DENSITY_ATOL, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
         if self.d < 1:
             raise ValueError("single-particle dimension must be >= 1")
         mat = np.array(self.matrix, dtype=np.complex128)
@@ -70,30 +68,12 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def eigenvalues(self):
-        return np.linalg.eigvalsh(self.matrix)
 
-    def marginal(self, order):
-        """The order-``order`` reduced density matrix, tracing the trailing
-        slots.  For a slot-symmetric matrix, such as every ``rdm`` output,
-        this is the lower-order RDM of the same state."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"marginal order {order} is not in [0, {self.order}]")
-        if order == self.order:
-            return self
-        traced = partial_trace_last(self.matrix, self.d, self.order, self.order - order)
-        return DensityMatrix(order, self.d, traced, atol=self.atol)
-
-    def purity(self):
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-def pure_state_density(phi, atol=DENSITY_ATOL):
+def pure_state_density(phi):
     """|phi><phi| as an order-1 density matrix; phi must be normalized."""
     v = np.asarray(phi, dtype=np.complex128).reshape(-1)
     dev = abs(np.linalg.norm(v) - 1.0)
-    if not dev <= atol:
+    if not dev <= DENSITY_ATOL:
         raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
     return DensityMatrix(1, v.size, np.outer(v, v.conj()))
 
@@ -110,13 +90,17 @@ def _contractions(spec):
     return mats
 
 
-def _mean_field_h(g, contractions):
-    flat, power, h = g.reshape(-1), np.ones(1), np.zeros(g.size, dtype=np.complex128)
+def _order_parts(g, contractions):
+    """The order-m part of h(gamma), flattened and not hermitized, for each contraction."""
+    flat, power = g.reshape(-1), np.ones(1)
     for c in contractions:
         while power.size < c.shape[1]:  # extend gamma^(x (m-1)) from the lower order's
             power = np.multiply.outer(power, flat).reshape(-1)
-        h = h + c @ power
-    h = np.reshape(h, g.shape)
+        yield c @ power
+
+
+def _mean_field_h(g, contractions):
+    h = sum(_order_parts(g, contractions), np.zeros(g.size, dtype=np.complex128)).reshape(g.shape)
     return (h + h.conj().T) / 2
 
 
@@ -155,13 +139,13 @@ def hartree_rhs(gamma, spec):
 
 
 def mean_field_energy(gamma, spec):
-    """Conserved energy tr(V1 gamma) + sum_m (1/m!) tr(V^(m) gamma^(x m))."""
+    """Conserved energy tr(V1 gamma) + sum_m (1/m!) tr(V^(m) gamma^(x m)), summed as
+    sum_m tr(h_m gamma) / m, h_m the order-m part of h(gamma)."""
     _check_one_body(gamma, spec)
     g = gamma.matrix
-    e = 0.0 + 0.0j
-    for m in spec.present_orders:
-        e += np.trace(spec.terms[m] @ tensor_power(g, m)) / math.factorial(m)
-    return float(e.real)
+    parts = _order_parts(g, _contractions(spec))
+    e = sum(part @ g.T.reshape(-1) / m for m, part in zip(spec.present_orders, parts))
+    return float(np.real(e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +233,8 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     t = 0.0
     states = [gamma0] if times[0] == 0.0 else []
 
-    rhs0_scale = float(np.max(np.abs(k0))) if t_end > 0 else 0.0
-    dt = min(1e-2, t_end / 10.0) if t_end > 0 else 1e-2
+    rhs0_scale = float(np.max(np.abs(k0)))
+    dt = min(1e-2, t_end / 10.0)
     if rhs0_scale > 0:
         dt = min(dt, 0.1 / rhs0_scale)
     dt = max(dt, 1e-8)

@@ -34,9 +34,9 @@ from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_OPERATOR_BYTES, MAX_W
                       _dense_peak_bytes, refuse)
 from .hartree import DensityMatrix
 
-# The (D, moves) grid of 24-byte cells, moves <= sum_m C(d+m-1, m)^2, then its packed
-# rows: build_hamiltonian peaks at 38 bytes an operator_entries entry or less
-# (tracemalloc, d = 2 to 8, orders up to 3); 128 charged.
+# The (D, 1 + moves) grid of 24-byte cells, 1 + moves <= sum_m C(d+m-1, m)^2, is H's rows;
+# with its hermitization build_hamiltonian peaks at 60 bytes an operator_entries entry or
+# less (tracemalloc, d = 2 to 8, orders up to 3, from 2e4 entries; 85 below); 128 charged.
 _BYTES_PER_ENTRY = 128
 
 
@@ -71,15 +71,6 @@ class OccupationBasis:
     @property
     def size(self):
         return self.vectors.shape[0]
-
-    def positions(self, occupations):
-        """Basis positions of occupation vectors (along the last axis).
-
-        An occupation maps to the key sum_i n_i (N+1)^(d-1-i); keys descend
-        with the basis, so a binary search in the ascending keys counts from
-        the end."""
-        keys = occupations @ _key_powers(self.d, self.n_particles)
-        return self.size - 1 - np.searchsorted(self.keys_ascending, keys)
 
     def walk(self, k):
         """The order-k ladder walk (:func:`ladder_walk`) with int32 rows and
@@ -170,7 +161,7 @@ def embed_product_state(phi, n_particles):
 class SparseHermitian:
     """Hermitian D x D matrix as fixed-width rows: ``cols`` and ``values`` are
     (D, w) arrays whose slot 0 holds each row's diagonal, stored even when 0;
-    a row narrower than w is padded with (its own index, 0).  ``np.asarray``
+    a slot that a row does not use holds (its own index, 0).  ``np.asarray``
     gives the dense matrix, for checks at small D."""
 
     cols: np.ndarray
@@ -266,7 +257,9 @@ def _assemble(basis, terms):
     """Sum of prefactor * (symmetric sum of V) over (order, V, prefactor) triples.
 
     Keys are unique and a+_I a_J moves each by key(I) - key(J): a row meets one column per
-    move, so each kept pair writes into its move's slot, and one J's pairs never collide."""
+    move, so each kept pair writes into its move's slot, and one J's pairs never collide.
+    The hermitized grid is H's rows: slot 0 the diagonal, each slot s >= 1 one move for
+    every row, and (own index, 0) in a row that no column reaches by that move."""
     d, size = basis.d, basis.size
     chains = []
     for m, v, prefactor in terms:
@@ -302,16 +295,11 @@ def _assemble(basis, terms):
     cols = cols.reshape(size, width)
     stored = (cols != np.arange(size)[:, None]) | (np.arange(width) == 0)
     # an entry's transpose is in its column's row at the reverse move, slot 1 + i's
-    # being width - 1 - i; (a + conj b)/2 and (b + conj a)/2 are exact conjugates
-    transpose = (cols * width + np.r_[0, width - 1:0:-1])[stored]
-    values = (values[transpose].conj() + values.reshape(size, width)[stored]) / 2
-    # rows packed left, in row-major order, so in slot order; padded with (row, 0)
-    count = stored.sum(axis=1)
-    out_cols = np.repeat(np.arange(size), count.max()).reshape(size, -1)
-    out_values = np.zeros(out_cols.shape, dtype=np.complex128)
-    packed = np.arange(count.max()) < count[:, None]
-    out_cols[packed], out_values[packed] = cols[stored], values
-    return SparseHermitian(out_cols, out_values)
+    # being width - 1 - i; (a + conj b)/2 and (b + conj a)/2 are exact conjugates, and
+    # padding, whose transpose is a cell of its own row, stays 0
+    transpose = cols * width + np.r_[0, width - 1:0:-1]
+    values = np.where(stored, (values[transpose].conj() + values.reshape(size, width)) / 2, 0)
+    return SparseHermitian(cols, values)
 
 
 def build_symmetric_operator(matrix, order, basis, prefactor):

@@ -189,6 +189,32 @@ def test_oversized_dense_orders_refused_before_allocating(
 
 
 @pytest.mark.parametrize(
+    "scenario, changes, field",
+    [
+        ("corr", {"obs_m": 6, "obs_n": 6}, "obs_m + obs_n"),
+        ("bbgky", {"k_values": [10]}, "max(k_values) + 2"),
+    ],
+)
+def test_dense_rdm_work_priced_at_config_time(tmp_path, capsys, monkeypatch, scenario, changes,
+                                              field):
+    # order 12 at d = 2 passes the dense byte guard, but each of the 9 RDMs of
+    # 3 N and 3 grid times takes seconds in the eigvalsh of a 4096 x 4096 matrix
+    def never(config):
+        raise AssertionError("the runner must not start")
+
+    monkeypatch.setattr(cli_module.SCENARIOS[scenario], "run", never)
+    path = _shipped(tmp_path, scenario, n_values=[12, 13, 14], **changes)
+    start = time.perf_counter()
+    assert main([scenario, "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: dense RDM work at this order k, len(n_values) * "
+                          f"len(time_grid) * d^(3k) units = {9 * 2**36} > {2**38}")
+    assert err.endswith("the largest workable order for d=2 is 11\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
     "scenario, changes, message",
     [
         ("lr", {"obs_m": 5, "obs_n": 2}, "obs_m + obs_n: order 7 exceeds N = 6"),

@@ -723,7 +723,9 @@ class TestCorrelationGap:
         gamma = rdm(state, m + n)
         a = np.array([oracles.rand_unit_herm(rng, d**m) for _ in range(3)])
         b = np.array([oracles.rand_unit_herm(rng, d**n) for _ in range(3)])
-        connected = gamma.matrix - np.kron(gamma.marginal(m).matrix, gamma.marginal(n).matrix)
+        g = gamma.matrix
+        connected = g - np.kron(oracles.trace_out_last(g, d, m + n, n),
+                                oracles.trace_out_last(g, d, m + n, m))
         expected = [abs(np.trace(np.kron(x, y) @ connected)) for x, y in zip(a, b)]
         np.testing.assert_allclose(correlation_gap(gamma, m, n, a, b), expected, rtol=0, atol=1e-14)
         assert max(expected) > 1e-3

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,15 +10,17 @@ import numpy as np
 import pytest
 
 from bosonlab import (
-    DensityMatrix,
     __version__,
     bbgky_rhs,
     bound_constants,
+    build_hamiltonian,
     commutator_growth,
     correlation_gap,
+    enumerate_basis,
     experiments,
     mean_field_error_bound,
     rdm,
+    symmetric_space,
     vtilde,
 )
 from bosonlab.experiments import (
@@ -388,11 +391,7 @@ class TestBbgkyRunner:
             derivative_orders.append(k)
             return rdm_derivative(state, hamiltonian, k)
 
-        def no_marginal(self, order):
-            raise AssertionError("bbgky_rhs takes the top-order RDM for every k")
-
         monkeypatch.setattr(experiments, "rdm_derivative", counting)
-        monkeypatch.setattr(DensityMatrix, "marginal", no_marginal)
         config = config_from_dict(
             base_config(
                 scenario="bbgky",
@@ -624,3 +623,27 @@ class TestOutputFiles:
                 rhs_at.setdefault((row["N"], row["t"]), set()).add(row["rhs"])
         assert len(rhs_at) == len(config.n_values) * len(config.time_grid)
         assert [at for at, values in rhs_at.items() if len(values) > 1] == []
+
+
+@pytest.mark.parametrize("scenario", ["converge", "corr", "bbgky"])
+def test_each_n_is_freed_before_the_next_is_built(monkeypatch, scenario):
+    # a weakref to every basis and H the run builds: none of an earlier N may be
+    # alive when the next N's basis is enumerated
+    built = []
+
+    def enumerate_checked(d, n_particles):
+        assert [ref for ref in built if ref() is not None] == []
+        basis = enumerate_basis(d, n_particles)
+        built.append(weakref.ref(basis))
+        return basis
+
+    def build_checked(*args):
+        hamiltonian = build_hamiltonian(*args)
+        built.append(weakref.ref(hamiltonian))
+        return hamiltonian
+
+    monkeypatch.setattr(symmetric_space, "enumerate_basis", enumerate_checked)
+    monkeypatch.setattr(experiments, "build_hamiltonian", build_checked)
+    config = config_from_dict(_shipped(scenario, n_values=[5, 6, 7]))
+    SCENARIOS[scenario].run(config)
+    assert len(built) == 2 * len(config.n_values)

@@ -16,6 +16,7 @@ from bosonlab import (
     mean_field_hamiltonian,
     pure_state_density,
 )
+from bosonlab._tensor import partial_trace_last
 from bosonlab.experiments import config_from_dict
 
 from .conftest import SX, SZ, random_spec, substream
@@ -37,18 +38,12 @@ class TestDensityMatrix:
     def test_valid_mixed_state(self, rng):
         gamma = DensityMatrix(1, 3, oracles.rand_density(rng, 3))
         assert gamma.order == 1
-        assert gamma.eigenvalues[-2] > 1e-3  # rank above one: mixed
+        assert np.linalg.eigvalsh(gamma.matrix)[-2] > 1e-3  # rank above one: mixed
 
     def test_purity_of_pure_state(self):
         gamma = pure_state_density(np.array([0.6, 0.8]))
-        assert gamma.purity() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(gamma.eigenvalues, [0.0, 1.0], atol=1e-12)
-
-    def test_eigenvalues_sorted_and_trace_one(self, rng):
-        gamma = DensityMatrix(1, 4, oracles.rand_density(rng, 4))
-        eigs = gamma.eigenvalues
-        assert np.all(np.diff(eigs) >= 0)
-        assert eigs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(gamma.matrix @ gamma.matrix).real == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(gamma.matrix), [0.0, 1.0], atol=1e-12)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -69,27 +64,26 @@ class TestDensityMatrix:
     def test_marginal_of_product_is_first_factor(self, rng):
         a, b = oracles.rand_density(rng, 3), oracles.rand_density(rng, 3)
         gamma = DensityMatrix(2, 3, np.kron(a, b))
-        np.testing.assert_allclose(gamma.marginal(1).matrix, a, atol=1e-14)
-        assert gamma.marginal(0).order == 0
+        np.testing.assert_allclose(partial_trace_last(gamma.matrix, 3, 2, 1), a, atol=1e-14)
 
     @pytest.mark.parametrize("d, order", [(2, 4), (3, 3)])
     def test_marginals_compose(self, d, order):
-        # run_bbgky reads every lower order as a marginal of one top RDM
+        # run_bbgky reads every lower order as a partial trace of one top RDM
         rng = substream(17, "marginal-compose", d)
-        gamma = DensityMatrix(order, d, oracles.rand_density(rng, d**order))
+        g = DensityMatrix(order, d, oracles.rand_density(rng, d**order)).matrix
         for upper in range(order + 1):
             for lower in range(upper + 1):
                 np.testing.assert_allclose(
-                    gamma.marginal(upper).marginal(lower).matrix,
-                    gamma.marginal(lower).matrix,
+                    partial_trace_last(partial_trace_last(g, d, order, order - upper),
+                                       d, upper, upper - lower),
+                    partial_trace_last(g, d, order, order - lower),
                     atol=1e-14,
                 )
 
-    def test_marginal_order_out_of_range_rejected(self):
-        gamma = DensityMatrix(2, 2, np.eye(4) / 4)
-        for order in (-1, 3):
-            with pytest.raises(ValueError, match="marginal order"):
-                gamma.marginal(order)
+    def test_order_below_one_rejected(self):
+        for order in (-1, 0):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                DensityMatrix(order, 2, np.eye(1))
 
     def test_unnormalized_phi_rejected(self):
         with pytest.raises(ValueError):
@@ -188,6 +182,18 @@ class TestMeanFieldEnergy:
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         assert mean_field_energy(gamma, spec) == pytest.approx(0.5, abs=1e-13)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_kronecker_trace(self, d):
+        # sum_m tr(V^(m) gamma^(x m)) / m!, each gamma^(x m) formed by np.kron
+        rng = substream(74, "energy-kron", d)
+        spec = random_spec(rng, d, (1, 2, 3))
+        gamma = DensityMatrix(1, d, oracles.rand_density(rng, d))
+        expected, power = 0.0, np.ones((1, 1))
+        for m in (1, 2, 3):
+            power = np.kron(power, gamma.matrix)
+            expected += np.trace(spec.terms[m] @ power).real / math.factorial(m)
+        assert abs(mean_field_energy(gamma, spec) - expected) <= 1e-14
+
 
 class TestHartreeEvolve:
     def test_linear_case_matches_conjugation(self, rng):
@@ -232,7 +238,8 @@ class TestHartreeEvolve:
             )
         )
         traj = hartree_evolve(gamma0, spec, [0.0, 1.0, 2.0], tol=1e-10)
-        assert traj.states[-1].purity() == pytest.approx(1.0, abs=1e-8)
+        g = traj.states[-1].matrix
+        assert np.trace(g @ g).real == pytest.approx(1.0, abs=1e-8)
 
     def test_conserves_trace_energy_spectrum(self):
         rng = substream(73, "cons")

@@ -49,8 +49,9 @@ def _walk(basis, k):
 def _chains(basis, k):
     """Reference walk, one chain at a time: a_J then a+_I applied to every
     occupation vector, the factor multiplied up slot by slot, and each
-    result located by its basis position."""
+    result located by comparing it with the basis vectors."""
     multisets, _ = multiset_map(basis.d, k)
+    position = {vector: i for i, vector in enumerate(map(tuple, basis.vectors.tolist()))}
     for j, annihilate in enumerate(multisets):
         occ = basis.vectors.copy()
         f_ann = np.ones(basis.size)
@@ -67,7 +68,8 @@ def _chains(basis, k):
             for mode in create:
                 occ_out[:, mode] += 1
                 f_cre *= occ_out[:, mode]
-            yield i, j, basis.positions(occ_out), cols, np.sqrt(f_ann * f_cre)
+            rows = np.array([position[vector] for vector in map(tuple, occ_out.tolist())])
+            yield i, j, rows, cols, np.sqrt(f_ann * f_cre)
 
 
 def _reference_assembly(basis, terms):
@@ -103,9 +105,10 @@ class TestLadderWalk:
         # a+_0 a+_0 a_0 a_1 |3, 2> = sqrt(3 * 2) sqrt(3 * 4) |4, 1>
         basis = enumerate_basis(2, 5)
         rows, cols, factor = _walk(basis, 2)[(0, 1)]  # I = (0, 0), J = (0, 1)
-        at = np.flatnonzero(cols == basis.positions(np.asarray((3, 2))))
+        vectors = basis.vectors.tolist()
+        at = np.flatnonzero(cols == vectors.index([3, 2]))
         assert at.size == 1
-        assert rows[at[0]] == basis.positions(np.asarray((4, 1)))
+        assert rows[at[0]] == vectors.index([4, 1])
         assert factor[at[0]] == math.sqrt(72)
 
     def test_pairs_are_multiset_pairs_and_dead_chains_are_dropped(self):

@@ -36,6 +36,32 @@ def test_every_module_level_name_is_read():
     assert unread == []
 
 
+def test_every_class_method_is_read():
+    # a method or property of a src/ class that no code reads as .name is dead;
+    # perfbench counts as a reader, dunders are exempt
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    readers = list(trees.values()) + [
+        ast.parse(path.read_text()) for path in sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    ]
+    read = {
+        node.attr
+        for tree in readers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+    assert unread == []
+
+
 def _config_keys(tree):
     """Names of the ``_key(...)`` fields of ExperimentConfig: the config keys."""
     config = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig")

@@ -20,6 +20,7 @@ from bosonlab import (
     rdm,
     slot_symmetrize,
 )
+from bosonlab._tensor import partial_trace_last
 from bosonlab.symmetric_space import (
     _BYTES_PER_ENTRY,
     MAX_OPERATOR_BYTES,
@@ -60,11 +61,6 @@ class TestEnumerateBasis:
         vectors = enumerate_basis(d, n).vectors
         assert vectors.dtype == np.int64 and vectors.flags.c_contiguous
         assert vectors.tolist() == [list(v) for v in want]
-
-    def test_positions_roundtrip(self):
-        basis = enumerate_basis(3, 4)
-        for i, occ in enumerate(basis.vectors):
-            assert basis.positions(occ) == i
 
     def test_oversized_sector_rejected(self):
         with pytest.raises(ValueError, match="refusing to enumerate"):
@@ -147,7 +143,7 @@ class TestEmbedProductState:
                     * Decimal(math.sin(theta)) ** (n - n1)
                 )
                 expected = float(magnitude) * np.exp(1j * alpha * (n - n1))
-                got = state.amplitudes[state.basis.positions(np.asarray((n1, n - n1)))]
+                got = state.amplitudes[state.basis.vectors.tolist().index([n1, n - n1])]
                 assert abs(got - expected) <= 1e-10 * abs(expected)
 
     def test_norm_holds_where_the_log_amplitudes_drift(self):
@@ -249,7 +245,7 @@ class TestBuildSymmetricOperator:
     )
     def test_assembly_peak_within_charged_bytes(self, d, orders, n):
         # the byte guard charges for the path that runs: the move grid alive
-        # while the walk scatters into it and it is hermitized and packed
+        # while the walk scatters into it and it is hermitized into H's rows
         spec = random_spec(substream(47, "assembly-peak", n), d, orders)
         basis = enumerate_basis(d, n)
         pairs = sum(math.comb(d + m - 1, m) ** 2 for m in orders)
@@ -309,17 +305,21 @@ class TestBuildHamiltonian:
         assert (family == "structured" and d > 1) == (expected.diagonal() == 0).any()
         assert np.max(np.abs(np.asarray(h) - expected)) <= 1e-12
 
-        # slot 0 holds the diagonal, the other stored columns ascend, and the
-        # padding (own index, 0) comes last
+        # slot 0 holds the diagonal, and each slot s >= 1 one move: key(row) - key(col)
+        # is the same in every row that stores s, nonzero and ascending with s; a row
+        # that does not store s holds (its own index, 0) there
         own = np.arange(basis.size)[:, None]
-        stored = np.c_[np.ones(basis.size, bool), h.cols[:, 1:] != own]
         np.testing.assert_array_equal(h.cols[:, :1], own)
-        assert not (stored[:, 1:] & ~stored[:, :-1]).any()
-        ascending = np.diff(h.cols[:, 1:], axis=1) > 0
-        assert (ascending | ~stored[:, 2:]).all()
-        keys = (own * basis.size + h.cols)[stored]
-        assert h.nnz == keys.size == np.unique(keys).size  # each (row, col) stored once
-        assert not h.values[~stored].any()
+        padding = (h.cols == own) & (np.arange(h.cols.shape[1]) > 0)
+        assert not h.values[padding].any()
+        keys = basis.vectors @ (n + 1) ** np.arange(d - 1, -1, -1)
+        moves = [np.unique((keys - keys[h.cols[:, s]])[~padding[:, s]])
+                 for s in range(1, h.cols.shape[1])]
+        assert [move.size for move in moves] == [1] * len(moves)
+        moves = np.array([move[0] for move in moves], dtype=np.int64)
+        assert 0 not in moves and (np.diff(moves) > 0).all()
+        pairs = (own * basis.size + h.cols)[~padding]
+        assert h.nnz == pairs.size == np.unique(pairs).size  # each (row, col) stored once
         x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         np.testing.assert_allclose(h.matvec(x), expected @ x, rtol=0, atol=1e-12)
 
@@ -345,7 +345,7 @@ class TestRdm:
     def test_dicke_state_single_particle(self):
         basis = enumerate_basis(3, 4)
         amps = np.zeros(basis.size)
-        amps[basis.positions(np.asarray((4, 0, 0)))] = 1.0
+        amps[basis.vectors.tolist().index([4, 0, 0])] = 1.0
         state = SymmetricState(basis, amps)
         np.testing.assert_allclose(
             rdm(state, 1).matrix, np.diag([1.0, 0.0, 0.0]), atol=1e-14
@@ -383,12 +383,12 @@ class TestRdm:
         basis = enumerate_basis(d, n)
         amps = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         state = SymmetricState(basis, amps / np.linalg.norm(amps))
-        top = rdm(state, k)
+        top = rdm(state, k).matrix
         for order in range(1, k):
             direct = rdm(state, order).matrix
-            assert np.max(np.abs(top.marginal(order).matrix - direct)) <= 1e-14
-        assert top.marginal(k) is top
-        np.testing.assert_allclose(top.marginal(0).matrix, [[1.0]], atol=1e-14)
+            assert np.max(np.abs(partial_trace_last(top, d, k, k - order) - direct)) <= 1e-14
+        assert partial_trace_last(top, d, k, 0) is top
+        np.testing.assert_allclose(partial_trace_last(top, d, k, k), [[1.0]], atol=1e-14)
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_dense_order_refused_before_allocating(self, derivative):
