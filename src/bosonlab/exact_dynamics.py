@@ -21,17 +21,16 @@ from ._limits import (
 )
 from ._tensor import embed_on_sites, partial_trace_last
 from .hartree import _check_times
+from .operators import HERMITIAN_ATOL
 from .symmetric_space import SparseHermitian, SymmetricState, operator_entries
 
 _UNIT_ROUNDOFF = 2.0**-53
 _BLOCK = 16  # evolve_exact sums its vectors into the states _BLOCK at a time
 
-_HERM_ATOL = 1e-12
-
 
 def _pair_stacks(d, m, n, a, b):
     """The observable pairs as complex stacks: a of Hermitian d^m x d^m and b of
-    Hermitian d^n x d^n matrices (to _HERM_ATOL; NaN fails), equally many."""
+    Hermitian d^n x d^n matrices (to HERMITIAN_ATOL; NaN fails), equally many."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     a, b = (np.asarray(x, dtype=np.complex128) for x in (a, b))
@@ -40,7 +39,7 @@ def _pair_stacks(d, m, n, a, b):
             raise ValueError(f"expected a stack of d^{k} x d^{k} = {d**k} x {d**k} "
                              f"observables, got shape {x.shape}")
         dev = float(np.max(np.abs(x - x.conj().swapaxes(1, 2)), initial=0.0))
-        if not dev <= _HERM_ATOL:  # NaN entries fail too
+        if not dev <= HERMITIAN_ATOL:  # NaN entries fail too
             raise ValueError(f"observable is not Hermitian (max deviation {dev:.3e})")
     if len(a) != len(b):
         raise ValueError("observable stacks must have equal length")
@@ -312,7 +311,7 @@ def commutator_growth(spec, n_particles, m, n, a, b, times):
     """
     if m + n > n_particles:
         raise ValueError(f"m + n = {m + n} exceeds N = {n_particles}")
-    if max(spec.present_orders, default=0) > n_particles:
+    if spec.max_order > n_particles:
         raise ValueError("interaction order exceeds particle number")
     d, t = spec.d, _check_times(times)
     a, b = _pair_stacks(d, m, n, a, b)
@@ -362,15 +361,12 @@ def bbgky_rhs(spec, n_particles, k, gamma):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = spec.d
-    max_present = max(spec.present_orders, default=1)
-    if k + max_present - 1 > n_particles:
-        raise ValueError(
-            f"hierarchy needs RDM order k + {max_present - 1} = {k + max_present - 1}"
-            f" > N = {n_particles}"
-        )
-    if gamma.order < k + max_present - 1 or gamma.d != d:
-        raise ValueError(f"expected an RDM of order >= {k + max_present - 1} (d={d}), "
+    d, needed = spec.d, k + spec.max_order - 1
+    if needed > n_particles:
+        raise ValueError(f"hierarchy needs RDM order k + {spec.max_order - 1} = {needed}"
+                         f" > N = {n_particles}")
+    if gamma.order < needed or gamma.d != d:
+        raise ValueError(f"expected an RDM of order >= {needed} (d={d}), "
                          f"got order {gamma.order} (d={gamma.d})")
     y = np.zeros((d**k, d**k), dtype=np.complex128)
     for m in spec.present_orders:

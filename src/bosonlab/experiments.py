@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -152,11 +153,10 @@ def _spec(node, path):
     unknown = sorted(map(str, set(node) - {"d", "max_order", "terms"}))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
-    for key in ("d", "max_order", "terms"):
+    for key in ("d", "terms"):
         if key not in node:
             raise ConfigError(f"{path}.{key}: required field is missing")
     d = _integer(1)(node["d"], f"{path}.d")
-    max_order = _integer(1)(node["max_order"], f"{path}.max_order")
     if not isinstance(node["terms"], dict):
         raise ConfigError(f"{path}.terms: expected a mapping, got {_kind(node['terms'])}")
     terms = {}
@@ -172,9 +172,15 @@ def _spec(node, path):
             raise ConfigError(f"{where}: order {order} is given twice")
         terms[order] = _complex(2)(matrix_node, where)
     try:
-        return HamiltonianSpec(d, max_order, terms)
+        spec = HamiltonianSpec(d, terms)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if "max_order" in node:  # optional, and then only a restatement of M
+        given = _integer(1)(node["max_order"], f"{path}.max_order")
+        if given != spec.max_order:
+            raise ConfigError(f"{path}.max_order: {given} is not M = {spec.max_order}, "
+                              f"the largest order in {path}.terms")
+    return spec
 
 
 _REQUIRED = object()
@@ -262,14 +268,13 @@ def _price_run(values):
     if scenario == "bounds":  # closed forms only
         return
     d, m, n, samples = spec.d, values["obs_m"], values["obs_n"], values["n_samples"]
-    max_present = max(spec.present_orders, default=1)
     # (what sets k, k) for each dense order k; no k may pass the smallest N
     orders = [("obs_m + obs_n", m + n)] if scenario in ("lr", "corr") else []
     walks = {1} if scenario == "converge" else {m + n}  # the RDM orders contracted
     if scenario == "bbgky":
         k_max = max(values["k_values"])
-        orders = [(f"max(k_values) + {max_present - 1}", k_max + max_present - 1)]
-        walks = {k_max + max_present - 1, k_max}
+        orders = [(f"max(k_values) + {spec.max_order - 1}", k_max + spec.max_order - 1)]
+        walks = {k_max + spec.max_order - 1, k_max}
     for path, order in orders:
         # rdm, rdm_derivative, the RDM functionals and run_bbgky peak at 2.0 to 7.0
         # of the 8 matrices counted (README); past an exponent of 64 every d >= 2 refuses
@@ -282,8 +287,8 @@ def _price_run(values):
                    f"d^(3k) units", f"order for d={d}")
         if order > ns[0]:
             raise ConfigError(f"{path}: order {order} exceeds N = {ns[0]} in n_values")
-    if max_present > ns[0]:  # an M-body term acts on M particles; bbgky's order above is >= M
-        raise ConfigError(f"spec.terms: order {max_present} exceeds N = {ns[0]} in n_values")
+    if spec.max_order > ns[0]:  # an M-body term acts on M particles; bbgky's order above is >= M
+        raise ConfigError(f"spec.terms: order {spec.max_order} exceeds N = {ns[0]} in n_values")
     if scenario in ("lr", "corr"):
         refuse(lambda s: 16 * s * (d ** (2 * m) + d ** (2 * n)), samples, MAX_DENSE_BYTES,
                f"n_samples: {samples} observable pairs' 16 * n_samples * (d^(2 obs_m) + "
@@ -363,13 +368,13 @@ def _fit_slope(ns, values):
 
 def _slope_rows(config, by_time):
     """One log-log slope row per positive grid time, fitted over N >= 2 M
-    to the (N, value) pairs by_time[i] collected at grid time i."""
+    to the (N, value) pairs by_time[i] collected at grid time i, in ascending N."""
     min_n = 2 * config.spec.max_order
     rows = []
     for i, t in enumerate(config.time_grid):
         if t <= 0:
             continue
-        pts = [(n, v) for n, v in by_time[i] if n >= min_n and v > SLOPE_FLOOR]
+        pts = sorted((n, v) for n, v in by_time[i] if n >= min_n and v > SLOPE_FLOOR)
         slope = _fit_slope(*zip(*pts)) if len(pts) >= 2 else float("nan")
         rows.append({"kind": "slope", "t": t, "slope": slope})
     return rows
@@ -380,17 +385,19 @@ def _bound_constants(config, strategy):
 
 
 def _each_n(config, measure):
-    """The rows measure(N, H, states) gives for each N in n_values: H the fixed-N
-    Hamiltonian, and states the N-fold product of initial_phi evolved under H to
-    each grid time.  Each N's basis, walks, H and states live only through its
-    call, so they are freed before the next N's basis is enumerated."""
-    rows = []
-    for n_particles in config.n_values:
+    """The rows measure(N, H, states) gives for each N in n_values, in ascending N:
+    H the fixed-N Hamiltonian, and states the N-fold product of initial_phi evolved
+    under H to each grid time.  The largest N, the costliest, runs first, so a
+    refusal comes before any other work.  Each N's basis, walks, H and states live
+    only through its call, so they are freed before the next N's basis is enumerated."""
+    rows = {}
+    for n_particles in reversed(config.n_values):
         psi0 = embed_product_state(config.initial_phi, n_particles)
         hamiltonian = build_hamiltonian(config.spec, n_particles, psi0.basis)
-        rows += measure(n_particles, hamiltonian, evolve_exact(hamiltonian, psi0, config.time_grid))
-        del psi0, hamiltonian  # before the next N's basis is enumerated
-    return rows
+        states = evolve_exact(hamiltonian, psi0, config.time_grid)
+        rows[n_particles] = list(measure(n_particles, hamiltonian, states))
+        del psi0, hamiltonian, states  # before the next N's basis is enumerated
+    return [row for n_particles in config.n_values for row in rows[n_particles]]
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +406,17 @@ def _each_n(config, measure):
 
 def run_convergence(config):
     """Exact one-particle RDM vs mean-field evolution across N."""
-    spec = config.spec
-    gamma0 = pure_state_density(config.initial_phi)
-    traj = hartree_evolve(gamma0, spec, config.time_grid, config.integrator_tol)
     consts = _bound_constants(config, config.vtilde_strategy)
     by_time = {i: [] for i in range(len(config.time_grid))}
 
+    @cache  # first read once the largest N has propagated, so its refusal comes first
+    def mean_field():
+        gamma0 = pure_state_density(config.initial_phi)
+        return hartree_evolve(gamma0, config.spec, config.time_grid, config.integrator_tol).states
+
     def measure(n, _, states):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
-            dist = trace_distance(rdm(state, 1), traj.states[i])
+            dist = trace_distance(rdm(state, 1), mean_field()[i])
             bound = mean_field_error_bound(consts, n, t)
             by_time[i].append((n, dist))
             yield {
@@ -476,13 +485,12 @@ def run_bbgky(config):
     max(k_values), whose partial traces give the lower k."""
     spec = config.spec
     d = spec.d
-    max_present = max(spec.present_orders, default=1)
     k_max = max(config.k_values)
 
     def measure(n_particles, hamiltonian, states):
         rows = []
         for t, state in zip(config.time_grid, states):
-            gamma = rdm(state, k_max + max_present - 1)
+            gamma = rdm(state, k_max + spec.max_order - 1)
             rhs = [bbgky_rhs(spec, n_particles, k, gamma) for k in config.k_values]
             del gamma  # the derivative is formed beside rhs only
             exact = rdm_derivative(state, hamiltonian, k_max)

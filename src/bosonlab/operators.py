@@ -26,7 +26,8 @@ import numpy as np
 
 from ._tensor import permute_slots
 
-DEFAULT_ATOL = 1e-12
+# the tolerance of every Hermiticity and slot-symmetry check on an input matrix
+HERMITIAN_ATOL = 1e-12
 
 
 def operator_norm(matrix):
@@ -44,7 +45,7 @@ def slot_symmetrize(matrix, d, order):
     return acc / len(perms)
 
 
-def validate_potential(matrix, d, order, atol=DEFAULT_ATOL):
+def validate_potential(matrix, d, order):
     """Return a list of human-readable invariant violations (empty = valid)."""
     mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -53,11 +54,11 @@ def validate_potential(matrix, d, order, atol=DEFAULT_ATOL):
         return ["non-finite entries"]  # every deviation below would read nan
     report = []
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_dev > atol:
+    if herm_dev > HERMITIAN_ATOL:
         report.append(f"not Hermitian (max deviation {herm_dev:.3e})")
-    expected = d**order
-    if mat.shape[0] != expected:
-        report.append(f"dimension mismatch (expected {d}^{order} = {expected}, got {mat.shape[0]})")
+    # no matrix side reaches 2^64, so d^order is never formed past that exponent
+    if mat.shape[0] != d ** min(order, 64):
+        report.append(f"dimension mismatch (expected {d}^{order}, got {mat.shape[0]})")
         return report  # slot checks need the tensor shape
     if order >= 2:
         # invariance under adjacent transpositions implies the full group
@@ -67,14 +68,14 @@ def validate_potential(matrix, d, order, atol=DEFAULT_ATOL):
             perm[s], perm[s + 1] = perm[s + 1], perm[s]
             swapped = permute_slots(mat, d, order, perm)
             sym_dev = max(sym_dev, float(np.max(np.abs(swapped - mat))))
-        if sym_dev > atol:
+        if sym_dev > HERMITIAN_ATOL:
             report.append(f"not slot-permutation-symmetric (max deviation {sym_dev:.3e})")
     return report
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
-    """Single-particle dimension d, maximal interaction order, and the terms.
+    """Single-particle dimension d and the terms.
 
     ``terms`` maps the order m to V^(m), a d^m x d^m matrix; orders may be
     absent (treated as zero).  Construction validates every term and stores
@@ -83,19 +84,15 @@ class HamiltonianSpec:
     """
 
     d: int
-    max_order: int
     terms: dict
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("single-particle dimension must be >= 1")
-        if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
         terms = dict(self.terms)
         for m, v in terms.items():
-            if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= self.max_order:
-                raise ValueError(
-                    f"terms key {m!r} is not an order in [1, max_order = {self.max_order}]")
+            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+                raise ValueError(f"terms key {m!r} is not an interaction order >= 1")
             mat = np.array(v, dtype=np.complex128)
             violations = validate_potential(mat, self.d, m)
             if violations:
@@ -107,6 +104,11 @@ class HamiltonianSpec:
     @property
     def present_orders(self):
         return tuple(sorted(self.terms))
+
+    @property
+    def max_order(self):
+        """M, the largest order present; 1 for a spec with no terms."""
+        return max(self.present_orders, default=1)
 
     @property
     def interaction_orders(self):

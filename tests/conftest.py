@@ -27,12 +27,12 @@ def random_spec(rng, d, orders, unit_norm=True):
             if norm > 0:
                 v = v / norm
         terms[m] = v
-    return HamiltonianSpec(d, max(orders), terms)
+    return HamiltonianSpec(d, terms)
 
 
 def structured_spec(rng, d, orders):
     """Seeded valid spec with structurally zero diagonals (oracles.structured_terms)."""
-    return HamiltonianSpec(d, max(orders), oracles.structured_terms(rng, d, orders))
+    return HamiltonianSpec(d, oracles.structured_terms(rng, d, orders))
 
 
 # spec families for the operator and propagation oracle comparisons

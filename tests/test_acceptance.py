@@ -62,7 +62,7 @@ def _pinned_spec(max_order):
         rng = substream(2026, "accept-threebody")
         v3 = slot_symmetrize(oracles.rand_herm(rng, 8), 2, 3)
         terms[3] = v3 / operator_norm(v3)
-    return HamiltonianSpec(2, max_order, terms)
+    return HamiltonianSpec(2, terms)
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,7 @@ def test_commutator_growth_envelope_at_large_n():
     # there costs about as much as the rest of the test together
     start = time.monotonic()
     spec = _pinned_spec(2)
-    free = HamiltonianSpec(2, 1, {1: SX})
+    free = HamiltonianSpec(2, {1: SX})
     consts = bound_constants(spec, vtilde(spec, "canonical"))
     cases = (
         (64, 1, 1, (0.0, 0.5, 1.0)),

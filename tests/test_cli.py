@@ -13,6 +13,7 @@ import pytest
 
 import bosonlab
 from bosonlab import cli as cli_module
+from bosonlab import experiments
 from bosonlab.cli import main
 from bosonlab.experiments import _KEYS, SCENARIOS, ConfigError, config_from_dict
 
@@ -212,6 +213,45 @@ def test_dense_rdm_work_priced_at_config_time(tmp_path, capsys, monkeypatch, sce
                           f"len(time_grid) * d^(3k) units = {9 * 2**36} > {2**38}")
     assert err.endswith("the largest workable order for d=2 is 11\n")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", ["corr", "converge"])
+def test_unpriced_refusal_comes_at_the_largest_n_first(tmp_path, capsys, monkeypatch, scenario):
+    # t = 3e5 passes the config check, but evolve_exact's Chebyshev term limit,
+    # which it does not price, refuses the largest N; that N runs first, and the
+    # mean-field flow (about 4 minutes to its step limit here) only after it
+    def never(*args):
+        raise AssertionError("the mean-field flow must not start")
+
+    built, build = [], experiments.build_hamiltonian
+
+    def build_logged(spec, n_particles, basis):
+        built.append(n_particles)
+        return build(spec, n_particles, basis)
+
+    monkeypatch.setattr(experiments, "hartree_evolve", never)
+    monkeypatch.setattr(experiments, "build_hamiltonian", build_logged)
+    path = _shipped(tmp_path, scenario, time_grid=[0, 3e5])
+    start = time.perf_counter()
+    assert main([scenario, "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: propagation to R t = ") and "in Chebyshev terms = inf > 1000000" in err
+    assert built == [json.loads(path.read_text())["n_values"][-1]]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_max_order_other_than_the_largest_order_exits_one(tmp_path, capsys):
+    path = _shipped(tmp_path, "converge")
+    cfg = json.loads(path.read_text())
+    cfg["spec"]["max_order"] = 3  # terms of orders 1 and 2
+    path.write_text(json.dumps(cfg))
+    assert main(["converge", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: spec.max_order: 3 is not M = 2, the largest order in spec.terms\n")
+    del cfg["spec"]["max_order"]
+    path.write_text(json.dumps(cfg))
+    assert main(["converge", "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize(

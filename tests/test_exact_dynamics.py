@@ -304,7 +304,7 @@ def _projector_spec():
     # every state with fewer than two bosons in mode 0
     p00 = np.zeros((4, 4), dtype=complex)
     p00[0, 0] = 1.0
-    return HamiltonianSpec(2, 2, {1: SX, 2: p00})
+    return HamiltonianSpec(2, {1: SX, 2: p00})
 
 
 def _projector_hamiltonian(basis):

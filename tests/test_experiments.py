@@ -18,6 +18,7 @@ from bosonlab import (
     correlation_gap,
     enumerate_basis,
     experiments,
+    hartree_evolve,
     mean_field_error_bound,
     rdm,
     symmetric_space,
@@ -150,6 +151,31 @@ class TestConfigParsing:
         del cfg["spec"]["terms"]["1"]
         config = config_from_dict(cfg)
         assert config.spec.present_orders == (2,)
+
+    def test_max_order_must_be_the_largest_order_present(self):
+        cfg = base_config()
+        cfg["spec"]["max_order"] = 3  # terms of orders 1 and 2
+        with pytest.raises(ConfigError, match=r"^spec\.max_order: 3 is not M = 2, "
+                                              r"the largest order in spec\.terms$"):
+            config_from_dict(cfg)
+
+    def test_max_order_is_optional_and_hashed_as_derived(self):
+        cfg = base_config()
+        del cfg["spec"]["max_order"]
+        config = config_from_dict(cfg)
+        assert config.spec.max_order == 2
+        assert config.config_hash == config_from_dict(base_config()).config_hash
+
+    @pytest.mark.parametrize("scenario, digest", [
+        ("bbgky", "9ea37b336779d2c7"),
+        ("bounds", "596148a0badba86b"),
+        ("converge", "b35247d198bce19b"),
+        ("corr", "cfed0b7a64601617"),
+        ("lr", "72e7cc6478ebcc9b"),
+    ])
+    def test_shipped_config_hashes_are_pinned(self, scenario, digest):
+        # a change to canonicalization re-labels every CSV a shipped config wrote
+        assert config_from_dict(_shipped(scenario)).config_hash == digest
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -647,3 +673,26 @@ def test_each_n_is_freed_before_the_next_is_built(monkeypatch, scenario):
     config = config_from_dict(_shipped(scenario, n_values=[5, 6, 7]))
     SCENARIOS[scenario].run(config)
     assert len(built) == 2 * len(config.n_values)
+
+
+@pytest.mark.parametrize("scenario", ["converge", "corr", "bbgky"])
+def test_largest_n_runs_first_and_rows_ascend(monkeypatch, scenario):
+    # the costliest N first, so that a refusal comes before any other work; the
+    # mean-field flow only after it has propagated
+    events = []
+
+    def build_logged(spec, n_particles, basis):
+        events.append(n_particles)
+        return build_hamiltonian(spec, n_particles, basis)
+
+    def hartree_logged(*args):
+        events.append("hartree")
+        return hartree_evolve(*args)
+
+    monkeypatch.setattr(experiments, "build_hamiltonian", build_logged)
+    monkeypatch.setattr(experiments, "hartree_evolve", hartree_logged)
+    config = config_from_dict(_shipped(scenario, n_values=[5, 6, 7]))
+    rows = SCENARIOS[scenario].run(config)
+    assert events == ([7, "hartree", 6, 5] if scenario == "converge" else [7, 6, 5])
+    ns = [row["N"] for row in rows if "N" in row]
+    assert ns == sorted(ns) and set(ns) == {5, 6, 7}

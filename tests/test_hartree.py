@@ -94,14 +94,12 @@ class TestDensityMatrix:
 
 class TestMeanFieldHamiltonian:
     def test_without_interactions_is_bare_term(self, rng):
-        spec = HamiltonianSpec(2, 1, {1: SX})
+        spec = HamiltonianSpec(2, {1: SX})
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         np.testing.assert_allclose(mean_field_hamiltonian(gamma, spec), SX, atol=1e-14)
 
     def test_identity_interaction_shifts_by_one(self, rng):
-        spec = HamiltonianSpec(
-            2, 2, {1: SX, 2: np.eye(4)}
-        )
+        spec = HamiltonianSpec(2, {1: SX, 2: np.eye(4)})
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         np.testing.assert_allclose(
             mean_field_hamiltonian(gamma, spec), SX + np.eye(2), atol=1e-13
@@ -110,9 +108,7 @@ class TestMeanFieldHamiltonian:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_zz_interaction_closed_form(self, p):
         # explicit 4x4 partial trace gives V1 + (2p-1) sigma_z
-        spec = HamiltonianSpec(
-            2, 2, {1: SX, 2: np.kron(SZ, SZ)}
-        )
+        spec = HamiltonianSpec(2, {1: SX, 2: np.kron(SZ, SZ)})
         gamma = DensityMatrix(1, 2, np.diag([p, 1.0 - p]).astype(complex))
         h = mean_field_hamiltonian(gamma, spec)
         np.testing.assert_allclose(h, SX + (2 * p - 1) * SZ, atol=1e-13)
@@ -123,7 +119,7 @@ class TestMeanFieldHamiltonian:
 
     def test_spec_without_terms_gives_zero(self, rng):
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
-        spec = HamiltonianSpec(2, 1, {})
+        spec = HamiltonianSpec(2, {})
         np.testing.assert_array_equal(mean_field_hamiltonian(gamma, spec), np.zeros((2, 2)))
         np.testing.assert_array_equal(hartree_rhs(gamma, spec), np.zeros((2, 2)))
 
@@ -145,9 +141,7 @@ class TestMeanFieldHamiltonian:
 
 class TestHartreeRhs:
     def test_stationary_when_everything_diagonal(self):
-        spec = HamiltonianSpec(
-            2, 2, {1: SZ, 2: np.kron(SZ, SZ)}
-        )
+        spec = HamiltonianSpec(2, {1: SZ, 2: np.kron(SZ, SZ)})
         gamma = DensityMatrix(1, 2, np.diag([0.7, 0.3]).astype(complex))
         np.testing.assert_allclose(hartree_rhs(gamma, spec), 0.0, atol=1e-14)
 
@@ -172,13 +166,13 @@ class TestHartreeRhs:
 
 class TestMeanFieldEnergy:
     def test_single_particle_expectation(self):
-        spec = HamiltonianSpec(2, 1, {1: SZ})
+        spec = HamiltonianSpec(2, {1: SZ})
         for p in (0.0, 0.25, 1.0):
             gamma = DensityMatrix(1, 2, np.diag([p, 1.0 - p]).astype(complex))
             assert mean_field_energy(gamma, spec) == pytest.approx(2 * p - 1)
 
     def test_identity_pair_interaction_gives_half(self, rng):
-        spec = HamiltonianSpec(2, 2, {2: np.eye(4)})
+        spec = HamiltonianSpec(2, {2: np.eye(4)})
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         assert mean_field_energy(gamma, spec) == pytest.approx(0.5, abs=1e-13)
 
@@ -209,9 +203,7 @@ class TestHartreeEvolve:
         )
 
     def test_diagonal_problem_is_stationary(self):
-        spec = HamiltonianSpec(
-            2, 2, {1: SZ, 2: np.kron(SZ, SZ)}
-        )
+        spec = HamiltonianSpec(2, {1: SZ, 2: np.kron(SZ, SZ)})
         gamma0 = DensityMatrix(1, 2, np.diag([0.8, 0.2]).astype(complex))
         traj = hartree_evolve(gamma0, spec, [0.5, 2.0], tol=1e-10)
         for state in traj.states:

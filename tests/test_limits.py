@@ -92,7 +92,7 @@ def test_propagation_price_bounds_the_hamiltonian(d, orders, n, t, seed):
 
 def test_entries_bound_an_operator_without_terms():
     # the layout stores every diagonal, even of H = 0
-    h = build_hamiltonian(HamiltonianSpec(2, 1, {}), 5)
+    h = build_hamiltonian(HamiltonianSpec(2, {}), 5)
     assert operator_entries(2, 5, ()) >= h.nnz == 6
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -77,25 +79,25 @@ class TestValidatePotential:
 
 class TestSpecConstruction:
     def test_order_below_one_rejected(self):
-        with pytest.raises(ValueError, match=r"key 0 is not an order in \[1, max_order = 1\]"):
-            HamiltonianSpec(1, 1, {0: np.eye(1)})
+        with pytest.raises(ValueError, match="key 0 is not an interaction order >= 1"):
+            HamiltonianSpec(1, {0: np.eye(1)})
 
     @pytest.mark.parametrize("key", ["1", 1.0, True])
     def test_key_must_be_an_int(self, key):
-        with pytest.raises(ValueError, match="is not an order"):
-            HamiltonianSpec(2, 1, {key: SZ})
+        with pytest.raises(ValueError, match="is not an interaction order"):
+            HamiltonianSpec(2, {key: SZ})
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match=r"order-1 potential invalid: not a square matrix"):
-            HamiltonianSpec(2, 1, {1: np.zeros((2, 3))})
+            HamiltonianSpec(2, {1: np.zeros((2, 3))})
 
     def test_key_order_mismatch_rejected(self):
         with pytest.raises(ValueError, match="order-2 potential invalid: dimension mismatch"):
-            HamiltonianSpec(2, 2, {2: SZ})
+            HamiltonianSpec(2, {2: SZ})
 
     def test_terms_are_read_only_complex_arrays(self):
         source = np.kron(SZ, SZ).real.copy()
-        spec = HamiltonianSpec(2, 2, {1: [[0, 1], [1, 0]], 2: source})
+        spec = HamiltonianSpec(2, {1: [[0, 1], [1, 0]], 2: source})
         for m, v in spec.terms.items():
             assert v.dtype == np.complex128 and v.shape == (2**m, 2**m)
             assert not v.flags.writeable
@@ -104,16 +106,25 @@ class TestSpecConstruction:
 
     def test_invalid_term_message_names_the_order(self):
         with pytest.raises(ValueError, match="order-2 potential invalid"):
-            HamiltonianSpec(2, 2, {2: np.kron(SX, SZ)})
+            HamiltonianSpec(2, {2: np.kron(SX, SZ)})
 
-    def test_order_above_max_rejected(self):
-        with pytest.raises(ValueError, match="max_order"):
-            HamiltonianSpec(2, 1, {2: np.kron(SZ, SZ)})
+    def test_max_order_is_the_largest_order_present(self):
+        assert HamiltonianSpec(2, {2: np.kron(SZ, SZ)}).max_order == 2
+        assert HamiltonianSpec(2, {3: np.eye(8), 1: SX}).max_order == 3
+        assert HamiltonianSpec(2, {}).max_order == 1  # no terms: M = 1
+
+    def test_max_order_is_not_settable(self):
+        assert [f.name for f in fields(HamiltonianSpec)] == ["d", "terms"]
+        with pytest.raises(TypeError):
+            HamiltonianSpec(2, 1, {1: SZ})
+
+    def test_no_upper_bound_on_an_order(self):
+        # a huge order is refused by its shape, without forming d^order
+        with pytest.raises(ValueError, match=r"dimension mismatch \(expected 3\^1000000000, got 2\)"):
+            HamiltonianSpec(3, {10**9: np.eye(2)})
 
     def test_present_and_interaction_orders(self):
-        spec = HamiltonianSpec(
-            2, 3, {1: SX, 3: np.kron(SZ, np.kron(SZ, SZ))}
-        )
+        spec = HamiltonianSpec(2, {1: SX, 3: np.kron(SZ, np.kron(SZ, SZ))})
         assert spec.present_orders == (1, 3)
         assert spec.interaction_orders == (3,)
 
@@ -126,12 +137,12 @@ def _haar_unitary(rng, dim):
 
 class TestVtilde:
     def test_single_particle_only_gives_zero(self):
-        spec = HamiltonianSpec(2, 1, {1: SZ})
+        spec = HamiltonianSpec(2, {1: SZ})
         assert vtilde(spec) == 0.0
 
     def test_zz_canonical_value(self):
         # basis-expansion oracle: four matrix-unit coefficients of magnitude 1
-        spec = HamiltonianSpec(2, 2, {2: np.kron(SZ, SZ)})
+        spec = HamiltonianSpec(2, {2: np.kron(SZ, SZ)})
         assert vtilde(spec, "canonical") == pytest.approx(4.0, abs=1e-12)
 
     def test_canonical_matches_enumeration_oracle(self, rng):
@@ -147,7 +158,7 @@ class TestVtilde:
         # d^m ||V||_F = 4 * 2; per-slot u = exp(-i pi/8 sigma_y) turns sigma_z
         # into (sigma_z + sigma_x)/sqrt(2), whose entries sum to 2 sqrt(2) in magnitude
         zz = np.kron(SZ, SZ)
-        assert vtilde(HamiltonianSpec(2, 2, {2: zz}), "ceiling") == 8.0
+        assert vtilde(HamiltonianSpec(2, {2: zz}), "ceiling") == 8.0
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
         u = np.array([[c, -s], [s, c]])
         conjugation = np.kron(u, u.conj())
@@ -179,14 +190,14 @@ class TestVtilde:
             assert vtilde(spec, "ceiling") >= vtilde(spec, "canonical")
 
     def test_unknown_strategy_rejected(self):
-        spec = HamiltonianSpec(2, 1, {1: SZ})
+        spec = HamiltonianSpec(2, {1: SZ})
         with pytest.raises(ValueError, match="strategy"):
             vtilde(spec, "exhaustive")
 
 
 class TestBoundConstants:
     def test_single_pair_term(self):
-        spec = HamiltonianSpec(2, 2, {2: np.kron(SZ, SZ)})
+        spec = HamiltonianSpec(2, {2: np.kron(SZ, SZ)})
         consts = bound_constants(spec, 2.0)
         assert consts.sum_l1_v == pytest.approx(2.0)
         assert consts.sum_l2_v == pytest.approx(4.0)
@@ -194,14 +205,14 @@ class TestBoundConstants:
         assert consts.m_max == 2
 
     def test_no_interactions_all_zero(self):
-        spec = HamiltonianSpec(2, 1, {1: SX})
+        spec = HamiltonianSpec(2, {1: SX})
         consts = bound_constants(spec, 0.0)
         assert consts.sum_l1_v == 0.0
         assert consts.sum_l2_v == 0.0
         assert consts.lambda_v == 0.0
 
     def test_negative_vtilde_rejected(self):
-        spec = HamiltonianSpec(2, 1, {1: SX})
+        spec = HamiltonianSpec(2, {1: SX})
         with pytest.raises(ValueError, match="non-negative"):
             bound_constants(spec, -1.0)
 

@@ -159,3 +159,18 @@ def test_readme_limits_table_has_one_row_per_limit():
     assert rows[0] == "limit"  # the header, then the separator row
     limits = sorted(name for name in vars(bosonlab._limits) if name.startswith("MAX_"))
     assert sorted(rows[2:]) == limits
+
+
+def test_m_is_read_from_the_spec_only():
+    # M, the largest order present, has one home: HamiltonianSpec.max_order in
+    # operators.py; no other module reduces present_orders with max(
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "operators.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max"
+        and any(isinstance(n, ast.Attribute) and n.attr == "present_orders"
+                for arg in node.args for n in ast.walk(arg))
+    ]
+    assert found == []

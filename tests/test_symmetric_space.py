@@ -261,16 +261,14 @@ class TestBuildSymmetricOperator:
 class TestBuildHamiltonian:
     def test_single_particle_term_eigenvalues(self):
         # diagonal V1 -> diagonal H with occupation-weighted sums of eigenvalues
-        spec = HamiltonianSpec(2, 1, {1: np.diag([1.5, -0.5])})
+        spec = HamiltonianSpec(2, {1: np.diag([1.5, -0.5])})
         h = build_hamiltonian(spec, 3)
         basis = enumerate_basis(2, 3)
         expected = [1.5 * occ[0] - 0.5 * occ[1] for occ in basis.vectors]
         np.testing.assert_allclose(h, np.diag(expected), atol=1e-13)
 
     def test_identity_interaction_shifts_by_half_n_minus_one(self):
-        spec = HamiltonianSpec(
-            2, 2, {2: np.eye(4)}
-        )
+        spec = HamiltonianSpec(2, {2: np.eye(4)})
         for n in (2, 3, 6):
             h = build_hamiltonian(spec, n)
             dim = n + 1
@@ -394,7 +392,7 @@ class TestRdm:
     def test_dense_order_refused_before_allocating(self, derivative):
         # order 15 at d = 2 passes the walk's byte guard; its dense matrices are 16 GiB each
         state = embed_product_state(np.array([0.6, 0.8]), 20)
-        h = build_hamiltonian(HamiltonianSpec(2, 1, {1: SZ}), 20)
+        h = build_hamiltonian(HamiltonianSpec(2, {1: SZ}), 20)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"^dense d\^k x d\^k matrices at order k, .* "
