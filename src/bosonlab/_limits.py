@@ -9,7 +9,7 @@ _LIVE_MATRICES = 8  # dense matrices of the largest size a dense path holds at o
 MAX_KERNEL_WORK = 2**38  # dim^3 units of dense commutator growth or RDM work, about 1 ns each
 MAX_CHEBYSHEV_TERMS = 1_000_000  # one propagation, a matvec each
 MAX_COEFFICIENT_BYTES = 2**30  # one propagation's table of Chebyshev coefficients
-MAX_STEPS = 1_000_000  # the mean-field integrator's step budget, in units of L*t
+MAX_STEPS = 1_000_000  # mean-field integrator: caps L*t at config time, attempted steps at run time
 # propagation summed over a run, in nnz x terms: admits the size-ladder rungs (d=2,
 # N=16384 at 3.9e10; d=3, N=240 at 7.8e9), refuses converge.json at N = 2..2999
 MAX_MATVEC_WORK = 2**36

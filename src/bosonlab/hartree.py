@@ -14,8 +14,8 @@ For two-body interactions this is the familiar Hartree equation.  The
 1/(m-1)! weights are forced by the combinatorics of subset sums; with them
 the functional tr(V1 gamma) + sum_m (1/m!) tr(V^(m) gamma^(x m)) is exactly
 conserved, and trace, Hermiticity and the spectrum of gamma are conserved
-structurally.  The integrator never renormalizes: all drift is measured and
-reported, not hidden.
+structurally.  The integrator never renormalizes, so any drift stays in the
+states, where the tests measure it.
 """
 
 import math
@@ -150,52 +150,36 @@ def mean_field_energy(gamma, spec):
 
 @dataclass(frozen=True, eq=False)
 class HartreeTrajectory:
-    """Requested-time snapshots plus integrator diagnostics.
+    """The states at the requested times, and ``step_times``, the end time of
+    every accepted step."""
 
-    ``step_times`` logs the end time of every accepted step; ``drift`` maps
-    each conserved quantity to its |value(t) - value(0)| at the requested
-    times (energy, trace, purity, hermiticity, spectrum).
-    """
-
-    times: np.ndarray
     states: list
     step_times: np.ndarray
-    drift: dict
 
 
-# Dormand-Prince 5(4) tableau; the right-hand side is autonomous, so no c nodes.
-_DP_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_DP_ERR = (
-    35.0 / 384.0 - 5179.0 / 57600.0,
-    0.0,
-    500.0 / 1113.0 - 7571.0 / 16695.0,
-    125.0 / 192.0 - 393.0 / 640.0,
-    -2187.0 / 6784.0 + 92097.0 / 339200.0,
-    11.0 / 84.0 - 187.0 / 2100.0,
-    -1.0 / 40.0,
-)
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980): rows 0-5 are the stage
+# coefficients, row 5 the 5th-order weights, and row 6 the error weights (5th-
+# minus 4th-order); the right-hand side is autonomous, so no c nodes.
+_DP = np.array([
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+])
 
-def _dp_step(f, y, dt, k0):
-    """One attempt from y, given k0 = f(y): the 5th-order point z, the error
-    estimate and f(z).  The last A row is the 5th-order weights, so the last
-    stage point is z and f(z) is the next step's k0: 6 evaluations of f."""
-    k = [k0]
-    for row in _DP_A:
-        acc = np.zeros_like(y)
-        for a, ki in zip(row, k):
-            if a != 0.0:
-                acc = acc + a * ki
-        z = y + dt * acc
-        k.append(f(z))
-    err = dt * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return z, err, k[-1]
+
+def _dp_step(f, y, dt, k):
+    """One attempt from y, given k[0] = f(y) in the (7, n) stage table k: fills
+    k[1:] and returns the 5th-order point z and the error estimate.  Row 5 is
+    the 5th-order weights, so the last stage point is z and k[6] = f(z) is the
+    next step's k[0]: 6 evaluations of f."""
+    for i in range(6):
+        z = y + dt * (_DP[i, :i + 1] @ k[:i + 1])
+        k[i + 1] = f(z)
+    return z, dt * (_DP[6] @ k)
 
 
 def _guard_steps(spec, t_end):
@@ -228,12 +212,13 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
     def f(y):
         return _rhs(y.reshape(d, d), contractions).reshape(-1)
 
-    y = gamma0.matrix.astype(np.complex128).reshape(-1)
-    k0 = f(y)
+    y = gamma0.matrix.reshape(-1)
+    k = np.empty((7, y.size), dtype=np.complex128)
+    k[0] = f(y)
     t = 0.0
     states = [gamma0] if times[0] == 0.0 else []
 
-    rhs0_scale = float(np.max(np.abs(k0)))
+    rhs0_scale = float(np.max(np.abs(k[0])))
     dt = min(1e-2, t_end / 10.0)
     if rhs0_scale > 0:
         dt = min(dt, 0.1 / rhs0_scale)
@@ -255,17 +240,17 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
                 f"step size underflow at t={t:.6g} (dt={dt_try:.3e}, tol={tol}); "
                 "the problem may be too stiff for the requested tolerance"
             )
-        y_new, err_vec, k_new = _dp_step(f, y, dt_try, k0)
+        y_new, err_vec = _dp_step(f, y, dt_try, k)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
         n_steps += 1
         if err <= 1.0:
             t = target if clipped else t + dt_try
-            y, k0 = y_new, k_new
+            y, k[0] = y_new, k[6]
             log_t.append(t)
             if clipped:
                 try:
-                    states.append(DensityMatrix(1, d, y.reshape(d, d).copy(), atol=TRAJECTORY_ATOL))
+                    states.append(DensityMatrix(1, d, y.reshape(d, d), atol=TRAJECTORY_ATOL))
                 except ValueError as exc:
                     raise ValueError(f"the mean-field integrator at tol={tol} left an invalid state "
                                      f"at t={t:.6g}: {exc}; a smaller tol may fix it") from None
@@ -274,21 +259,4 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
             dt = dt_try * factor
 
-    g0 = gamma0.matrix
-    e0 = mean_field_energy(gamma0, spec)
-    w0 = np.sort(np.linalg.eigvalsh(g0))
-    drift = {key: [] for key in ("trace", "purity", "energy", "hermiticity", "spectrum")}
-    for st in states:
-        g = st.matrix
-        drift["trace"].append(abs(np.trace(g) - np.trace(g0)))
-        drift["purity"].append(abs(np.real(np.trace(g @ g) - np.trace(g0 @ g0))))
-        drift["energy"].append(abs(mean_field_energy(st, spec) - e0))
-        drift["hermiticity"].append(float(np.max(np.abs(g - g.conj().T))))
-        drift["spectrum"].append(float(np.max(np.abs(np.sort(np.linalg.eigvalsh(g)) - w0))))
-    drift = {key: np.asarray(val) for key, val in drift.items()}
-    return HartreeTrajectory(
-        times=times,
-        states=states,
-        step_times=np.asarray(log_t),
-        drift=drift,
-    )
+    return HartreeTrajectory(states, np.asarray(log_t))

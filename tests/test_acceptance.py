@@ -30,6 +30,7 @@ from bosonlab import (
     evolve_exact,
     hartree_evolve,
     hartree_rhs,
+    mean_field_energy,
     mean_field_error_bound,
     operator_norm,
     pure_state_density,
@@ -298,9 +299,21 @@ def test_integrator_conservation_and_rhs_forms():
         spec = random_spec(rng, d, tuple(range(1, max_order + 1)))
         phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         phi /= np.linalg.norm(phi)
-        traj = hartree_evolve(pure_state_density(phi), spec, (0.0, 1.0, 2.0), 1e-9)
-        for key, values in traj.drift.items():
-            worst_drift[key] = max(worst_drift.get(key, 0.0), float(values.max()))
+        gamma0 = pure_state_density(phi)
+        traj = hartree_evolve(gamma0, spec, (0.0, 1.0, 2.0), 1e-9)
+        g0, e0 = gamma0.matrix, mean_field_energy(gamma0, spec)
+        w0 = np.linalg.eigvalsh(g0)
+        for st in traj.states:
+            g = st.matrix
+            drift = {
+                "trace": abs(np.trace(g) - np.trace(g0)),
+                "purity": abs(np.trace(g @ g).real - np.trace(g0 @ g0).real),
+                "energy": abs(mean_field_energy(st, spec) - e0),
+                "hermiticity": float(np.max(np.abs(g - g.conj().T))),
+                "spectrum": float(np.max(np.abs(np.linalg.eigvalsh(g) - w0))),
+            }
+            for key, value in drift.items():
+                worst_drift[key] = max(worst_drift.get(key, 0.0), value)
 
     worst_rhs_gap = 0.0
     for i in range(100):

@@ -238,20 +238,19 @@ class TestHartreeEvolve:
         spec = random_spec(rng, 2, (1, 2, 3), unit_norm=False)
         gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         traj = hartree_evolve(gamma0, spec, [0.0, 0.7, 1.5, 2.0], tol=1e-9)
-        assert float(np.max(traj.drift["trace"])) < 1e-9
-        assert float(np.max(traj.drift["energy"])) < 1e-7
-        assert float(np.max(traj.drift["spectrum"])) < 1e-7
-        e0 = mean_field_energy(gamma0, spec)
-        e1 = mean_field_energy(traj.states[-1], spec)
-        assert e1 == pytest.approx(e0, abs=1e-7)
+        g0, e0 = gamma0.matrix, mean_field_energy(gamma0, spec)
+        w0 = np.linalg.eigvalsh(g0)
+        for st in traj.states:
+            assert abs(np.trace(st.matrix) - np.trace(g0)) < 1e-9
+            assert abs(mean_field_energy(st, spec) - e0) < 1e-7
+            assert float(np.max(np.abs(np.linalg.eigvalsh(st.matrix) - w0))) < 1e-7
 
     def test_grid_alignment_and_initial_state_reuse(self, rng):
         spec = random_spec(rng, 2, (1, 2))
         gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         times = [0.0, 0.3, 1.0]
         traj = hartree_evolve(gamma0, spec, times, tol=1e-9)
-        np.testing.assert_array_equal(traj.times, times)
-        assert len(traj.states) == 3
+        assert len(traj.states) == len(times)
         assert traj.states[0] is gamma0
 
     def test_time_grid_validated(self, rng):
@@ -304,20 +303,23 @@ class TestHartreeEvolve:
 
 class TestStepper:
     @pytest.mark.parametrize(
-        "document",
+        "document, steps",
         [
             pytest.param(
                 lambda: json.loads((ROOT / "configs" / "converge.json").read_text()),
+                15,
                 id="converge.json",
             ),
-            pytest.param(lambda: _workload("converge_sector", 1), id="converge_sector-seed1"),
+            pytest.param(lambda: _workload("converge_sector", 1), 109, id="converge_sector-seed1"),
+            pytest.param(lambda: _workload("converge_sector", 7), 61, id="converge_sector-seed7"),
         ],
     )
-    def test_six_rhs_evaluations_per_attempted_step(self, monkeypatch, document):
-        # the last stage lands on t + dt (its A row, the 5th-order weights, sums
-        # to 1) and both embedded rules are consistent (the error weights sum to 0)
-        assert abs(math.fsum(hartree._DP_A[-1]) - 1.0) <= 1e-15
-        assert abs(math.fsum(hartree._DP_ERR)) <= 1e-15
+    def test_six_rhs_evaluations_per_attempted_step(self, monkeypatch, document, steps):
+        # stage row i lands on its node c_(i+2); the last stage on t + dt (row 5,
+        # the 5th-order weights, sums to 1); both embedded rules are consistent
+        # (the error weights of row 6 sum to 0)
+        sums = [math.fsum(row) for row in hartree._DP]
+        np.testing.assert_allclose(sums, [1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1, 0], rtol=0, atol=1e-15)
         calls, attempts = [0], [0]
         rhs, dp_step = hartree._rhs, hartree._dp_step
 
@@ -334,6 +336,8 @@ class TestStepper:
         config = config_from_dict(document())
         gamma0 = pure_state_density(config.initial_phi)
         traj = hartree_evolve(gamma0, config.spec, config.time_grid, config.integrator_tol)
-        assert attempts[0] >= len(traj.step_times) > 0
+        # the accepted step count is pinned: a change to step control shows here
+        assert len(traj.step_times) == steps
+        assert attempts[0] >= steps
         # one evaluation sets the first step; a rejected step reuses its start value
         assert calls[0] == 6 * attempts[0] + 1

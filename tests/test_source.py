@@ -36,19 +36,24 @@ def test_every_module_level_name_is_read():
     assert unread == []
 
 
-def test_every_class_method_is_read():
-    # a method or property of a src/ class that no code reads as .name is dead;
-    # perfbench counts as a reader, dunders are exempt
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    readers = list(trees.values()) + [
+def _attribute_loads(trees):
+    """Every name that code in src/ (the given trees) or perfbench loads as .name."""
+    readers = list(trees) + [
         ast.parse(path.read_text()) for path in sorted((SRC.parents[1] / "perfbench").glob("*.py"))
     ]
-    read = {
+    return {
         node.attr
         for tree in readers
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+
+
+def test_every_class_method_is_read():
+    # a method or property of a src/ class that no code reads as .name is dead;
+    # perfbench counts as a reader, dunders are exempt
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = _attribute_loads(trees.values())
     unread = [
         f"{path.stem}.{cls.name}.{node.name}"
         for path, tree in trees.items()
@@ -174,3 +179,29 @@ def test_m_is_read_from_the_spec_only():
                 for arg in node.args for n in ast.walk(arg))
     ]
     assert found == []
+
+
+def _dataclass_fields(tree):
+    """(class, field) for each annotated field of a ``@dataclass`` class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+            getattr(getattr(dec, "func", dec), "id", None) == "dataclass" for dec in cls.decorator_list
+        ):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a field that no code loads as .name, in src/ or perfbench, and that src/
+    # does not name in a string constant (a CSV column, a config key), is dead
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = _attribute_loads(trees) | {
+        node.value
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    fields = [field for tree in trees for field in _dataclass_fields(tree)]
+    assert len(fields) > 10
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
