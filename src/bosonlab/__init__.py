@@ -38,9 +38,7 @@ from .hartree import (
     DensityMatrix,
     HartreeTrajectory,
     hartree_evolve,
-    hartree_rhs,
     mean_field_energy,
-    mean_field_hamiltonian,
     pure_state_density,
 )
 from .operators import (
@@ -58,7 +56,6 @@ from .symmetric_space import (
     SparseHermitian,
     SymmetricState,
     build_hamiltonian,
-    build_symmetric_operator,
     embed_product_state,
     enumerate_basis,
     rdm,
@@ -79,7 +76,6 @@ __all__ = [
     "bbgky_rhs",
     "bound_constants",
     "build_hamiltonian",
-    "build_symmetric_operator",
     "commutator_growth",
     "commutator_growth_bound",
     "config_from_dict",
@@ -89,11 +85,9 @@ __all__ = [
     "enumerate_basis",
     "evolve_exact",
     "hartree_evolve",
-    "hartree_rhs",
     "load_config",
     "mean_field_energy",
     "mean_field_error_bound",
-    "mean_field_hamiltonian",
     "operator_norm",
     "permute_slots",
     "pure_state_density",

@@ -32,18 +32,18 @@ def mean_field_error_bound(constants, n_particles, t):
     )
 
 
-def commutator_growth_bound(m, n, norm_a, norm_b, constants, n_particles, t):
-    """Bound on ||[A, B(t)]|| for disjoint supports of sizes m and n:
-    (4 m n |A| |B| / N) (e^{2 s1 t} - 1)."""
-    _check_pair_args(m, n, norm_a, norm_b, n_particles, t)
-    return _grow(4.0 * m * n * norm_a * norm_b / n_particles, 2.0 * constants.sum_l1_v * t)
+def commutator_growth_bound(m, n, constants, n_particles, t):
+    """Bound on ||[A, B(t)]|| for unit-norm A and B of disjoint supports of
+    sizes m and n: (4 m n / N) (e^{2 s1 t} - 1)."""
+    _check_pair_args(m, n, n_particles, t)
+    return _grow(4.0 * m * n / n_particles, 2.0 * constants.sum_l1_v * t)
 
 
-def correlation_gap_bound(m, n, norm_a, norm_b, constants, n_particles, t):
-    """Bound on the product-expectation gap |<AB> - <A><B>| for initially
-    uncorrelated product states: (16 m n |A| |B| / N) (e^{4 s1 t} - 1)."""
-    _check_pair_args(m, n, norm_a, norm_b, n_particles, t)
-    return _grow(16.0 * m * n * norm_a * norm_b / n_particles, 4.0 * constants.sum_l1_v * t)
+def correlation_gap_bound(m, n, constants, n_particles, t):
+    """Bound on the product-expectation gap |<AB> - <A><B>| for unit-norm A and B
+    and initially uncorrelated product states: (16 m n / N) (e^{4 s1 t} - 1)."""
+    _check_pair_args(m, n, n_particles, t)
+    return _grow(16.0 * m * n / n_particles, 4.0 * constants.sum_l1_v * t)
 
 
 def _grow(prefactor, exponent):
@@ -55,11 +55,9 @@ def _grow(prefactor, exponent):
         return math.inf if prefactor else 0.0
 
 
-def _check_pair_args(m, n, norm_a, norm_b, n_particles, t):
+def _check_pair_args(m, n, n_particles, t):
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    if norm_a < 0 or norm_b < 0:
-        raise ValueError("observable norms must be non-negative")
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
     if t < 0:

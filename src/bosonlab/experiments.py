@@ -33,7 +33,7 @@ from .bounds import (
 )
 from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
 from .exact_dynamics import block_work, propagation_work, state_bytes
-from .hartree import _check_times, _guard_steps, hartree_evolve, pure_state_density
+from .hartree import DENSITY_ATOL, _check_times, _guard_steps, hartree_evolve, pure_state_density
 from .operators import HamiltonianSpec, bound_constants, operator_norm, vtilde
 from .symmetric_space import _BYTES_PER_ENTRY, build_hamiltonian, embed_product_state, rdm
 from .symmetric_space import operator_entries, rdm_derivative, sector_size, walk_bytes
@@ -184,10 +184,13 @@ def _spec(node, path):
 
 
 _REQUIRED = object()
+# the keys every scenario reads; any other key without a default is required
+# only by the scenarios whose Scenario.keys name it
+_ALWAYS_READ = ("spec", "scenario", "n_values", "time_grid")
 
 
 def _key(parse, default=_REQUIRED):
-    """A config key: its parser and its default (none: required)."""
+    """A config key: its parser and its default (none: required where read)."""
     return field(metadata={"parse": parse, "default": default})
 
 
@@ -201,7 +204,7 @@ class ExperimentConfig:
     scenario: str = _key(_scenario)
     n_values: tuple = _key(_int_list)
     time_grid: tuple = _key(_time_grid)
-    initial_phi: np.ndarray = _key(_complex(1))
+    initial_phi: np.ndarray = _key(_complex(1))  # None where unread and not given
     integrator_tol: float = _key(_positive, 1e-9)
     seed: int = _key(_integer(0, 2**64), 0)
     vtilde_strategy: str = _key(_choice("canonical", "ceiling"), "ceiling")
@@ -238,22 +241,26 @@ def config_from_dict(data, overrides=None):
     values = {}
     for f in _KEYS:
         value = data.get(f.name, f.metadata["default"])
-        if value is _REQUIRED:
+        if value is not _REQUIRED:
+            values[f.name] = f.metadata["parse"](value, f.name)
+        elif f.name in _ALWAYS_READ or f.name in SCENARIOS[values["scenario"]].keys:
             raise ConfigError(f"{f.name}: required field is missing")
-        values[f.name] = f.metadata["parse"](value, f.name)
+        else:  # unread by this scenario
+            values[f.name] = None
 
     phi, d = values["initial_phi"], values["spec"].d
-    if phi.size != d:
-        raise ConfigError(f"initial_phi: length {phi.size} does not match spec.d = {d}")
-    norm_dev = abs(np.linalg.norm(phi) - 1.0)
-    if not norm_dev <= 1e-10:
-        raise ConfigError(f"initial_phi: norm deviates from 1 by {norm_dev:.3e}")
+    if phi is not None:
+        if phi.size != d:
+            raise ConfigError(f"initial_phi: length {phi.size} does not match spec.d = {d}")
+        norm_dev = abs(np.linalg.norm(phi) - 1.0)
+        if not norm_dev <= DENSITY_ATOL:
+            raise ConfigError(f"initial_phi: norm deviates from 1 by {norm_dev:.3e}")
     try:
         _price_run(values)
     except ValueError as exc:  # a library guard's refusal, at config time
         raise ConfigError(str(exc)) from None
 
-    read = ("spec", "scenario", "n_values", "time_grid") + SCENARIOS[values["scenario"]].keys
+    read = _ALWAYS_READ + SCENARIOS[values["scenario"]].keys
     hashed = {key: _canonical(values[key]) for key in read}
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
@@ -433,10 +440,10 @@ def run_convergence(config):
 
 
 def _pair_row(config, bound, consts, n_particles, sample, t, lhs):
-    """One lr or corr point row: lhs against bound(m, n, 1, 1, ...), the
-    bound for a pair of unit-norm observables."""
+    """One lr or corr point row: lhs against bound(m, n, ...), the bound for a
+    pair of unit-norm observables."""
     m, n = config.obs_m, config.obs_n
-    rhs = bound(m, n, 1.0, 1.0, consts, n_particles, t)
+    rhs = bound(m, n, consts, n_particles, t)
     at = {"kind": "point", "N": n_particles, "m": m, "n": n, "sample": sample, "t": t}
     return {**at, "lhs": lhs, "rhs": rhs, "violation": int(lhs > rhs + VIOLATION_ATOL)}
 
@@ -520,10 +527,10 @@ def run_bounds(config):
                         selected, n_particles, t
                     ),
                     "commutator_growth_bound": commutator_growth_bound(
-                        1, 1, 1.0, 1.0, selected, n_particles, t
+                        1, 1, selected, n_particles, t
                     ),
                     "correlation_gap_bound": correlation_gap_bound(
-                        1, 1, 1.0, 1.0, selected, n_particles, t
+                        1, 1, selected, n_particles, t
                     ),
                 }
             )

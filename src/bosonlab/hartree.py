@@ -126,18 +126,6 @@ def _check_one_body(gamma, spec, name="gamma"):
         raise ValueError(f"{name} must be an order-1 density matrix matching spec.d")
 
 
-def mean_field_hamiltonian(gamma, spec):
-    """Effective one-particle Hamiltonian h(gamma); Hermitian by construction."""
-    _check_one_body(gamma, spec)
-    return _mean_field_h(gamma.matrix, _contractions(spec))
-
-
-def hartree_rhs(gamma, spec):
-    """Time derivative of gamma: -i [h(gamma), gamma]."""
-    _check_one_body(gamma, spec)
-    return _rhs(gamma.matrix, _contractions(spec))
-
-
 def mean_field_energy(gamma, spec):
     """Conserved energy tr(V1 gamma) + sum_m (1/m!) tr(V^(m) gamma^(x m)), summed as
     sum_m tr(h_m gamma) / m, h_m the order-m part of h(gamma)."""

@@ -10,11 +10,11 @@ m-subsets of particles equals
 restricted to the fixed-N sector.  Creators commute with creators and
 annihilators with annihilators, so the chain depends only on the sorted
 index multisets I, J, and the sum runs over multiset pairs with the
-orbit-summed weight sum_{i_vec in I, j_vec in J} <i_vec|V|j_vec>: exact for
-any V, slot-symmetric or not.  One ladder walk (:func:`ladder_walk`) applies
-the chains a+_I a_J to every occupation vector at once, one J and all I per
-step; assembly writes each chain into its move's slot of the fixed-width
-rows of a :class:`SparseHermitian`, the diagonal first.  The walk depends
+orbit-summed weight sum_{i_vec in I, j_vec in J} <i_vec|V|j_vec>.  One ladder
+walk (:func:`ladder_walk`) applies the chains a+_I a_J to every occupation
+vector at once, one J and all I per step; :func:`build_hamiltonian` writes
+each chain into its move's slot of the fixed-width rows of a
+:class:`SparseHermitian`, the diagonal first.  The walk depends
 only on the basis and k, so the basis compiles it once per order
 (:meth:`OccupationBasis.walk`) and every k-RDM of that N contracts its state
 against it, evaluating each multiset pair once and scattering it to all
@@ -32,7 +32,7 @@ import numpy as np
 
 from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_OPERATOR_BYTES, MAX_WALK_BYTES,
                       _dense_peak_bytes, refuse)
-from .hartree import DensityMatrix
+from .hartree import DENSITY_ATOL, DensityMatrix
 
 # The (D, 1 + moves) grid of 24-byte cells, 1 + moves <= sum_m C(d+m-1, m)^2, is H's rows;
 # with its hermitization build_hamiltonian peaks at 60 bytes an operator_entries entry or
@@ -122,7 +122,7 @@ class SymmetricState:
                 f"amplitude length {amps.size} does not match basis size {self.basis.size}"
             )
         dev = abs(np.linalg.norm(amps) - 1.0)
-        if not dev <= 1e-10:
+        if not dev <= DENSITY_ATOL:
             raise ValueError(f"state norm deviates from 1 by {dev:.3e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -139,7 +139,7 @@ def embed_product_state(phi, n_particles):
     """
     v = np.asarray(phi, dtype=np.complex128).reshape(-1)
     dev = abs(np.linalg.norm(v) - 1.0)
-    if not dev <= 1e-10:
+    if not dev <= DENSITY_ATOL:
         raise ValueError(f"phi norm deviates from 1 by {dev:.3e}")
     basis = enumerate_basis(v.size, n_particles)
     occ = basis.vectors
@@ -253,32 +253,31 @@ def _compile_walk(basis, k):
     ]
 
 
-def _assemble(basis, terms):
-    """Sum of prefactor * (symmetric sum of V) over (order, V, prefactor) triples.
+def build_hamiltonian(spec, n_particles, basis=None):
+    """Full fixed-N Hamiltonian: the symmetric sum of each order-m term, weighted 1/N^(m-1).
 
     Keys are unique and a+_I a_J moves each by key(I) - key(J): a row meets one column per
     move, so each kept pair writes into its move's slot, and one J's pairs never collide.
     The hermitized grid is H's rows: slot 0 the diagonal, each slot s >= 1 one move for
     every row, and (own index, 0) in a row that no column reaches by that move."""
-    d, size = basis.d, basis.size
-    chains = []
-    for m, v, prefactor in terms:
-        if m < 1:
-            raise ValueError("interaction order must be >= 1")
-        if m > basis.n_particles:
-            raise ValueError("interaction order exceeds particle number")
-        if v.shape != (d**m, d**m):
-            raise ValueError(f"potential shape {v.shape} does not match (d^m, d^m) = {(d**m,) * 2}")
-        multisets, index = multiset_map(d, m)
-        weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
-        np.add.at(weights, (index[:, None], index[None, :]), v)
-        weights *= float(prefactor) / math.factorial(m)
-        keys = _key_powers(d, basis.n_particles)[np.array(multisets)].sum(axis=1)
-        chains.append((m, weights, (weights != 0) | (weights.T != 0), keys[:, None] - keys))
-    orders = [m for m, _, _ in terms]
-    refuse(lambda n: _BYTES_PER_ENTRY * operator_entries(d, n, orders), basis.n_particles,
+    if basis is None:
+        basis = enumerate_basis(spec.d, n_particles)
+    elif basis.d != spec.d or basis.n_particles != n_particles:
+        raise ValueError("basis does not match spec / particle number")
+    if spec.max_order > n_particles:
+        raise ValueError("interaction order exceeds particle number")
+    d, size, orders = spec.d, basis.size, list(spec.present_orders)
+    refuse(lambda n: _BYTES_PER_ENTRY * operator_entries(d, n, orders), n_particles,
            MAX_OPERATOR_BYTES, "operator rows' 128 * D * sum_m C(d+m-1, m)^2 bytes",
            f"N for d={d} and orders {orders}")
+    chains = []
+    for m in orders:
+        multisets, index = multiset_map(d, m)
+        weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
+        np.add.at(weights, (index[:, None], index[None, :]), spec.terms[m])
+        weights *= float(n_particles) ** (1 - m) / math.factorial(m)
+        keys = _key_powers(d, n_particles)[np.array(multisets)].sum(axis=1)
+        chains.append((m, weights, (weights != 0) | (weights.T != 0), keys[:, None] - keys))
     # keep is symmetric, so the moves lie symmetric about 0: slot 0 holds no move, the
     # diagonal, and slot 1 + i moves[i], ascending with the column (a set, as a plain
     # np.unique imports numpy.ma on first use, 10-17 ms)
@@ -300,22 +299,6 @@ def _assemble(basis, terms):
     transpose = cols * width + np.r_[0, width - 1:0:-1]
     values = np.where(stored, (values[transpose].conj() + values.reshape(size, width)) / 2, 0)
     return SparseHermitian(cols, values)
-
-
-def build_symmetric_operator(matrix, order, basis, prefactor):
-    """prefactor * sum over all m-subsets of particles of the order-m interaction
-    ``matrix``, slot-symmetric or not, as a :class:`SparseHermitian` on the basis."""
-    return _assemble(basis, [(order, np.asarray(matrix), prefactor)])
-
-
-def build_hamiltonian(spec, n_particles, basis=None):
-    """Full fixed-N Hamiltonian: order-m terms carry the 1/N^(m-1) prefactor."""
-    if basis is None:
-        basis = enumerate_basis(spec.d, n_particles)
-    elif basis.d != spec.d or basis.n_particles != n_particles:
-        raise ValueError("basis does not match spec / particle number")
-    return _assemble(basis, [(m, spec.terms[m], float(n_particles) ** (1 - m))
-                             for m in spec.present_orders])
 
 
 def _walk_rdm(state, k, ket):

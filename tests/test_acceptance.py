@@ -28,8 +28,8 @@ from bosonlab import (
     embed_product_state,
     enumerate_basis,
     evolve_exact,
+    hartree,
     hartree_evolve,
-    hartree_rhs,
     mean_field_energy,
     mean_field_error_bound,
     operator_norm,
@@ -196,9 +196,7 @@ def test_commutator_growth_never_exceeds_envelope():
         per_sample = commutator_growth(spec, n_particles, m, n, a_stack, b_stack, GRID)
         for a, b, lhs_values in zip(a_stack, b_stack, per_sample):
             for t, lhs in zip(GRID, lhs_values):
-                rhs = commutator_growth_bound(
-                    m, n, operator_norm(a), operator_norm(b), consts, n_particles, t
-                )
+                rhs = commutator_growth_bound(m, n, consts, n_particles, t)
                 checked += 1
                 worst_margin = max(worst_margin, lhs - rhs)
                 violations += int(lhs > rhs + 1e-9)
@@ -235,9 +233,7 @@ def test_commutator_growth_envelope_at_large_n():
         b = random_unit_hermitian(substream(2026, f"accept-lr-large-b:{tag}"), 2**n)
         lhs_values = commutator_growth(spec, n_particles, m, n, [a], [b], times)[0]
         for t, lhs in zip(times, lhs_values):
-            rhs = commutator_growth_bound(
-                m, n, operator_norm(a), operator_norm(b), consts, n_particles, t
-            )
+            rhs = commutator_growth_bound(m, n, consts, n_particles, t)
             checked += 1
             worst_margin = max(worst_margin, lhs - rhs)
             violations += int(lhs > rhs + 1e-9)
@@ -268,9 +264,7 @@ def test_correlation_decay_rate_and_bound(pinned_data):
         for n, states in states_by_n.items():
             for i, t in enumerate(GRID):
                 lhs = correlation_gap(rdm(states[i], 2), 1, 1, [a], [b])[0]
-                rhs = correlation_gap_bound(
-                    1, 1, operator_norm(a), operator_norm(b), consts, n, t
-                )
+                rhs = correlation_gap_bound(1, 1, consts, n, t)
                 checked += 1
                 violations += int(lhs > rhs + 1e-9)
 
@@ -324,7 +318,7 @@ def test_integrator_conservation_and_rhs_forms():
         gamma = DensityMatrix(1, d, oracles.rand_density(rng, d))
         gap = np.max(
             np.abs(
-                hartree_rhs(gamma, spec)
+                hartree._rhs(gamma.matrix, hartree._contractions(spec))
                 - oracles.literal_mean_field_rhs(gamma.matrix, spec)
             )
         )

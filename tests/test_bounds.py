@@ -78,64 +78,60 @@ class TestCommutatorGrowthBound:
     CONSTS = BoundConstants(sum_l1_v=2.0, sum_l2_v=4.0, vtilde=2.0, lambda_v=18.0, m_max=2)
 
     def test_zero_at_time_zero(self):
-        assert commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 0.0) == 0.0
+        assert commutator_growth_bound(1, 1, self.CONSTS, 8, 0.0) == 0.0
 
     def test_frozen_reference_value(self):
         # (4/8) * (e^(2*2*0.5) - 1)
-        value = commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 0.5)
+        value = commutator_growth_bound(1, 1, self.CONSTS, 8, 0.5)
         assert value == pytest.approx(3.194528049465325, rel=1e-12)
 
     def test_linear_in_subset_sizes(self):
-        one = commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 0.7)
-        assert commutator_growth_bound(2, 1, 1.0, 1.0, self.CONSTS, 8, 0.7) == pytest.approx(2 * one)
-        assert commutator_growth_bound(1, 3, 1.0, 1.0, self.CONSTS, 8, 0.7) == pytest.approx(3 * one)
+        one = commutator_growth_bound(1, 1, self.CONSTS, 8, 0.7)
+        assert commutator_growth_bound(2, 1, self.CONSTS, 8, 0.7) == pytest.approx(2 * one)
+        assert commutator_growth_bound(1, 3, self.CONSTS, 8, 0.7) == pytest.approx(3 * one)
 
     def test_monotone_in_time(self):
         values = [
-            commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, t)
+            commutator_growth_bound(1, 1, self.CONSTS, 8, t)
             for t in np.linspace(0, 2, 9)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            commutator_growth_bound(0, 1, 1.0, 1.0, self.CONSTS, 8, 0.5)
+            commutator_growth_bound(0, 1, self.CONSTS, 8, 0.5)
         with pytest.raises(ValueError):
-            commutator_growth_bound(1, 1, -1.0, 1.0, self.CONSTS, 8, 0.5)
-        with pytest.raises(ValueError):
-            commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 0, 0.5)
+            commutator_growth_bound(1, 1, self.CONSTS, 0, 0.5)
 
     def test_overflow_gives_infinite_bound(self):
-        assert commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 176.0) == 4.0 / 8 * math.expm1(704.0)
-        assert commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 1000.0) == math.inf
-        assert commutator_growth_bound(1, 1, 0.0, 1.0, self.CONSTS, 8, 1000.0) == 0.0
+        assert commutator_growth_bound(1, 1, self.CONSTS, 8, 176.0) == 4.0 / 8 * math.expm1(704.0)
+        assert commutator_growth_bound(1, 1, self.CONSTS, 8, 1000.0) == math.inf
 
 
 class TestCorrelationGapBound:
     CONSTS = BoundConstants(sum_l1_v=2.0, sum_l2_v=4.0, vtilde=2.0, lambda_v=18.0, m_max=2)
 
     def test_zero_at_time_zero(self):
-        assert correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 0.0) == 0.0
+        assert correlation_gap_bound(1, 1, self.CONSTS, 8, 0.0) == 0.0
 
     def test_frozen_reference_value(self):
         # (16/8) * (e^(4*2*0.25) - 1)
-        value = correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 0.25)
+        value = correlation_gap_bound(1, 1, self.CONSTS, 8, 0.25)
         assert value == pytest.approx(12.7781121978613, rel=1e-12)
 
     def test_is_quadrupled_commutator_bound_at_doubled_rate(self):
         for t in (0.1, 0.4, 1.0):
-            gap = correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, t)
-            comm = commutator_growth_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 2 * t)
+            gap = correlation_gap_bound(1, 1, self.CONSTS, 8, t)
+            comm = commutator_growth_bound(1, 1, self.CONSTS, 8, 2 * t)
             assert gap == pytest.approx(4 * comm, rel=1e-12)
 
     def test_monotone_in_time(self):
         values = [
-            correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, t)
+            correlation_gap_bound(1, 1, self.CONSTS, 8, t)
             for t in np.linspace(0, 1.5, 7)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_overflow_gives_infinite_bound(self):
-        assert correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 88.0) == 16.0 / 8 * math.expm1(704.0)
-        assert correlation_gap_bound(1, 1, 1.0, 1.0, self.CONSTS, 8, 1000.0) == math.inf
-        assert correlation_gap_bound(1, 1, 1.0, 0.0, self.CONSTS, 8, 1000.0) == 0.0
+        assert correlation_gap_bound(1, 1, self.CONSTS, 8, 88.0) == 16.0 / 8 * math.expm1(704.0)
+        assert correlation_gap_bound(1, 1, self.CONSTS, 8, 1000.0) == math.inf

@@ -523,7 +523,7 @@ class TestCommutatorGrowth:
         a, b = oracles.rand_unit_herm(rng, 2), oracles.rand_unit_herm(rng, 2)
         times = [0.0, 0.25, 0.5, 1.0]
         for t, lhs in zip(times, commutator_growth(spec, 6, 1, 1, [a], [b], times)[0]):
-            assert lhs <= commutator_growth_bound(1, 1, 1.0, 1.0, consts, 6, t) + 1e-9
+            assert lhs <= commutator_growth_bound(1, 1, consts, 6, t) + 1e-9
 
     @pytest.mark.parametrize("orders", [(1,), (1, 2), (1, 2, 3)])
     @pytest.mark.parametrize("n", range(3, 9))
@@ -699,7 +699,7 @@ class TestCorrelationGap:
         b = oracles.rand_unit_herm(rng, 2)
         for t, state in zip([0.0, 0.5, 1.0], evolve_exact(h, state0, [0.0, 0.5, 1.0])):
             lhs = correlation_gap(rdm(state, 2), 1, 1, [a], [b])[0]
-            assert lhs <= correlation_gap_bound(1, 1, 1.0, 1.0, consts, n, t) + 1e-9
+            assert lhs <= correlation_gap_bound(1, 1, consts, n, t) + 1e-9
 
     def test_stacked_observables_match_one_pair_at_a_time(self, rng):
         spec = random_spec(rng, 3, (1, 2))

@@ -248,6 +248,16 @@ class TestConfigParsing:
             changed = config_from_dict(base_config(scenario=scenario, **{key: value}))
             read = key in SCENARIOS[scenario].keys
             assert (changed.config_hash != base.config_hash) == read, key
+        # and a required key is required only where it is read
+        dropped = base_config(scenario=scenario)
+        del dropped["initial_phi"]
+        if "initial_phi" in SCENARIOS[scenario].keys:
+            with pytest.raises(ConfigError, match="initial_phi: required field is missing"):
+                config_from_dict(dropped)
+        else:
+            assert config_from_dict(dropped).config_hash == base.config_hash
+        with pytest.raises(ConfigError, match="initial_phi: norm deviates"):  # given, so checked
+            config_from_dict(base_config(scenario=scenario, initial_phi=[[0.6, 0.0], [0.9, 0.0]]))
 
     def test_load_config_rejects_bad_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):

@@ -11,9 +11,7 @@ from bosonlab import (
     HamiltonianSpec,
     hartree,
     hartree_evolve,
-    hartree_rhs,
     mean_field_energy,
-    mean_field_hamiltonian,
     pure_state_density,
 )
 from bosonlab._tensor import partial_trace_last
@@ -23,6 +21,16 @@ from .conftest import SX, SZ, random_spec, substream
 from . import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _mean_field_h(gamma, spec):
+    """h(gamma), as the integrator forms it."""
+    return hartree._mean_field_h(gamma.matrix, hartree._contractions(spec))
+
+
+def _hartree_rhs(gamma, spec):
+    """-i [h(gamma), gamma], the integrator's right-hand side."""
+    return hartree._rhs(gamma.matrix, hartree._contractions(spec))
 
 
 def _workload(name, seed):
@@ -96,13 +104,13 @@ class TestMeanFieldHamiltonian:
     def test_without_interactions_is_bare_term(self, rng):
         spec = HamiltonianSpec(2, {1: SX})
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
-        np.testing.assert_allclose(mean_field_hamiltonian(gamma, spec), SX, atol=1e-14)
+        np.testing.assert_allclose(_mean_field_h(gamma, spec), SX, atol=1e-14)
 
     def test_identity_interaction_shifts_by_one(self, rng):
         spec = HamiltonianSpec(2, {1: SX, 2: np.eye(4)})
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         np.testing.assert_allclose(
-            mean_field_hamiltonian(gamma, spec), SX + np.eye(2), atol=1e-13
+            _mean_field_h(gamma, spec), SX + np.eye(2), atol=1e-13
         )
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
@@ -110,7 +118,7 @@ class TestMeanFieldHamiltonian:
         # explicit 4x4 partial trace gives V1 + (2p-1) sigma_z
         spec = HamiltonianSpec(2, {1: SX, 2: np.kron(SZ, SZ)})
         gamma = DensityMatrix(1, 2, np.diag([p, 1.0 - p]).astype(complex))
-        h = mean_field_hamiltonian(gamma, spec)
+        h = _mean_field_h(gamma, spec)
         np.testing.assert_allclose(h, SX + (2 * p - 1) * SZ, atol=1e-13)
         brute = SX + oracles.trace_out_last(
             np.kron(SZ, SZ) @ np.kron(np.eye(2), gamma.matrix), 2, 2, 1
@@ -120,8 +128,8 @@ class TestMeanFieldHamiltonian:
     def test_spec_without_terms_gives_zero(self, rng):
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         spec = HamiltonianSpec(2, {})
-        np.testing.assert_array_equal(mean_field_hamiltonian(gamma, spec), np.zeros((2, 2)))
-        np.testing.assert_array_equal(hartree_rhs(gamma, spec), np.zeros((2, 2)))
+        np.testing.assert_array_equal(_mean_field_h(gamma, spec), np.zeros((2, 2)))
+        np.testing.assert_array_equal(_hartree_rhs(gamma, spec), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("orders", [(3,), (1, 3), (2, 4)])
     def test_orders_with_gaps_match_literal_tensor_form(self, orders):
@@ -130,12 +138,12 @@ class TestMeanFieldHamiltonian:
         spec = random_spec(rng, 2, orders, unit_norm=False)
         gamma = DensityMatrix(1, 2, oracles.rand_density(rng, 2))
         rhs = oracles.literal_mean_field_rhs(gamma.matrix, spec)
-        np.testing.assert_allclose(hartree_rhs(gamma, spec), rhs, atol=1e-12)
+        np.testing.assert_allclose(_hartree_rhs(gamma, spec), rhs, atol=1e-12)
 
     def test_hermitian_for_higher_orders(self, rng):
         spec = random_spec(rng, 3, (1, 2, 3), unit_norm=False)
         gamma = DensityMatrix(1, 3, oracles.rand_density(rng, 3))
-        h = mean_field_hamiltonian(gamma, spec)
+        h = _mean_field_h(gamma, spec)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
 
@@ -143,12 +151,12 @@ class TestHartreeRhs:
     def test_stationary_when_everything_diagonal(self):
         spec = HamiltonianSpec(2, {1: SZ, 2: np.kron(SZ, SZ)})
         gamma = DensityMatrix(1, 2, np.diag([0.7, 0.3]).astype(complex))
-        np.testing.assert_allclose(hartree_rhs(gamma, spec), 0.0, atol=1e-14)
+        np.testing.assert_allclose(_hartree_rhs(gamma, spec), 0.0, atol=1e-14)
 
     def test_traceless(self, rng):
         spec = random_spec(rng, 3, (1, 2), unit_norm=False)
         gamma = DensityMatrix(1, 3, oracles.rand_density(rng, 3))
-        assert abs(np.trace(hartree_rhs(gamma, spec))) < 1e-13
+        assert abs(np.trace(_hartree_rhs(gamma, spec))) < 1e-13
 
     def test_commutator_form_equals_literal_tensor_form(self):
         # the same derivative, assembled through explicit tensor powers and
@@ -159,7 +167,7 @@ class TestHartreeRhs:
             m_max = int(rng.integers(2, 4))
             spec = random_spec(rng, d, range(1, m_max + 1), unit_norm=False)
             gamma = DensityMatrix(1, d, oracles.rand_density(rng, d))
-            lhs = hartree_rhs(gamma, spec)
+            lhs = _hartree_rhs(gamma, spec)
             rhs = oracles.literal_mean_field_rhs(gamma.matrix, spec)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bosonlab import (
+    HamiltonianSpec,
     build_hamiltonian,
-    build_symmetric_operator,
     embed_product_state,
     enumerate_basis,
     experiments,
@@ -125,10 +125,10 @@ class TestLadderWalk:
             assert forward == sorted(zip(back_cols.tolist(), back_rows.tolist(), back_factor.tolist()))
 
     def test_assembly_scale_is_linear(self):
-        basis = enumerate_basis(2, 4)
-        v = oracles.rand_herm(substream(3, "kern"), 4)
-        once = build_symmetric_operator(v, 2, basis, 0.37)
-        twice = build_symmetric_operator(v, 2, basis, 0.74)
+        # doubling the spec's V doubles every stored value and moves no column
+        v = slot_symmetrize(oracles.rand_herm(substream(3, "kern"), 4), 2, 2)
+        once = build_hamiltonian(HamiltonianSpec(2, {2: 0.37 * v}), 4)
+        twice = build_hamiltonian(HamiltonianSpec(2, {2: 0.74 * v}), 4)
         np.testing.assert_array_equal(twice.cols, once.cols)
         np.testing.assert_allclose(twice.values, 2 * once.values, atol=1e-13)
 
@@ -187,7 +187,7 @@ class TestLadderWalk:
 
 
 class TestAssembly:
-    """Assembly writes each chain into its move's slot and hermitizes by one
+    """build_hamiltonian writes each chain into its move's slot and hermitizes by one
     gather: H is exactly Hermitian and equals the dense (A + A^dagger)/2."""
 
     @pytest.mark.parametrize("orders", [(1,), (2,), (3,), (1, 2, 3)])
@@ -203,16 +203,22 @@ class TestAssembly:
     @pytest.mark.parametrize("d, n, m", [(1, 4, 2), (2, 6, 1), (2, 6, 2), (3, 5, 2), (2, 5, 3),
                                          (3, 4, 3), (4, 4, 2)])
     def test_symmetric_operator_of_a_non_slot_symmetric_v(self, d, n, m, hermitian):
-        # assembly sums each multiset orbit of V; a V that is not Hermitian
-        # gives an A that is not, whose Hermitian part the gather must form
+        # the symmetric space sees only V's slot-symmetric Hermitian part: the spec
+        # refuses a raw V that is not, and H of that part equals the dense reference
+        # summed from the raw V's multiset orbits and hermitized
         rng = substream(71, f"non-slot-symmetric:{hermitian}", d * 10 + m)
         v = oracles.rand_herm(rng, d**m)
         if not hermitian:
             v = v + 1j * oracles.rand_herm(rng, d**m)
+        if (d > 1 and m > 1) or not hermitian:
+            with pytest.raises(ValueError, match=f"order-{m} potential invalid"):
+                HamiltonianSpec(d, {m: v})
         if d > 1 and m > 1:
             assert np.max(np.abs(v - slot_symmetrize(v, d, m))) > 0.1
+        part = slot_symmetrize((v + v.conj().T) / 2, d, m)
         basis = enumerate_basis(d, n)
-        _assert_assembled(build_symmetric_operator(v, m, basis, 0.7), basis, [(m, v, 0.7)])
+        _assert_assembled(build_hamiltonian(HamiltonianSpec(d, {m: part}), n, basis), basis,
+                          [(m, v, float(n) ** (1 - m))])
 
 
 def _count_compiled_walks(monkeypatch):

@@ -157,6 +157,27 @@ def test_readme_dotted_names_resolve():
     assert stale == []
 
 
+def test_readme_calls_resolve():
+    # a backticked call name( in README, name private or snake_case of two or more
+    # parts of two or more characters, names a function or class of src/; single-letter
+    # math such as T_k( is not code, and a dotted call is the dotted-name check's
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    calls = {
+        name
+        for span in re.findall(r"`([^`]+)`", text)
+        for name in re.findall(r"(?<![\w.])([A-Za-z_]\w*)\(", span)
+        if name.startswith("_") or re.fullmatch(r"[a-z][a-z0-9]+(?:_[a-z][a-z0-9]+)+", name)
+    }
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert len(calls) > 3
+    assert sorted(calls - defined) == []
+
+
 def test_readme_limits_table_has_one_row_per_limit():
     # every MAX_* of _limits.py, and nothing else, heads exactly one row of the table
     section = README.read_text().split("\n## Resource limits\n", 1)[1].split("\n## ", 1)[0]

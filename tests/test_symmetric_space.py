@@ -13,7 +13,6 @@ from bosonlab import (
     SparseHermitian,
     SymmetricState,
     build_hamiltonian,
-    build_symmetric_operator,
     embed_product_state,
     enumerate_basis,
     evolve_exact,
@@ -186,59 +185,72 @@ class TestSymmetricState:
             SymmetricState(basis, np.array([1.0, 0.0]))
 
 
-class TestBuildSymmetricOperator:
+class TestBuildHamiltonian:
+    def test_single_particle_term_eigenvalues(self):
+        # diagonal V1 -> diagonal H with occupation-weighted sums of eigenvalues
+        spec = HamiltonianSpec(2, {1: np.diag([1.5, -0.5])})
+        h = build_hamiltonian(spec, 3)
+        basis = enumerate_basis(2, 3)
+        expected = [1.5 * occ[0] - 0.5 * occ[1] for occ in basis.vectors]
+        np.testing.assert_allclose(h, np.diag(expected), atol=1e-13)
+
+    def test_identity_interaction_shifts_by_half_n_minus_one(self):
+        spec = HamiltonianSpec(2, {2: np.eye(4)})
+        for n in (2, 3, 6):
+            h = build_hamiltonian(spec, n)
+            dim = n + 1
+            np.testing.assert_allclose(h, (n - 1) / 2 * np.eye(dim), atol=1e-12)
+
     def test_identity_pair_term_counts_pairs(self):
-        basis = enumerate_basis(2, 5)
-        op = build_symmetric_operator(np.eye(4), 2, basis, 1.0)
-        np.testing.assert_allclose(op, math.comb(5, 2) * np.eye(basis.size), atol=1e-12)
+        # the identity pair term counts the C(N, 2) pairs, each weighted 1/N
+        h = build_hamiltonian(HamiltonianSpec(3, {2: np.eye(9)}), 5)
+        np.testing.assert_allclose(5 * np.asarray(h), math.comb(5, 2) * np.eye(h.shape[0]),
+                                   atol=1e-12)
 
     def test_total_spin_z(self):
-        basis = enumerate_basis(2, 2)
-        op = build_symmetric_operator(SZ, 1, basis, 1.0)
-        np.testing.assert_allclose(op, np.diag([2.0, 0.0, -2.0]), atol=1e-13)
+        h = build_hamiltonian(HamiltonianSpec(2, {1: SZ}), 2)
+        np.testing.assert_allclose(h, np.diag([2.0, 0.0, -2.0]), atol=1e-13)
 
     def test_matches_isometry_conjugated_brute_force(self, rng):
         terms = [(2, 3, 2, random_spec(rng, 2, (2,), unit_norm=False).terms[2])]
-        # Hermitian but not slot-symmetric: assembly sums each multiset orbit
         for d, n, m in ((2, 4, 2), (3, 3, 2), (2, 4, 3), (3, 3, 3)):
-            v = oracles.rand_herm(rng, d**m)
-            assert np.max(np.abs(v - slot_symmetrize(v, d, m))) > 0.1
-            terms.append((d, n, m, v))
+            terms.append((d, n, m, slot_symmetrize(oracles.rand_herm(rng, d**m), d, m)))
         for d, n, m, v in terms:
             basis = enumerate_basis(d, n)
-            op = build_symmetric_operator(v, m, basis, 1.0)
+            h = build_hamiltonian(HamiltonianSpec(d, {m: v}), n, basis)
             t = oracles.symmetric_isometry(basis)
             brute = np.zeros((d**n, d**n), dtype=complex)
             for sites in itertools.combinations(range(n), m):
                 brute += oracles.embed_brute(v, sites, d, n)
-            np.testing.assert_allclose(op, t.conj().T @ brute @ t, atol=1e-12)
+            np.testing.assert_allclose(h, float(n) ** (1 - m) * t.conj().T @ brute @ t,
+                                       atol=1e-12)
 
     def test_order_below_one_rejected(self):
-        with pytest.raises(ValueError, match="interaction order must be >= 1"):
-            build_symmetric_operator(np.eye(1), 0, enumerate_basis(2, 3), 1.0)
+        # an order-0 term never reaches the assembler: its spec is refused
+        with pytest.raises(ValueError, match="interaction order >= 1"):
+            build_hamiltonian(HamiltonianSpec(2, {0: np.eye(1)}), 3)
 
     def test_order_exceeding_particle_number_rejected(self):
-        basis = enumerate_basis(2, 2)
-        with pytest.raises(ValueError, match="exceeds"):
-            build_symmetric_operator(np.eye(8), 3, basis, 1.0)
+        spec = HamiltonianSpec(2, {3: np.eye(8)})
+        with pytest.raises(ValueError, match="interaction order exceeds particle number"):
+            build_hamiltonian(spec, 2)
 
     def test_dimension_mismatch_rejected(self):
-        basis = enumerate_basis(3, 3)
-        with pytest.raises(ValueError, match="match"):
-            build_symmetric_operator(np.eye(4), 2, basis, 1.0)
+        spec = HamiltonianSpec(2, {2: np.eye(4)})
+        for basis in (enumerate_basis(3, 3), enumerate_basis(2, 4)):
+            with pytest.raises(ValueError, match="basis does not match spec / particle number"):
+                build_hamiltonian(spec, 3, basis)
 
     def test_non_square_rejected(self):
-        basis = enumerate_basis(2, 3)
-        with pytest.raises(ValueError, match=r"shape \(4, 2\) does not match .* = \(4, 4\)"):
-            build_symmetric_operator(np.zeros((4, 2)), 2, basis, 1.0)
+        with pytest.raises(ValueError, match=r"order-2 potential invalid: not a square matrix"):
+            build_hamiltonian(HamiltonianSpec(2, {2: np.zeros((4, 2))}), 3)
 
     def test_operator_byte_budget_refuses_before_assembly(self):
-        basis = enumerate_basis(4, 60)  # 39711 states; order 4 gives C(7, 4)^2 = 1225 pairs
-        nbytes = _BYTES_PER_ENTRY * basis.size * math.comb(7, 4) ** 2
+        # 39711 states at d = 4, N = 60; order 4 gives C(7, 4)^2 = 1225 pairs
+        nbytes = _BYTES_PER_ENTRY * math.comb(63, 3) * math.comb(7, 4) ** 2
         assert nbytes > MAX_OPERATOR_BYTES
         with pytest.raises(ValueError, match=f"bytes = {nbytes} > "):
-            build_symmetric_operator(np.eye(256), 4, basis, 1.0)
-
+            build_hamiltonian(HamiltonianSpec(4, {4: np.eye(256)}), 60)
 
     @pytest.mark.parametrize(
         "d, orders, n", [(3, (1, 2, 3), 50), (3, (1, 2, 3), 100), (2, (1, 2), 3000)]
@@ -256,23 +268,6 @@ class TestBuildSymmetricOperator:
         finally:
             tracemalloc.stop()
         assert peak <= _BYTES_PER_ENTRY * basis.size * pairs
-
-
-class TestBuildHamiltonian:
-    def test_single_particle_term_eigenvalues(self):
-        # diagonal V1 -> diagonal H with occupation-weighted sums of eigenvalues
-        spec = HamiltonianSpec(2, {1: np.diag([1.5, -0.5])})
-        h = build_hamiltonian(spec, 3)
-        basis = enumerate_basis(2, 3)
-        expected = [1.5 * occ[0] - 0.5 * occ[1] for occ in basis.vectors]
-        np.testing.assert_allclose(h, np.diag(expected), atol=1e-13)
-
-    def test_identity_interaction_shifts_by_half_n_minus_one(self):
-        spec = HamiltonianSpec(2, {2: np.eye(4)})
-        for n in (2, 3, 6):
-            h = build_hamiltonian(spec, n)
-            dim = n + 1
-            np.testing.assert_allclose(h, (n - 1) / 2 * np.eye(dim), atol=1e-12)
 
     def test_matches_fullspace_oracle(self):
         rng = substream(41, "ham")
