@@ -34,7 +34,7 @@ from .bounds import (
 from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
 from .exact_dynamics import block_work, propagation_work, state_bytes
 from .hartree import DENSITY_ATOL, _check_times, _guard_steps, hartree_evolve, pure_state_density
-from .operators import HamiltonianSpec, bound_constants, operator_norm, vtilde
+from .operators import VTILDE_STRATEGIES, HamiltonianSpec, bound_constants, operator_norm
 from .symmetric_space import _BYTES_PER_ENTRY, build_hamiltonian, embed_product_state, rdm
 from .symmetric_space import operator_entries, rdm_derivative, sector_size, walk_bytes
 
@@ -207,7 +207,7 @@ class ExperimentConfig:
     initial_phi: np.ndarray = _key(_complex(1))  # None where unread and not given
     integrator_tol: float = _key(_positive, 1e-9)
     seed: int = _key(_integer(0, 2**64), 0)
-    vtilde_strategy: str = _key(_choice("canonical", "ceiling"), "ceiling")
+    vtilde_strategy: str = _key(_choice(*VTILDE_STRATEGIES), "ceiling")
     output_path: str = _key(_nonempty_str, "results.csv")
     obs_m: int = _key(_integer(1), 1)
     obs_n: int = _key(_integer(1), 1)
@@ -387,10 +387,6 @@ def _slope_rows(config, by_time):
     return rows
 
 
-def _bound_constants(config, strategy):
-    return bound_constants(config.spec, vtilde(config.spec, strategy))
-
-
 def _each_n(config, measure):
     """The rows measure(N, H, states) gives for each N in n_values, in ascending N:
     H the fixed-N Hamiltonian, and states the N-fold product of initial_phi evolved
@@ -413,7 +409,7 @@ def _each_n(config, measure):
 
 def run_convergence(config):
     """Exact one-particle RDM vs mean-field evolution across N."""
-    consts = _bound_constants(config, config.vtilde_strategy)
+    consts = bound_constants(config.spec)
     by_time = {i: [] for i in range(len(config.time_grid))}
 
     @cache  # first read once the largest N has propagated, so its refusal comes first
@@ -451,7 +447,7 @@ def _pair_row(config, bound, consts, n_particles, sample, t, lhs):
 def run_lr(config):
     """Heisenberg commutator growth against its closed-form bound."""
     m, n = config.obs_m, config.obs_n
-    consts = _bound_constants(config, config.vtilde_strategy)
+    consts = bound_constants(config.spec)
     a_stack, b_stack = _observable_stacks(config, "lr")
     rows = []
     for n_particles in config.n_values:
@@ -469,7 +465,7 @@ def run_lr(config):
 def run_corr(config):
     """Correlation gap of evolved product states against its bound."""
     m, n = config.obs_m, config.obs_n
-    consts = _bound_constants(config, config.vtilde_strategy)
+    consts = bound_constants(config.spec)
     a_stack, b_stack = _observable_stacks(config, "corr")
     mean_by_time = {i: [] for i in range(len(config.time_grid))}
 
@@ -512,7 +508,7 @@ def run_bbgky(config):
 
 def run_bounds(config):
     """Bound constants at both ends of the vtilde bracket, plus bound curves."""
-    constants = {s: _bound_constants(config, s) for s in ("canonical", "ceiling")}
+    constants = {s: bound_constants(config.spec, s) for s in VTILDE_STRATEGIES}
     rows = [{"kind": "constants", "strategy": s, **asdict(c)} for s, c in constants.items()]
     selected = constants[config.vtilde_strategy]
     for n_particles in config.n_values:
@@ -634,7 +630,7 @@ SCENARIOS = {
     "converge": Scenario(
         run_convergence,
         "exact one-particle reduced state vs mean-field evolution across N",
-        ("initial_phi", "integrator_tol", "vtilde_strategy"),
+        ("initial_phi", "integrator_tol"),
         ("kind", "N", "t", "trace_distance", "mean_field_error_bound", "ratio", "slope",
          "violation"),
         Curves("point", ("t",), "N", (
@@ -645,14 +641,14 @@ SCENARIOS = {
     "lr": Scenario(
         run_lr,
         "Heisenberg commutator growth for disjointly supported observables",
-        ("seed", "vtilde_strategy", "obs_m", "obs_n", "n_samples"),
+        ("seed", "obs_m", "obs_n", "n_samples"),
         ("N", "m", "n", "sample", "t", "lhs", "rhs", "violation"),
         _PAIR_CURVES,
     ),
     "corr": Scenario(
         run_corr,
         "correlation gap of evolved product states vs its bound",
-        ("seed", "vtilde_strategy", "obs_m", "obs_n", "n_samples", "initial_phi"),
+        ("seed", "obs_m", "obs_n", "n_samples", "initial_phi"),
         ("kind", "N", "m", "n", "sample", "t", "lhs", "rhs", "slope", "violation"),
         _PAIR_CURVES,
     ),

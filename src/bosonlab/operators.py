@@ -16,7 +16,8 @@ d^m ||V||_F: the d^(2m) product units of any orthonormal product basis are
 Hilbert-Schmidt orthonormal, so Cauchy-Schwarz caps the sum; sigma_z (x)
 sigma_z attains it (8, against canonical 4).  Were vtilde instead an infimum
 over decompositions, both ends would bound it from above, so the ceiling is
-an upper value under either reading and the bounds use it by default.
+an upper value under either reading: every run's bound uses it, and the
+bounds table reports both ends.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ from ._tensor import permute_slots
 
 # the tolerance of every Hermiticity and slot-symmetry check on an input matrix
 HERMITIAN_ATOL = 1e-12
+
+VTILDE_STRATEGIES = ("canonical", "ceiling")  # the ends of the vtilde bracket, lower first
 
 
 def operator_norm(matrix):
@@ -120,7 +123,7 @@ def vtilde(spec, strategy="ceiling"):
     """Largest coefficient-magnitude sum over interaction orders >= 2, at the
     "canonical" or the "ceiling" end of the bracket in the module docstring.
     A spec with no order >= 2 term gives 0."""
-    if strategy not in ("canonical", "ceiling"):
+    if strategy not in VTILDE_STRATEGIES:
         raise ValueError(f"unknown vtilde strategy {strategy!r}")
     # canonical: matrix-unit coefficients are the entries; ceiling: Cauchy-Schwarz
     # over the D^2 orthonormal product units, D = d^m the side of the matrix
@@ -147,15 +150,14 @@ class BoundConstants:
     m_max: int
 
 
-def bound_constants(spec, vtilde_value):
-    """Assemble the bound constants from a spec and a precomputed vtilde."""
-    if vtilde_value < 0:
-        raise ValueError("vtilde must be non-negative")
+def bound_constants(spec, strategy="ceiling"):
+    """Assemble the bound constants of a spec, vtilde at the given end of its bracket."""
+    vt = vtilde(spec, strategy)
     s1 = 0.0
     s2 = 0.0
     for m in spec.interaction_orders:
         norm = operator_norm(spec.terms[m])
         s1 += m * norm
         s2 += m * m * norm
-    lam = (16.0 * float(vtilde_value) + s2) / s1 if s1 > 0.0 else 0.0
-    return BoundConstants(s1, s2, float(vtilde_value), lam, spec.max_order)
+    lam = (16.0 * vt + s2) / s1 if s1 > 0.0 else 0.0
+    return BoundConstants(s1, s2, vt, lam, spec.max_order)

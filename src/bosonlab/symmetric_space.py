@@ -218,7 +218,7 @@ def ladder_walk(basis, k):
     a+_I a_J moves an occupation's key by key(I) - key(J), so all rows take
     one binary search; each factor is the product, slot by slot in the order
     of the chain, of the occupations the ladder operators meet."""
-    multisets, _ = multiset_map(basis.d, k)
+    multisets = list(combinations_with_replacement(range(basis.d), k))
     modes = np.array(multisets, dtype=np.int64).reshape(len(multisets), k)
     # slot s of a multiset meets the (r_s)-th copy of its mode, r_s = copies in slots 0..s
     repeats = ((modes[:, :, None] == modes[:, None, :]) & np.tri(k, dtype=bool)).sum(axis=2)

@@ -37,7 +37,6 @@ from bosonlab import (
     rdm,
     slot_symmetrize,
     trace_distance,
-    vtilde,
 )
 from bosonlab.cli import main as cli_main
 from bosonlab.experiments import _fit_slope, random_unit_hermitian
@@ -75,7 +74,7 @@ def pinned_data():
     for max_order, n_values in ((2, (8, 16, 32, 64, 128)), (3, (8, 16, 32, 64))):
         spec = _pinned_spec(max_order)
         traj = hartree_evolve(pure_state_density(PHI_PLUS), spec, GRID, 1e-9)
-        consts = bound_constants(spec, vtilde(spec, "canonical"))
+        consts = bound_constants(spec, "canonical")
         for n in n_values:
             states = evolve_exact(
                 build_hamiltonian(spec, n), embed_product_state(PHI_PLUS, n), GRID
@@ -181,7 +180,7 @@ def test_error_bound_dominates_every_distance(pinned_data):
 def test_commutator_growth_never_exceeds_envelope():
     start = time.monotonic()
     spec = _pinned_spec(2)
-    consts = bound_constants(spec, vtilde(spec, "canonical"))
+    consts = bound_constants(spec, "canonical")
     n_particles = 8
     checked = violations = 0
     worst_margin = -np.inf
@@ -217,7 +216,7 @@ def test_commutator_growth_envelope_at_large_n():
     start = time.monotonic()
     spec = _pinned_spec(2)
     free = HamiltonianSpec(2, {1: SX})
-    consts = bound_constants(spec, vtilde(spec, "canonical"))
+    consts = bound_constants(spec, "canonical")
     cases = (
         (64, 1, 1, (0.0, 0.5, 1.0)),
         (64, 2, 1, (0.0, 0.5, 1.0)),

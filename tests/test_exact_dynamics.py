@@ -515,11 +515,11 @@ class TestCommutatorGrowth:
             assert value == pytest.approx(0.0, abs=1e-11)
 
     def test_bounded_by_growth_envelope(self):
-        from bosonlab import bound_constants, commutator_growth_bound, vtilde
+        from bosonlab import bound_constants, commutator_growth_bound
 
         rng = substream(8, "lr")
         spec = random_spec(rng, 2, (1, 2))
-        consts = bound_constants(spec, vtilde(spec))
+        consts = bound_constants(spec)
         a, b = oracles.rand_unit_herm(rng, 2), oracles.rand_unit_herm(rng, 2)
         times = [0.0, 0.25, 0.5, 1.0]
         for t, lhs in zip(times, commutator_growth(spec, 6, 1, 1, [a], [b], times)[0]):
@@ -687,11 +687,11 @@ class TestCorrelationGap:
         assert gap == pytest.approx(0.0, abs=1e-11)
 
     def test_bounded_by_gap_envelope(self):
-        from bosonlab import bound_constants, correlation_gap_bound, vtilde
+        from bosonlab import bound_constants, correlation_gap_bound
 
         rng = substream(14, "corr")
         spec = random_spec(rng, 2, (1, 2))
-        consts = bound_constants(spec, vtilde(spec))
+        consts = bound_constants(spec)
         n = 12
         state0 = embed_product_state(_unit_phi(rng, 2), n)
         h = build_hamiltonian(spec, n)

@@ -22,7 +22,6 @@ from bosonlab import (
     mean_field_error_bound,
     rdm,
     symmetric_space,
-    vtilde,
 )
 from bosonlab.experiments import (
     SCENARIOS,
@@ -68,6 +67,13 @@ def base_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def _written_rows(path, config):
+    """The CSV lines a run of config writes, without the comment line and the
+    config_hash column; NaN cells compare equal as text."""
+    write_rows(path, config, SCENARIOS[config.scenario].run(config))
+    return [line.split(",", 1)[1] for line in path.read_text().splitlines()[1:]]
 
 
 def _count_rdm_orders(monkeypatch):
@@ -169,9 +175,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("scenario, digest", [
         ("bbgky", "9ea37b336779d2c7"),
         ("bounds", "596148a0badba86b"),
-        ("converge", "b35247d198bce19b"),
-        ("corr", "cfed0b7a64601617"),
-        ("lr", "72e7cc6478ebcc9b"),
+        ("converge", "fa381d082a765095"),
+        ("corr", "869d095eafffc164"),
+        ("lr", "e5951a95970a992b"),
     ])
     def test_shipped_config_hashes_are_pinned(self, scenario, digest):
         # a change to canonicalization re-labels every CSV a shipped config wrote
@@ -238,16 +244,19 @@ class TestConfigParsing:
         assert a.config_hash != b.config_hash
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_only_the_keys_read_are_hashed(self, scenario):
-        # a key the runner does not read changes no output, so not the hash either
+    def test_only_the_keys_read_are_hashed(self, scenario, tmp_path):
+        # a key the runner does not read changes no output, so not the hash either;
+        # a key it reads changes the rows it writes
         changes = {"initial_phi": [[0.0, 0.0], [1.0, 0.0]], "integrator_tol": 1e-4, "seed": 7,
                    "vtilde_strategy": "canonical", "obs_m": 2, "obs_n": 2, "n_samples": 2,
                    "k_values": [2]}
         base = config_from_dict(base_config(scenario=scenario))
+        base_rows = _written_rows(tmp_path / "base.csv", base)
         for key, value in changes.items():
             changed = config_from_dict(base_config(scenario=scenario, **{key: value}))
             read = key in SCENARIOS[scenario].keys
             assert (changed.config_hash != base.config_hash) == read, key
+            assert (_written_rows(tmp_path / f"{key}.csv", changed) != base_rows) == read, key
         # and a required key is required only where it is read
         dropped = base_config(scenario=scenario)
         del dropped["initial_phi"]
@@ -258,6 +267,11 @@ class TestConfigParsing:
             assert config_from_dict(dropped).config_hash == base.config_hash
         with pytest.raises(ConfigError, match="initial_phi: norm deviates"):  # given, so checked
             config_from_dict(base_config(scenario=scenario, initial_phi=[[0.6, 0.0], [0.9, 0.0]]))
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_shipped_configs_set_only_keys_their_scenario_reads(self, scenario):
+        read = set(experiments._ALWAYS_READ + SCENARIOS[scenario].keys) | {"output_path"}
+        assert set(_shipped(scenario)) <= read
 
     def test_load_config_rejects_bad_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -493,12 +507,12 @@ class TestBoundsRunner:
         curves = [r for r in rows if r["kind"] == "curve"]
         assert list(constants) == ["canonical", "ceiling"]
         for strategy, row in constants.items():
-            consts = bound_constants(config.spec, vtilde(config.spec, strategy))
+            consts = bound_constants(config.spec, strategy)
             assert row["sum_l1_v"] == pytest.approx(consts.sum_l1_v)
             assert row["vtilde"] == pytest.approx(consts.vtilde)
         assert constants["ceiling"]["vtilde"] >= constants["canonical"]["vtilde"]
         # the curves take the configured strategy, ceiling by default
-        expected = bound_constants(config.spec, vtilde(config.spec, "ceiling"))
+        expected = bound_constants(config.spec, "ceiling")
         by_t = {r["t"]: r for r in curves}
         assert by_t[0.0]["mean_field_error_bound"] == 0.0
         assert by_t[1.0]["mean_field_error_bound"] == pytest.approx(

@@ -13,6 +13,7 @@ from bosonlab import (
     validate_potential,
     vtilde,
 )
+from bosonlab.operators import VTILDE_STRATEGIES
 
 from .conftest import SX, SZ, random_spec, substream
 from . import oracles
@@ -196,35 +197,40 @@ class TestVtilde:
 
 
 class TestBoundConstants:
-    def test_single_pair_term(self):
+    @pytest.mark.parametrize("strategy, vt, lam", [("canonical", 4.0, 34.0),
+                                                   ("ceiling", 8.0, 66.0)])
+    def test_single_pair_term(self, strategy, vt, lam):
         spec = HamiltonianSpec(2, {2: np.kron(SZ, SZ)})
-        consts = bound_constants(spec, 2.0)
+        consts = bound_constants(spec, strategy)
         assert consts.sum_l1_v == pytest.approx(2.0)
         assert consts.sum_l2_v == pytest.approx(4.0)
-        assert consts.lambda_v == pytest.approx(18.0)  # (16*2 + 4) / 2
+        assert consts.vtilde == pytest.approx(vt)
+        assert consts.lambda_v == pytest.approx(lam)  # (16 vt + 4) / 2
         assert consts.m_max == 2
 
     def test_no_interactions_all_zero(self):
         spec = HamiltonianSpec(2, {1: SX})
-        consts = bound_constants(spec, 0.0)
+        consts = bound_constants(spec)
         assert consts.sum_l1_v == 0.0
         assert consts.sum_l2_v == 0.0
+        assert consts.vtilde == 0.0
         assert consts.lambda_v == 0.0
 
-    def test_negative_vtilde_rejected(self):
-        spec = HamiltonianSpec(2, {1: SX})
-        with pytest.raises(ValueError, match="non-negative"):
-            bound_constants(spec, -1.0)
-
-    def test_lambda_formula_on_random_specs(self, rng):
+    @pytest.mark.parametrize("strategy", VTILDE_STRATEGIES)
+    def test_lambda_formula_on_random_specs(self, rng, strategy):
         spec = random_spec(rng, 2, (1, 2, 3), unit_norm=False)
-        vt = vtilde(spec)
-        consts = bound_constants(spec, vt)
+        vt = vtilde(spec, strategy)
+        consts = bound_constants(spec, strategy)
         s1 = sum(m * operator_norm(spec.terms[m]) for m in (2, 3))
         s2 = sum(m * m * operator_norm(spec.terms[m]) for m in (2, 3))
         assert consts.sum_l1_v == pytest.approx(s1, rel=1e-12)
         assert consts.sum_l2_v == pytest.approx(s2, rel=1e-12)
+        assert consts.vtilde == vt
         assert consts.lambda_v == pytest.approx((16 * vt + s2) / s1, rel=1e-12)
+
+    def test_default_is_the_ceiling(self, rng):
+        spec = random_spec(rng, 2, (1, 2), unit_norm=False)
+        assert bound_constants(spec) == bound_constants(spec, "ceiling")
 
     def test_frozen(self):
         consts = BoundConstants(1.0, 2.0, 3.0, 4.0, 2)
