@@ -7,11 +7,11 @@ MAX_WALK_BYTES = 2**30  # one compiled RDM walk
 MAX_DENSE_BYTES = 2**32  # dense matrices at their peak
 _LIVE_MATRICES = 8  # dense matrices of the largest size a dense path holds at once
 MAX_KERNEL_WORK = 2**38  # dim^3 units of dense commutator growth or RDM work, about 1 ns each
-MAX_CHEBYSHEV_TERMS = 1_000_000  # one propagation, a matvec each
-MAX_COEFFICIENT_BYTES = 2**30  # one propagation's table of Chebyshev coefficients
+MAX_CHEBYSHEV_TERMS = 1_000_000  # one evolve_exact call, summed over its intervals; a matvec each
 MAX_STEPS = 1_000_000  # mean-field integrator: caps L*t at config time, attempted steps at run time
-# propagation summed over a run, in nnz x terms: admits the size-ladder rungs (d=2,
-# N=16384 at 3.9e10; d=3, N=240 at 7.8e9), refuses converge.json at N = 2..2999
+# propagation summed over a run's N and grid intervals, in nnz x terms: admits the
+# size-ladder rungs (4 intervals; d=2, N=16384 at 3.9e10; d=3, N=240 at 7.8e9), refuses
+# converge.json at N = 2..2999 (2 intervals), naming 1571
 MAX_MATVEC_WORK = 2**36
 
 

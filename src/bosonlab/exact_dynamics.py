@@ -1,13 +1,14 @@
 """Exact unitary dynamics, commutator growth, correlation measurements, and
 the reduced-density-matrix hierarchy right-hand side.
 
-Symmetric-sector propagation runs one Chebyshev recurrence in H for all the
-requested times, with sparse matrix-vector products only.  Commutator growth
-needs observables pinned to particles, so it leaves the symmetric sector for
-dense blocks, all built by one function: at d = 2 one per total spin of the
-spectator particles, at other d the full tensor space as the one block.  Each block is
-diagonalized once (dense eigh), and one guard refuses a call whose blocks
-would pass MAX_DENSE_BYTES or MAX_KERNEL_WORK before anything is allocated.
+Symmetric-sector propagation carries the state from each requested time to
+the next, one Chebyshev series in H per interval, with sparse matrix-vector
+products only.  Commutator growth needs observables pinned to particles, so
+it leaves the symmetric sector for dense blocks, all built by one function:
+at d = 2 one per total spin of the spectator particles, at other d the full
+tensor space as the one block.  Each block is diagonalized once (dense
+eigh), and one guard refuses a call whose blocks would pass MAX_DENSE_BYTES
+or MAX_KERNEL_WORK before anything is allocated.
 """
 
 import math
@@ -16,16 +17,14 @@ from itertools import combinations, product
 import numpy as np
 
 from ._limits import (
-    MAX_CHEBYSHEV_TERMS, MAX_COEFFICIENT_BYTES, MAX_DENSE_BYTES, MAX_KERNEL_WORK,
-    _dense_peak_bytes, refuse,
+    MAX_CHEBYSHEV_TERMS, MAX_DENSE_BYTES, MAX_KERNEL_WORK, _dense_peak_bytes, refuse,
 )
 from ._tensor import embed_on_sites, partial_trace_last
 from .hartree import _check_times
 from .operators import HERMITIAN_ATOL
 from .symmetric_space import SparseHermitian, SymmetricState, operator_entries
 
-_UNIT_ROUNDOFF = 2.0**-53
-_BLOCK = 16  # evolve_exact sums its vectors into the states _BLOCK at a time
+_LOG_UNIT_ROUNDOFF = math.log(2.0**-53)
 
 
 def _pair_stacks(d, m, n, a, b):
@@ -47,58 +46,56 @@ def _pair_stacks(d, m, n, a, b):
 
 
 def state_bytes(n_times, size):
-    """evolve_exact's (T, D) sums and the T states copied from them, 16 bytes an amplitude."""
-    return 32 * n_times * size
+    """evolve_exact's T states and the recurrence's 6 working vectors, 16 bytes an amplitude."""
+    return 16 * (n_times + 6) * size
 
 
 def evolve_exact(hamiltonian, state, times):
     """Propagate a symmetric state to each requested time.
 
-    ``hamiltonian`` is a :class:`SparseHermitian` on the state's basis.  One
-    Chebyshev recurrence in H~ = (H - c)/R, [c - R, c + R] the Gershgorin
-    interval of H, serves every time; c comes off every row's slot 0, the
-    diagonal, stored even where it is 0.  The K terms are fixed by R t_max
-    before any matvec, and a call with K > MAX_CHEBYSHEV_TERMS, or whose
-    table of coefficients would pass MAX_COEFFICIENT_BYTES, is refused, as is
-    one whose states would pass MAX_DENSE_BYTES (:func:`state_bytes`).
+    ``hamiltonian`` is a :class:`SparseHermitian` on the state's basis.  Each
+    grid interval dt, the first from t = 0, takes one Chebyshev series in
+    H~ = (H - c)/R, [c - R, c + R] the Gershgorin interval of H, of K(R dt)
+    terms, and the state is carried from each grid time to the next; c comes
+    off every row's slot 0, the diagonal, stored even where it is 0.  Before
+    any matvec, a call whose summed terms pass MAX_CHEBYSHEV_TERMS is refused,
+    as is one whose states would pass MAX_DENSE_BYTES (:func:`state_bytes`).
     """
     h, basis = hamiltonian, state.basis
     if h.shape != (basis.size, basis.size):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis size {basis.size}")
     grid = _check_times(times)
-    refuse(lambda n: state_bytes(n, basis.size), grid.size, MAX_DENSE_BYTES,
-           f"the propagated states at D = {basis.size}, 32 * times * D bytes", "number of times")
+    refuse(lambda n: state_bytes(n, basis.size), grid.size, MAX_DENSE_BYTES, f"the propagated "
+           f"states at D = {basis.size}, 16 * (times + 6) * D bytes", "number of times")
     center, radius = _enclosure(h)
-    reach = radius * grid[-1]  # NaN or inf in H reads inf terms
-    terms = refuse(_chebyshev_terms, reach, MAX_CHEBYSHEV_TERMS, f"propagation to R t = "
-                   f"{reach:.3g} (R the spectral half-width), in Chebyshev terms", None)
-    refuse(lambda n: 16 * n * (terms + 1), grid.size, MAX_COEFFICIENT_BYTES,
-           f"coefficients of {terms + 1} terms, 16 * times * (terms + 1) bytes", "number of times")
+    reaches = (radius * np.diff(grid, prepend=0.0)).tolist()  # NaN or inf in H reads inf terms
+    terms = [_chebyshev_terms(x) if x else 0 for x in reaches]  # t = 0 takes none
+    refuse(sum, terms, MAX_CHEBYSHEV_TERMS, f"propagation to R t = {radius * grid[-1]:.3g} (R the "
+           f"spectral half-width) over {grid.size} grid intervals, summed in Chebyshev terms", None)
     # 2 H~, so that each further vector takes one matvec and one subtraction;
     # shifted before it is scaled, or H = c (R tiny) would give inf - inf
     values = h.values.copy()
-    values[:, 0] -= center
-    twice = SparseHermitian(h.cols, values * (2 / radius))
-    coeffs = _chebyshev_coefficients(radius * grid, terms)
-    acc = np.zeros((grid.size, basis.size), dtype=np.complex128)
-    block = np.empty((_BLOCK, basis.size), dtype=np.complex128)
-    prev, cur = None, state.amplitudes
-    for k in range(terms + 1):
-        if k:  # v_1 = H~ v_0, v_k = 2 H~ v_(k-1) - v_(k-2)
-            prev, cur = cur, twice.matvec(cur) / 2 if k == 1 else twice.matvec(cur) - prev
-        block[k % _BLOCK] = cur
-        if k % _BLOCK == _BLOCK - 1 or k == terms:
-            first = k - k % _BLOCK
-            acc += coeffs[:, first : k + 1] @ block[: k + 1 - first]
-    acc *= np.exp(-1j * center * grid)[:, None]
-    return [state if t == 0 else SymmetricState(basis, v) for t, v in zip(grid, acc)]
+    values[0] -= center
+    values *= 2 / radius
+    twice = SparseHermitian(h.cols, values)
+    states, psi = [], state.amplitudes  # psi = exp(-i (H - c) t) psi_0 at the last grid time
+    for t, x, k in zip(grid, reaches, terms):
+        if k:  # sum_j c_j(x) v_j: v_0 = psi, v_1 = H~ v_0, v_j = 2 H~ v_(j-1) - v_(j-2)
+            coeffs = _chebyshev_coefficients(x, k)
+            prev, cur = psi, twice.matvec(psi) / 2
+            psi = coeffs[0] * prev + coeffs[1] * cur
+            for c in coeffs[2:]:
+                prev, cur = cur, twice.matvec(cur) - prev
+                psi += c * cur
+        states.append(state if t == 0 else SymmetricState(basis, np.exp(-1j * center * t) * psi))
+    return states
 
 
 def _enclosure(h):
     """Center c and half-width R of the Gershgorin interval [lo, hi] of H, from
     each row's diagonal (slot 0) and the magnitudes of its other slots; R is
     floored at the smallest normal float, so H = c needs no case of its own."""
-    diag, radii = h.values[:, 0].real, np.abs(h.values[:, 1:]).sum(axis=1)
+    diag, radii = h.values[0].real, np.abs(h.values[1:]).sum(axis=0)
     lo, hi = np.min(diag - radii), np.max(diag + radii)
     return (hi + lo) / 2, max((hi - lo) / 2, np.finfo(float).tiny)  # max keeps a NaN
 
@@ -111,7 +108,7 @@ def _chebyshev_terms(x):
     k = max(math.ceil(x), 1)
     log_bound = k * (math.log(x) - math.log(2)) - math.lgamma(k + 1) if x > 0 else -math.inf
     # past x the bound falls by a factor x / (2k) <= 1/2 per step
-    while log_bound >= math.log(_UNIT_ROUNDOFF) and k <= MAX_CHEBYSHEV_TERMS:
+    while log_bound >= _LOG_UNIT_ROUNDOFF and k <= MAX_CHEBYSHEV_TERMS:
         k += 1
         log_bound -= math.log(2 * k / x)
     return k if k <= MAX_CHEBYSHEV_TERMS else math.inf
@@ -124,30 +121,32 @@ def _radius_ceiling(spec, n):
                for m, v in spec.terms.items())
 
 
-def propagation_work(spec, n_particles, t):
-    """A ceiling on evolve_exact's nnz x terms on build_hamiltonian(spec, N) to time t,
-    before H exists: (x/2)^K / K! < (e x / 2K)^K < u = 2^-53 at every K >= max(e x, 53),
-    so the terms are at most max(e x + 1, 54), x = R t with R by _radius_ceiling;
-    inf once a factor passes the largest float."""
+def propagation_work(spec, n_particles, times):
+    """A ceiling on evolve_exact's nnz x summed terms on build_hamiltonian(spec, N) over
+    the grid ``times``, before H exists: (x/2)^K / K! < (e x / 2K)^K < u = 2^-53 at every
+    K >= max(e x, 53), so an interval's terms are at most max(e x + 1, 54), x = R dt with
+    R by _radius_ceiling; inf once a factor passes the largest float."""
+    steps = np.diff(times, prepend=0.0)
     try:
-        terms = max(math.e * _radius_ceiling(spec, n_particles) * t + 1, 54)
+        reach = math.e * _radius_ceiling(spec, n_particles)
+        with np.errstate(over="ignore"):
+            terms = float(np.maximum(reach * steps[steps > 0] + 1, 54).sum())
         return operator_entries(spec.d, n_particles, spec.present_orders) * terms
     except OverflowError:
         return math.inf
 
 
-def _chebyshev_coefficients(xs, terms):
-    """c_k(x) = (2 - delta_k0) (-i)^k J_k(x), k <= terms, one row per x: the
-    cosine coefficients of exp(-i x cos theta), by an FFT of 2(terms + 1)
-    samples (aliases, from k > terms + 1, are below u).  The phases are formed
-    in np.longdouble: in double their rounding, about x u, passes 1e-13 at
+def _chebyshev_coefficients(x, terms):
+    """c_k(x) = (2 - delta_k0) (-i)^k J_k(x), k <= terms: the cosine
+    coefficients of exp(-i x cos theta), by an FFT of 2(terms + 1) samples
+    (aliases, from k > terms + 1, are below u).  The phases are formed in
+    np.longdouble: in double their rounding, about x u, passes 1e-13 at
     x = 2000 (80-bit on x86-64; elsewhere it may be double)."""
     m = terms + 1
     cosines = np.cos(np.arccos(np.longdouble(-1)) / m * np.arange(2 * m))
-    samples = (np.exp(-1j * (x * cosines)).astype(np.complex128) for x in xs)
-    table = np.array([np.fft.fft(f)[:m] for f in samples]) / m
-    table[:, 0] /= 2
-    return table
+    coeffs = np.fft.fft(np.exp(-1j * (x * cosines)).astype(np.complex128))[:m] / m
+    coeffs[0] /= 2
+    return coeffs
 
 
 def _tensor_slots(d, n_particles, n_active):

@@ -306,7 +306,7 @@ def _price_run(values):
         cost = lambda x: block_work(d, x, m + n, len(t), samples)
         limit, what = MAX_KERNEL_WORK, "commutator growth summed over N, its work"
     else:  # exact propagation dominates converge, corr and bbgky
-        cost = lambda x: propagation_work(spec, x, t[-1])
+        cost = lambda x: propagation_work(spec, x, t)
         limit, what = MAX_MATVEC_WORK, "propagation summed over N, nnz x Chebyshev terms"
     costs = [cost(x) for x in ns]
     refuse(lambda v: sum(c for x, c in zip(ns, costs) if x < v) + cost(v), ns[-1], limit,
@@ -321,7 +321,7 @@ def _price_run(values):
                f"the order-{k} ladder walk's 16 * C(d+k-1, k)^2 * D(N-k) bytes")
               for k in sorted(walks)]
     sizes.append((lambda x: state_bytes(len(t), sector_size(d, x)), MAX_DENSE_BYTES,
-                  "the propagated states' 32 * times * D bytes"))
+                  "the propagated states' 16 * (times + 6) * D bytes"))
     for price, limit, what in sizes:
         refuse(price, ns[-1], limit, f"n_values: {what}", "n_values[-1]")
 

@@ -79,11 +79,12 @@ def pure_state_density(phi):
 
 
 def _contractions(spec):
-    """V^(m)/(m-1)! for each present order m, ascending, as a d^2 x d^(2(m-1))
-    matrix over (a, b) x (j_2, i_2, .., j_m, i_m): its product with the outer
-    product of m - 1 flattened gammas is the order-m part of h(gamma)."""
-    d, mats = spec.d, []
-    for m in spec.present_orders:
+    """V1 flattened (0 without one), then V^(m)/(m-1)! for each order m >= 2, ascending, as
+    a d^2 x d^(2(m-1)) matrix over (a, b) x (j_2, i_2, .., j_m, i_m): its product with the
+    outer product of m - 1 flattened gammas is the order-m part of h(gamma)."""
+    d = spec.d
+    mats = [spec.terms[1].reshape(-1) if 1 in spec.terms else np.zeros(d * d, np.complex128)]
+    for m in spec.interaction_orders:
         axes = [0, m] + [a for s in range(1, m) for a in (m + s, s)]
         v = spec.terms[m].reshape((d,) * 2 * m).transpose(axes)
         mats.append(v.reshape(d * d, -1) / math.factorial(m - 1))
@@ -91,23 +92,20 @@ def _contractions(spec):
 
 
 def _order_parts(g, contractions):
-    """The order-m part of h(gamma), flattened and not hermitized, for each contraction."""
-    flat, power = g.reshape(-1), np.ones(1)
-    for c in contractions:
+    """h(gamma)'s order-1 part, then each higher order's, flattened and not hermitized."""
+    yield contractions[0]
+    flat = power = g.reshape(-1)
+    for c in contractions[1:]:
         while power.size < c.shape[1]:  # extend gamma^(x (m-1)) from the lower order's
             power = np.multiply.outer(power, flat).reshape(-1)
         yield c @ power
 
 
-def _mean_field_h(g, contractions):
-    h = sum(_order_parts(g, contractions), np.zeros(g.size, dtype=np.complex128)).reshape(g.shape)
-    return (h + h.conj().T) / 2
-
-
 def _rhs(g, contractions):
-    # -i [h(g), g] for a raw d x d matrix g
-    h = _mean_field_h(g, contractions)
-    return -1j * (h @ g - g @ h)
+    # -i [h(g), g] for a raw d x d matrix g; h = (p + p^+)/2, p the parts' sum, halved by -i/2
+    h = sum(_order_parts(g, contractions)).reshape(g.shape)
+    h = h + h.conj().T
+    return -0.5j * (h @ g - g @ h)
 
 
 def _check_times(times):
@@ -132,7 +130,7 @@ def mean_field_energy(gamma, spec):
     _check_one_body(gamma, spec)
     g = gamma.matrix
     parts = _order_parts(g, _contractions(spec))
-    e = sum(part @ g.T.reshape(-1) / m for m, part in zip(spec.present_orders, parts))
+    e = sum(part @ g.T.reshape(-1) / m for m, part in zip((1, *spec.interaction_orders), parts))
     return float(np.real(e))
 
 
@@ -164,10 +162,11 @@ def _dp_step(f, y, dt, k):
     k[1:] and returns the 5th-order point z and the error estimate.  Row 5 is
     the 5th-order weights, so the last stage point is z and k[6] = f(z) is the
     next step's k[0]: 6 evaluations of f."""
+    a = dt * _DP
     for i in range(6):
-        z = y + dt * (_DP[i, :i + 1] @ k[:i + 1])
+        z = y + a[i, :i + 1] @ k[:i + 1]
         k[i + 1] = f(z)
-    return z, dt * (_DP[6] @ k)
+    return z, a[6] @ k
 
 
 def _guard_steps(spec, t_end):
@@ -230,7 +229,7 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
             )
         y_new, err_vec = _dp_step(f, y, dt_try, k)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
+        err = float(np.linalg.norm(err_vec / scale)) / math.sqrt(y.size)
         n_steps += 1
         if err <= 1.0:
             t = target if clipped else t + dt_try

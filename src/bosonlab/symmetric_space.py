@@ -34,7 +34,7 @@ from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_OPERATOR_BYTES, MAX_W
                       _dense_peak_bytes, refuse)
 from .hartree import DENSITY_ATOL, DensityMatrix
 
-# The (D, 1 + moves) grid of 24-byte cells, 1 + moves <= sum_m C(d+m-1, m)^2, is H's rows;
+# The (1 + moves, D) grid of 24-byte cells, 1 + moves <= sum_m C(d+m-1, m)^2, is H's rows;
 # with its hermitization build_hamiltonian peaks at 60 bytes an operator_entries entry or
 # less (tracemalloc, d = 2 to 8, orders up to 3, from 2e4 entries; 85 below); 128 charged.
 _BYTES_PER_ENTRY = 128
@@ -159,37 +159,37 @@ def embed_product_state(phi, n_particles):
 
 @dataclass(frozen=True, eq=False)
 class SparseHermitian:
-    """Hermitian D x D matrix as fixed-width rows: ``cols`` and ``values`` are
-    (D, w) arrays whose slot 0 holds each row's diagonal, stored even when 0;
-    a slot that a row does not use holds (its own index, 0).  ``np.asarray``
-    gives the dense matrix, for checks at small D."""
+    """Hermitian D x D matrix as fixed-width rows stored slot-major: ``cols`` and
+    ``values`` are (w, D) arrays, [s, r] slot s of row r, whose slot 0 holds each
+    row's diagonal, stored even when 0; a slot that a row does not use holds (its
+    own index, 0).  ``np.asarray`` gives the dense matrix, for checks at small D."""
 
     cols: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if self.cols.ndim != 2 or self.cols.shape != self.values.shape or not self.cols.shape[1]:
-            raise ValueError("cols and values must be (D, w) arrays of one shape, w >= 1")
-        if not np.array_equal(self.cols[:, 0], np.arange(len(self.cols))):
+        if self.cols.ndim != 2 or self.cols.shape != self.values.shape or not len(self.cols):
+            raise ValueError("cols and values must be (w, D) arrays of one shape, w >= 1")
+        if not np.array_equal(self.cols[0], np.arange(self.cols.shape[1])):
             raise ValueError("slot 0 of each row must be its diagonal")
         for a in (self.cols, self.values):
             a.setflags(write=False)
 
     @property
     def shape(self):
-        return (len(self.cols),) * 2
+        return (self.cols.shape[1],) * 2
 
     @property
     def nnz(self):
         """Stored entries: every diagonal and the off-diagonal entries, not the padding."""
-        return len(self.cols) + int(np.count_nonzero(self.cols[:, 1:] != self.cols[:, :1]))
+        return self.cols.shape[1] + int(np.count_nonzero(self.cols[1:] != self.cols[:1]))
 
     def matvec(self, x):
-        return np.einsum("ij,ij->i", self.values, x[self.cols])
+        return (self.values * x[self.cols]).sum(axis=0)
 
     def __array__(self, dtype=None, copy=None):
         out = np.zeros(self.shape, dtype=np.complex128)
-        np.add.at(out, (np.arange(len(out))[:, None], self.cols), self.values)  # padding adds 0
+        np.add.at(out, (np.arange(len(out)), self.cols), self.values)  # padding adds 0
         return out if dtype is None else out.astype(dtype)
 
 
@@ -283,21 +283,21 @@ def build_hamiltonian(spec, n_particles, basis=None):
     # np.unique imports numpy.ma on first use, 10-17 ms)
     moves = np.array(sorted(set().union(*(mv[k].tolist() for *_, k, mv in chains)) - {0}), np.int64)
     width = 1 + moves.size
-    cols = np.repeat(np.arange(size), width)  # the grid, flat; a slot never written keeps its row
+    cols = np.tile(np.arange(size), width)  # the grid, flat; a slot never written keeps its row
     values = np.zeros(cols.size, dtype=np.complex128)
     for m, weights, keep, move in chains:
         slots = np.where(move == 0, 0, 1 + np.searchsorted(moves, move))
         for j, rows, walk_cols, factor in ladder_walk(basis, m):
-            flat = rows[keep[j]] * width + slots[keep[j], j][:, None]
+            flat = slots[keep[j], j][:, None] * size + rows[keep[j]]
             cols[flat] = walk_cols
             values[flat] += weights[keep[j], j][:, None] * factor[keep[j]]
-    cols = cols.reshape(size, width)
-    stored = (cols != np.arange(size)[:, None]) | (np.arange(width) == 0)
+    cols = cols.reshape(width, size)
+    stored = (cols != np.arange(size)) | (np.arange(width) == 0)[:, None]
     # an entry's transpose is in its column's row at the reverse move, slot 1 + i's
     # being width - 1 - i; (a + conj b)/2 and (b + conj a)/2 are exact conjugates, and
     # padding, whose transpose is a cell of its own row, stays 0
-    transpose = cols * width + np.r_[0, width - 1:0:-1]
-    values = np.where(stored, (values[transpose].conj() + values.reshape(size, width)) / 2, 0)
+    transpose = np.r_[0, width - 1:0:-1][:, None] * size + cols
+    values = np.where(stored, (values[transpose].conj() + values.reshape(width, size)) / 2, 0)
     return SparseHermitian(cols, values)
 
 

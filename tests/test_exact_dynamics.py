@@ -41,7 +41,7 @@ def _unit_phi(rng, d):
 
 
 def _scalar_hamiltonian(c, size):
-    return SparseHermitian(np.arange(size)[:, None], np.full((size, 1), c, dtype=complex))
+    return SparseHermitian(np.arange(size)[None], np.full((1, size), c, dtype=complex))
 
 
 def _full_space_hamiltonian(spec, n):
@@ -203,40 +203,76 @@ class TestPropagation:
             evolve_exact(h, state, [0.5, t])
         assert time.perf_counter() - start < 1.0
 
-    def test_coefficient_bytes_refused_before_propagating(self, rng, monkeypatch):
+    def test_summed_terms_refused_before_propagating(self, rng, monkeypatch):
         spec = random_spec(rng, 3, (1, 2))
         state = embed_product_state(_unit_phi(rng, 3), 6)
         h = build_hamiltonian(spec, 6)
         _, radius = exact_dynamics._enclosure(h)
-        # R t_max = 1e5 takes about 1.4e5 terms, within the term budget; a
-        # table of 600 times x 1.4e5 complex coefficients is 1.3 GB
-        times = np.linspace(0.0, 1e5 / radius, 600)
+        # 6000 intervals of R dt = 100 take 167 terms each, each within the term
+        # budget, and about 1.002e6 together
+        times = np.arange(1, 6001) * (100.0 / radius)
+        assert exact_dynamics._chebyshev_terms(100.0) * 6000 > MAX_CHEBYSHEV_TERMS
         _forbid_matvec(monkeypatch)
-        tracemalloc.start()
+        refused = pytest.raises(ValueError, match=r"over 6000 grid intervals, summed in Chebyshev "
+                                rf"terms = \d+ > {MAX_CHEBYSHEV_TERMS}$")
         start = time.perf_counter()
-        try:
-            with pytest.raises(ValueError, match=r"coefficients of \d+ terms, .* bytes = \d+ > "):
-                evolve_exact(h, state, times)
-            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert elapsed < 1.0 and peak < 2**20
-
-    def test_state_bytes_refused_before_propagating(self, rng, monkeypatch):
-        # 8192 states of D = 16385 amplitudes and their sums: 32 * 8192 * 16385 > 2^32 bytes
-        state = embed_product_state(_unit_phi(rng, 2), 16384)
-        h = _scalar_hamiltonian(0.5, state.basis.size)
-        times = np.linspace(0.0, 1.0, 8192)
-        _forbid_matvec(monkeypatch)
+        with refused:
+            evolve_exact(h, state, times)
+        assert time.perf_counter() - start < 1.0  # timed apart: tracing slows it about 10x
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"^the propagated states at D = 16385, 32 \* times \* D "
-                               r"bytes = \d+ > 4294967296; the largest workable number of times is 8191$"):
+            with refused:
                 evolve_exact(h, state, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_state_bytes_refused_before_propagating(self, rng, monkeypatch):
+        # 16384 states of D = 16385 amplitudes and 6 working vectors: 16 * (16384 + 6) * 16385
+        # > 2^32 bytes
+        state = embed_product_state(_unit_phi(rng, 2), 16384)
+        h = _scalar_hamiltonian(0.5, state.basis.size)
+        times = np.linspace(0.0, 1.0, 16384)
+        _forbid_matvec(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^the propagated states at D = 16385, 16 \* "
+                               r"\(times \+ 6\) \* D bytes = \d+ > 4294967296; the largest "
+                               r"workable number of times is 16377$"):
+                evolve_exact(h, state, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n_times", [1, 41])
+    def test_state_bytes_bound_the_traced_peak(self, n_times):
+        # the T states and the recurrence's vectors; the scaled copy of H and the
+        # matvec's gather, 2 w x D, are H's size and come beside them
+        spec = config_from_dict(json.loads((CONFIG_DIR / "converge.json").read_text())).spec
+        state = embed_product_state(np.array([0.6, 0.8]), 4096)
+        h = build_hamiltonian(spec, 4096)
+        tracemalloc.start()
+        try:
+            evolve_exact(h, state, np.linspace(1.0 / n_times, 1.0, n_times))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beside = 2 * h.values.nbytes
+        assert peak - beside <= exact_dynamics.state_bytes(n_times, state.basis.size)
+
+    def test_many_intervals_match_expm(self):
+        # 41 grid times, so an error that grows with the number of intervals shows
+        rng = substream(61, "expm grid", 3)
+        spec = random_spec(rng, 3, (1, 2), unit_norm=False)
+        h = build_hamiltonian(spec, 8)
+        state0 = embed_product_state(_unit_phi(rng, 3), 8)
+        dense = np.asarray(h)
+        times = np.linspace(0.0, 20.0, 41)
+        for t, out in zip(times, evolve_exact(h, state0, times)):
+            expected = oracles.expm_taylor(-1j * t * dense) @ state0.amplitudes
+            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
 
     def test_all_times_in_one_call_match_one_call_per_time(self):
         rng = substream(61, "one call", 3)
@@ -254,7 +290,7 @@ class TestPropagation:
         spec = random_spec(rng, 2, (1, 2), unit_norm=False)
         h = build_hamiltonian(spec, 10)
         values = h.values.copy()
-        values[:, 0] += 1e4  # slot 0 is the diagonal
+        values[0] += 1e4  # slot 0 is the diagonal
         shifted = SparseHermitian(h.cols, values)
         assert exact_dynamics._enclosure(shifted)[1] == pytest.approx(
             exact_dynamics._enclosure(h)[1], rel=1e-9
@@ -273,7 +309,7 @@ class TestPropagation:
         y = np.round(rng.uniform(-1.0, 1.0, 200) * 2.0**40) / 2.0**40
         terms = exact_dynamics._chebyshev_terms(x)
         assert x <= terms < math.inf
-        (coeffs,) = exact_dynamics._chebyshev_coefficients(np.array([x]), terms)
+        coeffs = exact_dynamics._chebyshev_coefficients(x, terms)
         values = np.polynomial.chebyshev.chebval(y, coeffs)
         assert np.max(np.abs(values - np.exp(-1j * x * y))) <= 1e-13
 
@@ -287,8 +323,10 @@ class TestPropagation:
             return matvec(self, x)
 
         def a_priori(hamiltonian, state, times):
+            # one series of K(R dt) terms per grid interval, the first from t = 0
             _, radius = exact_dynamics._enclosure(hamiltonian)
-            expected.append(exact_dynamics._chebyshev_terms(radius * max(times)))
+            steps = np.diff(times, prepend=0.0)
+            expected.append(sum(exact_dynamics._chebyshev_terms(radius * dt) for dt in steps if dt))
             matvecs.append(0)
             return evolve_exact(hamiltonian, state, times)
 

@@ -24,8 +24,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _mean_field_h(gamma, spec):
-    """h(gamma), as the integrator forms it."""
-    return hartree._mean_field_h(gamma.matrix, hartree._contractions(spec))
+    """h(gamma), hermitized from the parts the integrator sums."""
+    g = gamma.matrix
+    h = sum(hartree._order_parts(g, hartree._contractions(spec))).reshape(g.shape)
+    return (h + h.conj().T) / 2
 
 
 def _hartree_rhs(gamma, spec):

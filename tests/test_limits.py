@@ -78,16 +78,25 @@ def _draws():
                            id=f"{i}-d{d}-m{''.join(map(str, orders))}-N{n}")
 
 
+def _summed_terms(radius, times):
+    """evolve_exact's terms over the grid: K(R dt) for each interval, the first from 0."""
+    return sum(_chebyshev_terms(radius * dt) for dt in np.diff(times, prepend=0.0) if dt)
+
+
 @pytest.mark.parametrize("d, orders, n, t, seed", _draws())
 def test_propagation_price_bounds_the_hamiltonian(d, orders, n, t, seed):
-    spec = random_spec(np.random.default_rng(seed), d, orders, unit_norm=False)
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, d, orders, unit_norm=False)
     h = build_hamiltonian(spec, n)
     radius = _enclosure(h)[1]
     entries = operator_entries(d, n, spec.present_orders)
     assert _radius_ceiling(spec, n) >= radius
     assert entries >= h.nnz
-    assert propagation_work(spec, n, t) / entries >= _chebyshev_terms(radius * t)
-    assert propagation_work(spec, n, t) >= h.nnz * _chebyshev_terms(radius * t)
+    # one interval, a grid from 0, and one of uneven intervals ending at t
+    for times in ([t], np.linspace(0.0, t, 9), np.append(np.sort(rng.uniform(0.0, t, 6)), t)):
+        terms = _summed_terms(radius, times)
+        assert propagation_work(spec, n, times) / entries >= terms
+        assert propagation_work(spec, n, times) >= h.nnz * terms
 
 
 def test_entries_bound_an_operator_without_terms():
@@ -97,12 +106,16 @@ def test_entries_bound_an_operator_without_terms():
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-12, 0.3, 1.0, 7.0, 19.9, 20.0, 54.0, 1e3, 123456.7])
-def test_term_ceiling_bounds_the_chebyshev_terms(x):
+@pytest.mark.parametrize("grid", ["one", "from 0", "halves", "many"])
+def test_term_ceiling_bounds_the_chebyshev_terms(x, grid):
     # propagation_work's terms where the priced R is 1: one 1 x 1 order-1 term of norm 1
     spec = random_spec(np.random.default_rng(0), 1, (1,))
-    terms = propagation_work(spec, 1, x) / operator_entries(1, 1, (1,))
+    # at x = 0 no grid has an interval, and both sides are 0
+    times = {"one": [x], "from 0": [0.0, x], "halves": [x / 2, x],
+             "many": np.linspace(x / 40, x, 40)}[grid]
+    terms = propagation_work(spec, 1, times) / operator_entries(1, 1, (1,))
     assert _radius_ceiling(spec, 1) == 1.0
-    assert terms >= _chebyshev_terms(x)
+    assert terms >= _summed_terms(1.0, times)
 
 
 def _shipped(name):

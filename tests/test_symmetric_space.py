@@ -301,13 +301,14 @@ class TestBuildHamiltonian:
         # slot 0 holds the diagonal, and each slot s >= 1 one move: key(row) - key(col)
         # is the same in every row that stores s, nonzero and ascending with s; a row
         # that does not store s holds (its own index, 0) there
-        own = np.arange(basis.size)[:, None]
-        np.testing.assert_array_equal(h.cols[:, :1], own)
-        padding = (h.cols == own) & (np.arange(h.cols.shape[1]) > 0)
+        own = np.arange(basis.size)
+        assert h.cols.shape == h.values.shape == (h.cols.shape[0], basis.size)  # (w, D)
+        np.testing.assert_array_equal(h.cols[0], own)
+        padding = (h.cols == own) & (np.arange(h.cols.shape[0]) > 0)[:, None]
         assert not h.values[padding].any()
         keys = basis.vectors @ (n + 1) ** np.arange(d - 1, -1, -1)
-        moves = [np.unique((keys - keys[h.cols[:, s]])[~padding[:, s]])
-                 for s in range(1, h.cols.shape[1])]
+        moves = [np.unique((keys - keys[h.cols[s]])[~padding[s]])
+                 for s in range(1, h.cols.shape[0])]
         assert [move.size for move in moves] == [1] * len(moves)
         moves = np.array([move[0] for move in moves], dtype=np.int64)
         assert 0 not in moves and (np.diff(moves) > 0).all()
