@@ -2,16 +2,16 @@
 of a size, next to its layer or, shared, here; library guards and experiments._price_run read it."""
 
 MAX_BASIS_SIZE = 2_000_000  # states of a symmetric basis
-MAX_OPERATOR_BYTES = 2**30  # H's move grid, its rows (at most 60 B an entry at scale; 128 charged)
+MAX_OPERATOR_BYTES = 2**30  # H's move grid, its rows (84 B a cell at scale, 105 at 1e4; 128 paid)
 MAX_WALK_BYTES = 2**30  # one compiled RDM walk
 MAX_DENSE_BYTES = 2**32  # dense matrices at their peak
 _LIVE_MATRICES = 8  # dense matrices of the largest size a dense path holds at once
 MAX_KERNEL_WORK = 2**38  # dim^3 units of dense commutator growth or RDM work, about 1 ns each
 MAX_CHEBYSHEV_TERMS = 1_000_000  # one evolve_exact call, summed over its intervals; a matvec each
 MAX_STEPS = 1_000_000  # mean-field integrator: caps L*t at config time, attempted steps at run time
-# propagation summed over a run's N and grid intervals, in nnz x terms: admits the
-# size-ladder rungs (4 intervals; d=2, N=16384 at 3.9e10; d=3, N=240 at 7.8e9), refuses
-# converge.json at N = 2..2999 (2 intervals), naming 1571
+# propagation summed over a run's N and grid intervals, in grid cells x terms: admits the
+# size-ladder rungs (4 intervals; d=2, N=16384 at 1.5e10; d=3, N=240 at 3.3e9) and converge.json
+# at N = 4096 to t = 120 (480 intervals, 4.1e10); refuses it at N = 2..2999 (2), naming 2161
 MAX_MATVEC_WORK = 2**36
 
 

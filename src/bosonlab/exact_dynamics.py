@@ -22,7 +22,7 @@ from ._limits import (
 from ._tensor import embed_on_sites, partial_trace_last
 from .hartree import _check_times
 from .operators import HERMITIAN_ATOL
-from .symmetric_space import SparseHermitian, SymmetricState, operator_entries
+from .symmetric_space import SparseHermitian, SymmetricState, sector_size
 
 _LOG_UNIT_ROUNDOFF = math.log(2.0**-53)
 
@@ -46,7 +46,8 @@ def _pair_stacks(d, m, n, a, b):
 
 
 def state_bytes(n_times, size):
-    """evolve_exact's T states and the recurrence's 6 working vectors, 16 bytes an amplitude."""
+    """evolve_exact's T states and the recurrence's 6 working vectors, 16 bytes an amplitude;
+    not an interval's 2(K+1) FFT samples, up to 200 B a term (200 MB at MAX_CHEBYSHEV_TERMS)."""
     return 16 * (n_times + 6) * size
 
 
@@ -122,8 +123,8 @@ def _radius_ceiling(spec, n):
 
 
 def propagation_work(spec, n_particles, times):
-    """A ceiling on evolve_exact's nnz x summed terms on build_hamiltonian(spec, N) over
-    the grid ``times``, before H exists: (x/2)^K / K! < (e x / 2K)^K < u = 2^-53 at every
+    """D x a ceiling on evolve_exact's summed terms over ``times``, before H exists (times
+    grid_layout's width, its cells x terms): (x/2)^K / K! < (e x / 2K)^K < u = 2^-53 at every
     K >= max(e x, 53), so an interval's terms are at most max(e x + 1, 54), x = R dt with
     R by _radius_ceiling; inf once a factor passes the largest float."""
     steps = np.diff(times, prepend=0.0)
@@ -131,7 +132,7 @@ def propagation_work(spec, n_particles, times):
         reach = math.e * _radius_ceiling(spec, n_particles)
         with np.errstate(over="ignore"):
             terms = float(np.maximum(reach * steps[steps > 0] + 1, 54).sum())
-        return operator_entries(spec.d, n_particles, spec.present_orders) * terms
+        return sector_size(spec.d, n_particles) * terms
     except OverflowError:
         return math.inf
 

@@ -35,8 +35,8 @@ from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolv
 from .exact_dynamics import block_work, propagation_work, state_bytes
 from .hartree import DENSITY_ATOL, _check_times, _guard_steps, hartree_evolve, pure_state_density
 from .operators import VTILDE_STRATEGIES, HamiltonianSpec, bound_constants, operator_norm
-from .symmetric_space import _BYTES_PER_ENTRY, build_hamiltonian, embed_product_state, rdm
-from .symmetric_space import operator_entries, rdm_derivative, sector_size, walk_bytes
+from .symmetric_space import _BYTES_PER_CELL, build_hamiltonian, embed_product_state, grid_layout
+from .symmetric_space import rdm, rdm_derivative, sector_size, walk_bytes
 
 # slack added to every lhs <= rhs check before it counts as a violation
 VIOLATION_ATOL = 1e-9
@@ -305,9 +305,10 @@ def _price_run(values):
     if scenario == "lr":
         cost = lambda x: block_work(d, x, m + n, len(t), samples)
         limit, what = MAX_KERNEL_WORK, "commutator growth summed over N, its work"
-    else:  # exact propagation dominates converge, corr and bbgky
-        cost = lambda x: propagation_work(spec, x, t)
-        limit, what = MAX_MATVEC_WORK, "propagation summed over N, nnz x Chebyshev terms"
+    else:  # exact propagation dominates converge, corr and bbgky; H laid out once for every N
+        width = grid_layout(spec)[1]
+        cost = lambda x: propagation_work(spec, x, t) * width
+        limit, what = MAX_MATVEC_WORK, "propagation summed over N, grid cells x Chebyshev terms"
     costs = [cost(x) for x in ns]
     refuse(lambda v: sum(c for x, c in zip(ns, costs) if x < v) + cost(v), ns[-1], limit,
            f"n_values: {what}", "n_values[-1]")
@@ -315,8 +316,8 @@ def _price_run(values):
         return
     # the limits on one N's basis, H, walks and states; each price is non-decreasing in N
     sizes = [(lambda x: sector_size(d, x), MAX_BASIS_SIZE, "C(N+d-1, d-1) states"),
-             (lambda x: _BYTES_PER_ENTRY * operator_entries(d, x, spec.present_orders),
-              MAX_OPERATOR_BYTES, "operator rows' 128 * D * sum_m C(d+m-1, m)^2 bytes")]
+             (lambda x: _BYTES_PER_CELL * sector_size(d, x) * width, MAX_OPERATOR_BYTES,
+              "the operator grid's 128 * D * (1 + moves) bytes")]
     sizes += [(lambda x, k=k: walk_bytes(d, x, k), MAX_WALK_BYTES,
                f"the order-{k} ladder walk's 16 * C(d+k-1, k)^2 * D(N-k) bytes")
               for k in sorted(walks)]
@@ -373,18 +374,19 @@ def _fit_slope(ns, values):
     return float((xc @ (y - y.mean())) / (xc @ xc))
 
 
-def _slope_rows(config, by_time):
-    """One log-log slope row per positive grid time, fitted over N >= 2 M
-    to the (N, value) pairs by_time[i] collected at grid time i, in ascending N."""
-    min_n = 2 * config.spec.max_order
-    rows = []
-    for i, t in enumerate(config.time_grid):
-        if t <= 0:
-            continue
-        pts = sorted((n, v) for n, v in by_time[i] if n >= min_n and v > SLOPE_FLOOR)
+def _slope_rows(config, rows, column):
+    """One log-log slope row per positive grid time, fitted over N >= 2 M to the mean
+    of ``column`` over the point rows at that time and N (one row, or corr's samples)."""
+    at = {t: {} for t in config.time_grid if t > 0}
+    for row in rows:  # in ascending N, as _each_n returns them
+        if row["t"] > 0 and row["N"] >= 2 * config.spec.max_order:
+            at[row["t"]].setdefault(row["N"], []).append(row[column])
+    slopes = []
+    for t, by_n in at.items():
+        pts = [(n, v) for n, v in ((n, np.mean(x)) for n, x in by_n.items()) if v > SLOPE_FLOOR]
         slope = _fit_slope(*zip(*pts)) if len(pts) >= 2 else float("nan")
-        rows.append({"kind": "slope", "t": t, "slope": slope})
-    return rows
+        slopes.append({"kind": "slope", "t": t, "slope": slope})
+    return slopes
 
 
 def _each_n(config, measure):
@@ -410,7 +412,6 @@ def _each_n(config, measure):
 def run_convergence(config):
     """Exact one-particle RDM vs mean-field evolution across N."""
     consts = bound_constants(config.spec)
-    by_time = {i: [] for i in range(len(config.time_grid))}
 
     @cache  # first read once the largest N has propagated, so its refusal comes first
     def mean_field():
@@ -421,7 +422,6 @@ def run_convergence(config):
         for i, (t, state) in enumerate(zip(config.time_grid, states)):
             dist = trace_distance(rdm(state, 1), mean_field()[i])
             bound = mean_field_error_bound(consts, n, t)
-            by_time[i].append((n, dist))
             yield {
                 "kind": "point",
                 "N": n,
@@ -432,7 +432,8 @@ def run_convergence(config):
                 "violation": int(dist > bound + VIOLATION_ATOL),
             }
 
-    return _each_n(config, measure) + _slope_rows(config, by_time)
+    points = _each_n(config, measure)
+    return points + _slope_rows(config, points, "trace_distance")
 
 
 def _pair_row(config, bound, consts, n_particles, sample, t, lhs):
@@ -467,17 +468,16 @@ def run_corr(config):
     m, n = config.obs_m, config.obs_n
     consts = bound_constants(config.spec)
     a_stack, b_stack = _observable_stacks(config, "corr")
-    mean_by_time = {i: [] for i in range(len(config.time_grid))}
 
     def measure(n_particles, _, states):
-        for i, (t, state) in enumerate(zip(config.time_grid, states)):
+        for t, state in zip(config.time_grid, states):
             # one RDM contraction and one pair of marginals per state, for every sample
             sample_lhs = correlation_gap(rdm(state, m + n), m, n, a_stack, b_stack)
-            mean_by_time[i].append((n_particles, float(np.mean(sample_lhs))))
             yield from (_pair_row(config, correlation_gap_bound, consts, n_particles, s, t, lhs)
                         for s, lhs in enumerate(sample_lhs))
 
-    return _each_n(config, measure) + _slope_rows(config, mean_by_time)
+    points = _each_n(config, measure)
+    return points + _slope_rows(config, points, "lhs")
 
 
 def run_bbgky(config):

@@ -34,22 +34,15 @@ from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_OPERATOR_BYTES, MAX_W
                       _dense_peak_bytes, refuse)
 from .hartree import DENSITY_ATOL, DensityMatrix
 
-# The (1 + moves, D) grid of 24-byte cells, 1 + moves <= sum_m C(d+m-1, m)^2, is H's rows;
-# with its hermitization build_hamiltonian peaks at 60 bytes an operator_entries entry or
-# less (tracemalloc, d = 2 to 8, orders up to 3, from 2e4 entries; 85 below); 128 charged.
-_BYTES_PER_ENTRY = 128
+# The (1 + moves, D) grid of 24-byte cells is H's rows; with its hermitization
+# build_hamiltonian peaks at 56 to 84 bytes a cell from 1e5 cells on (tracemalloc, d = 2
+# to 8, orders up to 3; order 1 alone the highest, at d = 2); 105 at 1e4 cells; 128 charged.
+_BYTES_PER_CELL = 128
 
 
 def sector_size(d, n_particles):
     """States of the fixed-N sector, C(N+d-1, d-1); none below N = 0."""
     return math.comb(n_particles + d - 1, d - 1) if n_particles >= 0 else 0
-
-
-def operator_entries(d, n_particles, orders):
-    """At most D * sum_m C(d+m-1, m)^2 entries in an operator with terms of
-    these orders: each chain a+_I a_J maps a state to at most one.  At least
-    D, as every diagonal is stored, even without terms."""
-    return sector_size(d, n_particles) * max(1, sum(math.comb(d + m - 1, m) ** 2 for m in orders))
 
 
 def walk_bytes(d, n_particles, k):
@@ -170,8 +163,10 @@ class SparseHermitian:
     def __post_init__(self):
         if self.cols.ndim != 2 or self.cols.shape != self.values.shape or not len(self.cols):
             raise ValueError("cols and values must be (w, D) arrays of one shape, w >= 1")
-        if not np.array_equal(self.cols[0], np.arange(self.cols.shape[1])):
-            raise ValueError("slot 0 of each row must be its diagonal")
+        size = self.cols.shape[1]
+        if (self.cols.dtype.kind not in "iu" or not 0 <= self.cols.min() <= self.cols.max() < size
+                or not np.array_equal(self.cols[0], np.arange(size))):
+            raise ValueError(f"cols must be integers in [0, {size}), slot 0 the diagonal")
         for a in (self.cols, self.values):
             a.setflags(write=False)
 
@@ -253,31 +248,58 @@ def _compile_walk(basis, k):
     ]
 
 
+def _unmatched(a, b):
+    """Per row of the sorted (K, m) multisets a and b, the modes of a that b does not match,
+    as digits mode + 1 in descending order, 0 past the last."""
+    rank = np.tril(a[:, :, None] == a[:, None, :]).sum(axis=2)  # each mode's repeat in its row
+    return -np.sort(-np.where(rank > (a[:, :, None] == b[:, None, :]).sum(axis=2), a + 1, 0))
+
+
+def grid_layout(spec):
+    """The spec's half of H's grid, the same at every N: per present order m, the orbit-summed
+    weights of the multiset pairs (I, J) before 1/(m! N^(m-1)), the kept pairs (either of
+    (I, J) and (J, I) weighted) and the (P, m) multisets, P = C(d+m-1, m); and the width, 1 +
+    the distinct nonzero moves count(I) - count(J) of kept pairs.  A move is keyed by the at
+    most M modes it raises and the M it lowers, digits to the base d + 1, so the layout holds
+    O(P^2) numbers, no more than the spec's d^(2m) entries; the keys pass 2^57 only once
+    those pass 2^36, and at d = 1 all are 0.  H's keys have digits in [-M, M] to the base
+    N + 1: from N = 2M on its grid is D x width, below it at most that."""
+    d, top, chains, keys = spec.d, spec.max_order, [], [np.zeros(1, np.int64)]
+    base = (d + 1) ** np.arange(2 * top, dtype=np.int64)
+    for m in spec.present_orders:
+        multisets, index = multiset_map(d, m)
+        weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
+        np.add.at(weights, (index[:, None], index[None, :]), spec.terms[m])
+        keep = (weights != 0) | (weights.T != 0)
+        sets, (i, j) = np.array(multisets), np.nonzero(keep)
+        keys.append(_unmatched(sets[i], sets[j]) @ base[:m]
+                    + _unmatched(sets[j], sets[i]) @ base[top:top + m])
+        chains.append((m, weights, keep, sets))
+    return chains, 1 + int(np.count_nonzero(np.diff(np.sort(np.concatenate(keys)))))
+
+
 def build_hamiltonian(spec, n_particles, basis=None):
     """Full fixed-N Hamiltonian: the symmetric sum of each order-m term, weighted 1/N^(m-1).
 
     Keys are unique and a+_I a_J moves each by key(I) - key(J): a row meets one column per
-    move, so each kept pair writes into its move's slot, and one J's pairs never collide.
-    The hermitized grid is H's rows: slot 0 the diagonal, each slot s >= 1 one move for
-    every row, and (own index, 0) in a row that no column reaches by that move."""
+    move, so each pair grid_layout keeps writes into its move's slot, and one J's pairs never
+    collide.  The hermitized grid is H's rows: slot 0 the diagonal, each slot s >= 1 one move
+    for every row, and (own index, 0) in a row that no column reaches by that move."""
     if basis is None:
         basis = enumerate_basis(spec.d, n_particles)
     elif basis.d != spec.d or basis.n_particles != n_particles:
         raise ValueError("basis does not match spec / particle number")
     if spec.max_order > n_particles:
         raise ValueError("interaction order exceeds particle number")
-    d, size, orders = spec.d, basis.size, list(spec.present_orders)
-    refuse(lambda n: _BYTES_PER_ENTRY * operator_entries(d, n, orders), n_particles,
-           MAX_OPERATOR_BYTES, "operator rows' 128 * D * sum_m C(d+m-1, m)^2 bytes",
-           f"N for d={d} and orders {orders}")
-    chains = []
-    for m in orders:
-        multisets, index = multiset_map(d, m)
-        weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
-        np.add.at(weights, (index[:, None], index[None, :]), spec.terms[m])
-        weights *= float(n_particles) ** (1 - m) / math.factorial(m)
-        keys = _key_powers(d, n_particles)[np.array(multisets)].sum(axis=1)
-        chains.append((m, weights, (weights != 0) | (weights.T != 0), keys[:, None] - keys))
+    d, size, (layout, ceiling) = spec.d, basis.size, grid_layout(spec)
+    refuse(lambda n: _BYTES_PER_CELL * sector_size(d, n) * ceiling, n_particles,
+           MAX_OPERATOR_BYTES, "the operator grid's 128 * D * (1 + moves) bytes",
+           f"N for d={d} and orders {list(spec.present_orders)}")
+    powers, chains = _key_powers(d, n_particles), []
+    for m, weights, keep, sets in layout:
+        keys = powers[sets].sum(axis=1)
+        weights = weights * (float(n_particles) ** (1 - m) / math.factorial(m))
+        chains.append((m, weights, keep, keys[:, None] - keys))
     # keep is symmetric, so the moves lie symmetric about 0: slot 0 holds no move, the
     # diagonal, and slot 1 + i moves[i], ascending with the column (a set, as a plain
     # np.unique imports numpy.ma on first use, 10-17 ms)

@@ -324,12 +324,12 @@ def test_lr_blocks_priced_at_config_time(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "scenario, n_values, workable",
     [
-        ("converge", list(range(2, 3000)), 1571),
+        ("converge", list(range(2, 3000)), 2161),
         ("lr", list(range(8, 200)), 95),
-        ("converge", [4, 8, 16, 10**5], 36005),  # the named N replaces the last one
-        ("converge", [10**400], 36005),  # prices past the largest float read as inf
-        ("corr", [10**400], 36005),
-        ("bbgky", [10**400], 25317),
+        ("converge", [4, 8, 16, 10**5], 58057),  # the named N replaces the last one
+        ("converge", [10**400], 58057),  # prices past the largest float read as inf
+        ("corr", [10**400], 58057),
+        ("bbgky", [10**400], 60972),
     ],
 )
 def test_runs_priced_whole_at_config_time(tmp_path, capsys, monkeypatch, scenario, n_values, workable):
@@ -407,13 +407,13 @@ def _one_body(scenario, d, **changes):
         (lambda: _one_body("converge", 2, n_values=[4, 2_000_000]), "C(N+d-1, d-1) states"),
         (lambda: {**_workload("converge_sector", 7), "n_values": [300, 600, 1000],
                   "time_grid": [0.0, 0.01]},
-         "operator rows' 128 * D * sum_m C(d+m-1, m)^2 bytes"),
+         "the operator grid's 128 * D * (1 + moves) bytes"),
         (lambda: _one_body("corr", 3, n_values=[4, 1200], obs_m=1, obs_n=2),
          "the order-3 ladder walk's"),
         (lambda: _one_body("bbgky", 3, n_values=[4, 1200], k_values=[3]),
          "the order-3 ladder walk's"),
         # 20000 times at N = 15000: the states of 15001 amplitudes alone are 4.47 GiB; one-body,
-        # as with the 13 entries a row of converge.json's spec the matvec work refuses first
+        # as with the 5 cells a row of converge.json's spec the matvec work refuses first
         (lambda: {**_one_body("converge", 2, n_values=[4, 15000]),
                   "time_grid": np.linspace(0.0, 0.1, 20000).tolist()},
          "the propagated states' 16 * (times + 6) * D bytes"),
@@ -435,13 +435,33 @@ def test_size_limits_priced_at_config_time(tmp_path, capsys, monkeypatch, docume
     err = capsys.readouterr().err
     assert err.startswith(f"error: n_values: {what}")
     max_n = int(re.search(r"the largest workable n_values\[-1\] is (\d+)\n$", err).group(1))
-    if what.startswith("operator rows"):
-        assert err.endswith(" bytes = 2888645760 > 1073741824; the largest workable "
-                            "n_values[-1] is 609\n")
+    if what.startswith("the operator grid"):
+        assert err.endswith(" bytes = 1219650432 > 1073741824; the largest workable "
+                            "n_values[-1] is 938\n")
     config_from_dict({**cfg, "n_values": cfg["n_values"][:-1] + [max_n]})
     with pytest.raises(ConfigError, match=re.escape(f"n_values: {what}")):
         config_from_dict({**cfg, "n_values": cfg["n_values"][:-1] + [max_n + 1]})
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_large_one_body_spec_refused_without_dense_moves():
+    # d = 300 and a dense one-body term: 89701 cells a row.  Its 9e4 kept pairs are keyed by
+    # the mode each raises and lowers; as d-vectors of counts their moves took 216 MB
+    d = 300
+    terms, phi = np.zeros((d, d, 2)), np.zeros((d, 2))
+    terms[..., 0], phi[0, 0] = 1.0 / d, 1.0
+    cfg = base_config(spec={"d": d, "terms": {"1": terms}}, initial_phi=phi, n_values=[2],
+                      time_grid=[0.0, 0.1])
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^n_values: propagation summed over N, grid cells"):
+            config_from_dict(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**25  # the spec's 1.4 MB of terms, and a few numbers a kept pair
 
 
 def test_removed_bbgky_dt_key_refused(tmp_path, capsys):

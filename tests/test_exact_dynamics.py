@@ -262,6 +262,23 @@ class TestPropagation:
         beside = 2 * h.values.nbytes
         assert peak - beside <= exact_dynamics.state_bytes(n_times, state.basis.size)
 
+    def test_one_long_interval_adds_its_fft_samples(self):
+        # at small D a long interval's 2(K+1) coefficient samples, at most 200 bytes a
+        # term, outweigh the states and H's two copies; MAX_CHEBYSHEV_TERMS bounds them
+        spec = config_from_dict(json.loads((CONFIG_DIR / "converge.json").read_text())).spec
+        state = embed_product_state(np.array([0.6, 0.8]), 64)
+        h = build_hamiltonian(spec, 64)
+        terms = exact_dynamics._chebyshev_terms(200.0 * exact_dynamics._enclosure(h)[1])
+        assert terms == 6935
+        tracemalloc.start()
+        try:
+            evolve_exact(h, state, [200.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        priced = exact_dynamics.state_bytes(1, state.basis.size) + 2 * h.values.nbytes
+        assert peak <= priced + 200 * (terms + 1)
+
     def test_many_intervals_match_expm(self):
         # 41 grid times, so an error that grows with the number of intervals shows
         rng = substream(61, "expm grid", 3)

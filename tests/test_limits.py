@@ -12,7 +12,7 @@ from bosonlab import HamiltonianSpec, _limits, build_hamiltonian, exact_dynamics
 from bosonlab._limits import MAX_KERNEL_WORK, refuse
 from bosonlab.exact_dynamics import _chebyshev_terms, _enclosure, _radius_ceiling, propagation_work
 from bosonlab.experiments import SCENARIOS, config_from_dict
-from bosonlab.symmetric_space import operator_entries
+from bosonlab.symmetric_space import grid_layout, sector_size
 
 from .conftest import random_spec, substream
 from .test_hartree import _workload
@@ -89,20 +89,21 @@ def test_propagation_price_bounds_the_hamiltonian(d, orders, n, t, seed):
     spec = random_spec(rng, d, orders, unit_norm=False)
     h = build_hamiltonian(spec, n)
     radius = _enclosure(h)[1]
-    entries = operator_entries(d, n, spec.present_orders)
+    width = grid_layout(spec)[1]
     assert _radius_ceiling(spec, n) >= radius
-    assert entries >= h.nnz
+    assert sector_size(d, n) * width >= h.cols.size  # each matvec touches every cell
     # one interval, a grid from 0, and one of uneven intervals ending at t
     for times in ([t], np.linspace(0.0, t, 9), np.append(np.sort(rng.uniform(0.0, t, 6)), t)):
         terms = _summed_terms(radius, times)
-        assert propagation_work(spec, n, times) / entries >= terms
-        assert propagation_work(spec, n, times) >= h.nnz * terms
+        assert propagation_work(spec, n, times) / sector_size(d, n) >= terms
+        assert propagation_work(spec, n, times) * width >= h.cols.size * terms
 
 
-def test_entries_bound_an_operator_without_terms():
+def test_cells_of_an_operator_without_terms():
     # the layout stores every diagonal, even of H = 0
-    h = build_hamiltonian(HamiltonianSpec(2, {}), 5)
-    assert operator_entries(2, 5, ()) >= h.nnz == 6
+    spec = HamiltonianSpec(2, {})
+    h = build_hamiltonian(spec, 5)
+    assert sector_size(2, 5) * grid_layout(spec)[1] == h.cols.size == h.nnz == 6
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-12, 0.3, 1.0, 7.0, 19.9, 20.0, 54.0, 1e3, 123456.7])
@@ -113,7 +114,7 @@ def test_term_ceiling_bounds_the_chebyshev_terms(x, grid):
     # at x = 0 no grid has an interval, and both sides are 0
     times = {"one": [x], "from 0": [0.0, x], "halves": [x / 2, x],
              "many": np.linspace(x / 40, x, 40)}[grid]
-    terms = propagation_work(spec, 1, times) / operator_entries(1, 1, (1,))
+    terms = propagation_work(spec, 1, times) / sector_size(1, 1)
     assert _radius_ceiling(spec, 1) == 1.0
     assert terms >= _summed_terms(1.0, times)
 
@@ -137,7 +138,10 @@ def _ladder_rung(workload, n):
        for w in ("converge_sector", "corr_rdm", "lr_fullspace") for seed in range(20)]
     + [pytest.param(_ladder_rung("lr_fullspace", n), id=f"ladder-d2-N{n}") for n in (4096, 16384)]
     + [pytest.param(_ladder_rung("converge_sector", 240), id="ladder-d3-N240")]
-    + [pytest.param({**_shipped("converge"), "n_values": [2048]}, id="converge-N2048")],
+    + [pytest.param({**_shipped("converge"), "n_values": [2048]}, id="converge-N2048")]
+    # the 1/N coefficient's long grid at large N: 481 times to t = 120 at N = 4096
+    + [pytest.param({**_shipped("converge"), "n_values": [4096],
+                     "time_grid": np.linspace(0.0, 120.0, 481).tolist()}, id="converge-N4096-t120")],
 )
 def test_workable_configs_are_admitted(cfg):
     # config validation only: nothing runs

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 import math
 import time
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +23,20 @@ from bosonlab import (
     slot_symmetrize,
 )
 from bosonlab._tensor import partial_trace_last
+from bosonlab.experiments import config_from_dict
 from bosonlab.symmetric_space import (
-    _BYTES_PER_ENTRY,
+    _BYTES_PER_CELL,
     MAX_OPERATOR_BYTES,
     _walk_rdm,
+    grid_layout,
+    sector_size,
     rdm_derivative,
 )
 
 from .conftest import SPEC_FAMILIES, SZ, random_spec, substream
 from . import oracles
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestEnumerateBasis:
@@ -246,28 +254,45 @@ class TestBuildHamiltonian:
             build_hamiltonian(HamiltonianSpec(2, {2: np.zeros((4, 2))}), 3)
 
     def test_operator_byte_budget_refuses_before_assembly(self):
-        # 39711 states at d = 4, N = 60; order 4 gives C(7, 4)^2 = 1225 pairs
-        nbytes = _BYTES_PER_ENTRY * math.comb(63, 3) * math.comb(7, 4) ** 2
+        # 39711 states at d = 4, N = 60; a dense order-4 term keeps all C(7, 4)^2 pairs, whose
+        # moves are the distinct nonzero differences of two occupations of 4 on 4 modes
+        occupations = [o for o in itertools.product(range(5), repeat=4) if sum(o) == 4]
+        moves = {tuple(np.subtract(a, b)) for a in occupations for b in occupations} - {(0,) * 4}
+        nbytes = _BYTES_PER_CELL * math.comb(63, 3) * (1 + len(moves))
         assert nbytes > MAX_OPERATOR_BYTES
+        spec = random_spec(substream(53, "dense-order-4"), 4, (4,))
         with pytest.raises(ValueError, match=f"bytes = {nbytes} > "):
-            build_hamiltonian(HamiltonianSpec(4, {4: np.eye(256)}), 60)
+            build_hamiltonian(spec, 60)
+
+    @pytest.mark.parametrize("orders", [(1,), (2,), (3,), (1, 3), (1, 2, 3)])
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+    def test_priced_width_is_the_grid_from_twice_m(self, family, d, orders):
+        # below N = 2M the keys of distinct moves may coincide and share a slot
+        spec = SPEC_FAMILIES[family](substream(59, f"width:{family}:{orders}", d), d, orders)
+        width = grid_layout(spec)[1]
+        for n in range(spec.max_order, 2 * spec.max_order + 2):
+            h = build_hamiltonian(spec, n)
+            assert width == h.cols.shape[0] if n >= 2 * spec.max_order else width >= h.cols.shape[0]
 
     @pytest.mark.parametrize(
-        "d, orders, n", [(3, (1, 2, 3), 50), (3, (1, 2, 3), 100), (2, (1, 2), 3000)]
+        "d, orders, n",
+        # order 1 alone peaks highest a cell: 105 bytes at d = 2 with 1e4 cells, 67 at d = 8
+        [(3, (1, 2, 3), 50), (3, (1, 2, 3), 100), (2, (1, 2), 3000), (2, (1,), 3332),
+         (8, (1,), 9), (8, (1, 2), 5)],
     )
     def test_assembly_peak_within_charged_bytes(self, d, orders, n):
         # the byte guard charges for the path that runs: the move grid alive
         # while the walk scatters into it and it is hermitized into H's rows
         spec = random_spec(substream(47, "assembly-peak", n), d, orders)
         basis = enumerate_basis(d, n)
-        pairs = sum(math.comb(d + m - 1, m) ** 2 for m in orders)
         tracemalloc.start()
         try:
             build_hamiltonian(spec, n, basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _BYTES_PER_ENTRY * basis.size * pairs
+        assert peak <= _BYTES_PER_CELL * sector_size(d, n) * grid_layout(spec)[1]
 
     def test_matches_fullspace_oracle(self):
         rng = substream(41, "ham")
@@ -317,11 +342,40 @@ class TestBuildHamiltonian:
         x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         np.testing.assert_allclose(h.matvec(x), expected @ x, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name, pins", [
+        ("converge", {4: ("7c81d74fc0d54240", "c486640d2ed7ee05"),
+                      8: ("40fb46af047e6af3", "a6d5ce6aefcd66ec"),
+                      16: ("8a35ba2410d0d9ef", "7dfa9f9e7d01adf9"),
+                      32: ("1b4e5c764d244b31", "e7d21ba4bbbcf09a")}),
+        ("corr", {4: ("7c81d74fc0d54240", "c486640d2ed7ee05"),
+                  8: ("40fb46af047e6af3", "a6d5ce6aefcd66ec"),
+                  16: ("8a35ba2410d0d9ef", "7dfa9f9e7d01adf9")}),
+        ("bbgky", {5: ("cb06813ecce39679", "09f9e071fd02bca2")}),
+    ])
+    def test_shipped_hamiltonians_are_pinned(self, name, pins):
+        # sha1 of cols and of values at every N of the config: a layout change that
+        # moves one bit of a shipped H fails here
+        config = config_from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+        assert sorted(pins) == list(config.n_values)
+        for n, digests in pins.items():
+            h = build_hamiltonian(config.spec, n)
+            assert tuple(hashlib.sha1(a.tobytes()).hexdigest()[:16]
+                         for a in (h.cols, h.values)) == digests, n
+
     def test_misplaced_diagonal_rejected(self):
         with pytest.raises(ValueError, match="slot 0"):
             SparseHermitian(np.array([[1, 0], [0, 1]]), np.ones((2, 2)))
         with pytest.raises(ValueError, match="one shape"):
             SparseHermitian(np.array([[0, 1], [1, 0]]), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("cols", [
+        [[0, 1, 2], [2, -1, 0]],  # matvec would read x[-1]
+        [[0, 1, 2], [2, 3, 0]],  # D
+        [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]],
+    ], ids=["negative", "D", "float"])
+    def test_columns_outside_the_rows_rejected(self, cols):
+        with pytest.raises(ValueError, match=r"^cols must be integers in \[0, 3\)"):
+            SparseHermitian(np.array(cols), np.ones((2, 3), dtype=complex))
 
 
 class TestRdm:
