@@ -2,17 +2,19 @@
 of a size, next to its layer or, shared, here; library guards and experiments._price_run read it."""
 
 MAX_BASIS_SIZE = 2_000_000  # states of a symmetric basis
+MAX_OCCUPATION_KEY = 2**62 - 1  # (N+1)^d: an occupation key, and its ladder moves, in int64
 MAX_OPERATOR_BYTES = 2**30  # H's move grid, its rows (84 B a cell at scale, 105 at 1e4; 128 paid)
 MAX_WALK_BYTES = 2**30  # one compiled RDM walk
 MAX_DENSE_BYTES = 2**32  # dense matrices at their peak
 _LIVE_MATRICES = 8  # dense matrices of the largest size a dense path holds at once
 MAX_KERNEL_WORK = 2**38  # dim^3 units of dense commutator growth or RDM work, about 1 ns each
-MAX_CHEBYSHEV_TERMS = 1_000_000  # one evolve_exact call, summed over its intervals; a matvec each
+MAX_CHEBYSHEV_TERMS = 1_000_000  # one evolve_exact call, one N of a run, summed over intervals
 MAX_STEPS = 1_000_000  # mean-field integrator: caps L*t at config time, attempted steps at run time
-# propagation summed over a run's N and grid intervals, in grid cells x terms: admits the
-# size-ladder rungs (4 intervals; d=2, N=16384 at 1.5e10; d=3, N=240 at 3.3e9) and converge.json
-# at N = 4096 to t = 120 (480 intervals, 4.1e10); refuses it at N = 2..2999 (2), naming 2161
-MAX_MATVEC_WORK = 2**36
+# propagation summed over a run's N and intervals, in the grid cells x terms that run (priced at
+# 1.0-1.18x the run): converge.json at N = 4096, 481 times to t = 120, prices 6.96e9 and ran in
+# 22 s, 3.2 ns each, so 2^33 is about 27 s of matvecs. It admits that config and the size-ladder
+# rungs (1.6e9, 2.7e8); converge.json at N = 2..2999 (3.1e10) names 1935 (2^34 would name 2451)
+MAX_MATVEC_WORK = 2**33
 
 
 def _dense_peak_bytes(dim):
@@ -23,10 +25,10 @@ def _dense_peak_bytes(dim):
     return _LIVE_MATRICES * 16 * dim * dim
 
 
-def refuse(price, value, limit, what, name):
-    """price(value), or a ValueError ``{what} = {price} > {limit}`` unless it
-    is <= limit (NaN and inf are not); unless ``name`` is None, the message
-    names the largest workable integer below value, by bisection."""
+def refuse(price, value, limit, what, name, fits=None):
+    """price(value), or a ValueError ``{what} = {price} > {limit}`` unless it is <= limit (NaN
+    and inf are not); unless ``name`` is None, the message names the largest workable integer
+    below value, by bisection of ``fits`` (price(v) <= limit if None; true up to some v)."""
     cost = price(value)
     if cost <= limit:
         return cost
@@ -35,6 +37,6 @@ def refuse(price, value, limit, what, name):
         lo, hi = -1, value  # lo fits (-1: none does), hi does not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if price(mid) <= limit else (lo, mid)
+            lo, hi = (mid, hi) if (fits(mid) if fits else price(mid) <= limit) else (lo, mid)
         message += f"; the largest workable {name} is {lo}" if lo >= 0 else f"; no {name} fits"
     raise ValueError(message)

@@ -10,14 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import (
-    SCENARIOS,
-    ConfigError,
-    count_violations,
-    load_config,
-    write_plot_data,
-    write_rows,
-)
+from .experiments import (SCENARIOS, ConfigError, count_violations, load_config,
+                          write_plot_data, write_rows)
 
 def build_parser():
     parser = argparse.ArgumentParser(

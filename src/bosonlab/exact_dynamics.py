@@ -22,7 +22,7 @@ from ._limits import (
 from ._tensor import embed_on_sites, partial_trace_last
 from .hartree import _check_times
 from .operators import HERMITIAN_ATOL
-from .symmetric_space import SparseHermitian, SymmetricState, sector_size
+from .symmetric_space import SparseHermitian, SymmetricState, sector_size, spectral_interval
 
 _LOG_UNIT_ROUNDOFF = math.log(2.0**-53)
 
@@ -56,9 +56,9 @@ def evolve_exact(hamiltonian, state, times):
 
     ``hamiltonian`` is a :class:`SparseHermitian` on the state's basis.  Each
     grid interval dt, the first from t = 0, takes one Chebyshev series in
-    H~ = (H - c)/R, [c - R, c + R] the Gershgorin interval of H, of K(R dt)
-    terms, and the state is carried from each grid time to the next; c comes
-    off every row's slot 0, the diagonal, stored even where it is 0.  Before
+    H~ = (H - c)/R, [c - R, c + R] the Gershgorin interval of H cut to ``h.interval``,
+    of K(R dt) terms, and the state is carried from each grid time to the next; c
+    comes off every row's slot 0, the diagonal, stored even where it is 0.  Before
     any matvec, a call whose summed terms pass MAX_CHEBYSHEV_TERMS is refused,
     as is one whose states would pass MAX_DENSE_BYTES (:func:`state_bytes`).
     """
@@ -68,9 +68,8 @@ def evolve_exact(hamiltonian, state, times):
     grid = _check_times(times)
     refuse(lambda n: state_bytes(n, basis.size), grid.size, MAX_DENSE_BYTES, f"the propagated "
            f"states at D = {basis.size}, 16 * (times + 6) * D bytes", "number of times")
-    center, radius = _enclosure(h)
-    reaches = (radius * np.diff(grid, prepend=0.0)).tolist()  # NaN or inf in H reads inf terms
-    terms = [_chebyshev_terms(x) if x else 0 for x in reaches]  # t = 0 takes none
+    center, half_width = _enclosure(h)
+    radius, reaches, terms = _interval_terms(half_width, grid)
     refuse(sum, terms, MAX_CHEBYSHEV_TERMS, f"propagation to R t = {radius * grid[-1]:.3g} (R the "
            f"spectral half-width) over {grid.size} grid intervals, summed in Chebyshev terms", None)
     # 2 H~, so that each further vector takes one matvec and one subtraction;
@@ -93,48 +92,47 @@ def evolve_exact(hamiltonian, state, times):
 
 
 def _enclosure(h):
-    """Center c and half-width R of the Gershgorin interval [lo, hi] of H, from
-    each row's diagonal (slot 0) and the magnitudes of its other slots; R is
-    floored at the smallest normal float, so H = c needs no case of its own."""
+    """Center and half-width of the Gershgorin interval of H (each row's diagonal, slot 0,
+    and the magnitudes of its other slots) cut to ``h.interval``."""
     diag, radii = h.values[0].real, np.abs(h.values[1:]).sum(axis=0)
-    lo, hi = np.min(diag - radii), np.max(diag + radii)
-    return (hi + lo) / 2, max((hi - lo) / 2, np.finfo(float).tiny)  # max keeps a NaN
+    lo = np.maximum(np.min(diag - radii), h.interval[0])
+    hi = np.minimum(np.max(diag + radii), h.interval[1])
+    return (hi + lo) / 2, (hi - lo) / 2
+
+
+def _interval_terms(half_width, times):
+    """R, the half-width floored at the smallest normal float (H = c, or a cut that rounding
+    leaves empty, needs no case; max keeps a NaN), and each grid interval's reach x = R dt,
+    the first from t = 0, with its K(x) terms: t = 0 takes none, a NaN or inf R inf terms."""
+    radius, ends = max(float(half_width), np.finfo(float).tiny), [0.0, *map(float, times)]
+    reaches = [radius * (b - a) for a, b in zip(ends, ends[1:])]
+    known = {x: _chebyshev_terms(x) if x else 0 for x in set(reaches)}  # an even grid has few
+    return radius, reaches, [known[x] for x in reaches]
 
 
 def _chebyshev_terms(x):
-    """The smallest K >= x with (x/2)^K / K! < u, which bounds |J_K(x)| and
-    the tail past it; inf past MAX_CHEBYSHEV_TERMS or for x not finite."""
+    """The smallest K >= x with (x/2)^K / K! < u, which bounds |J_K(x)| and the tail past it,
+    by bisection, as the bound falls with K past x/2; inf past MAX_CHEBYSHEV_TERMS or NaN."""
     if not x <= MAX_CHEBYSHEV_TERMS:
         return math.inf
-    k = max(math.ceil(x), 1)
-    log_bound = k * (math.log(x) - math.log(2)) - math.lgamma(k + 1) if x > 0 else -math.inf
-    # past x the bound falls by a factor x / (2k) <= 1/2 per step
-    while log_bound >= _LOG_UNIT_ROUNDOFF and k <= MAX_CHEBYSHEV_TERMS:
-        k += 1
-        log_bound -= math.log(2 * k / x)
-    return k if k <= MAX_CHEBYSHEV_TERMS else math.inf
+    slope = math.log(x) - math.log(2) if x > 0 else -math.inf
+    lo, hi = max(math.ceil(x), 1) - 1, MAX_CHEBYSHEV_TERMS + 1  # hi holds (past the limit: none)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid * slope - math.lgamma(mid + 1) < _LOG_UNIT_ROUNDOFF else (mid, hi)
+    return hi if hi <= MAX_CHEBYSHEV_TERMS else math.inf
 
 
-def _radius_ceiling(spec, n):
-    """sum_m C(N, m) N^(1-m) sum_ij |V^(m)_ij| >= the Gershgorin half-width of H: an
-    order-m chain maps each state to one state, with a factor of at most N!/(N-m)!."""
-    return sum(math.comb(n, m) * max(n, 1) ** (1 - m) * float(np.abs(v).sum())
-               for m, v in spec.terms.items())
+def propagation_terms(spec, n_particles, times):
+    """evolve_exact's summed terms at most, before H exists: K(x) on the Weyl half-width."""
+    lo, hi = spectral_interval(spec, n_particles)
+    return sum(_interval_terms((hi - lo) / 2, times)[2])
 
 
 def propagation_work(spec, n_particles, times):
-    """D x a ceiling on evolve_exact's summed terms over ``times``, before H exists (times
-    grid_layout's width, its cells x terms): (x/2)^K / K! < (e x / 2K)^K < u = 2^-53 at every
-    K >= max(e x, 53), so an interval's terms are at most max(e x + 1, 54), x = R dt with
-    R by _radius_ceiling; inf once a factor passes the largest float."""
-    steps = np.diff(times, prepend=0.0)
-    try:
-        reach = math.e * _radius_ceiling(spec, n_particles)
-        with np.errstate(over="ignore"):
-            terms = float(np.maximum(reach * steps[steps > 0] + 1, 54).sum())
-        return sector_size(spec.d, n_particles) * terms
-    except OverflowError:
-        return math.inf
+    """D x propagation_terms (times grid_layout's width, the cells x terms that run)."""
+    terms = propagation_terms(spec, n_particles, times)
+    return math.inf if terms == math.inf else sector_size(spec.d, n_particles) * terms
 
 
 def _chebyshev_coefficients(x, terms):

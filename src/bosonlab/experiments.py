@@ -21,8 +21,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_KERNEL_WORK, MAX_MATVEC_WORK,
-                      MAX_OPERATOR_BYTES, MAX_WALK_BYTES, _dense_peak_bytes, refuse)
+from ._limits import (MAX_BASIS_SIZE, MAX_CHEBYSHEV_TERMS, MAX_DENSE_BYTES, MAX_KERNEL_WORK,
+                      MAX_MATVEC_WORK, MAX_OCCUPATION_KEY, MAX_OPERATOR_BYTES, MAX_WALK_BYTES,
+                      _dense_peak_bytes, refuse)
 from ._tensor import partial_trace_last
 from ._version import __version__ as VERSION
 from .bounds import (
@@ -32,7 +33,7 @@ from .bounds import (
     trace_distance,
 )
 from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
-from .exact_dynamics import block_work, propagation_work, state_bytes
+from .exact_dynamics import block_work, propagation_terms, propagation_work, state_bytes
 from .hartree import DENSITY_ATOL, _check_times, _guard_steps, hartree_evolve, pure_state_density
 from .operators import VTILDE_STRATEGIES, HamiltonianSpec, bound_constants, operator_norm
 from .symmetric_space import _BYTES_PER_CELL, build_hamiltonian, embed_product_state, grid_layout
@@ -302,29 +303,34 @@ def _price_run(values):
                f"d^(2 obs_n)) bytes", f"n_samples for d={d}, obs_m={m} and obs_n={n}")
     if scenario == "converge":
         _guard_steps(spec, t[-1])
-    if scenario == "lr":
-        cost = lambda x: block_work(d, x, m + n, len(t), samples)
-        limit, what = MAX_KERNEL_WORK, "commutator growth summed over N, its work"
-    else:  # exact propagation dominates converge, corr and bbgky; H laid out once for every N
-        width = grid_layout(spec)[1]
-        cost = lambda x: propagation_work(spec, x, t) * width
-        limit, what = MAX_MATVEC_WORK, "propagation summed over N, grid cells x Chebyshev terms"
-    costs = [cost(x) for x in ns]
-    refuse(lambda v: sum(c for x, c in zip(ns, costs) if x < v) + cost(v), ns[-1], limit,
-           f"n_values: {what}", "n_values[-1]")
+
+    def summed(cost):  # the run's work over n_values, its last N moved to v
+        costs = [cost(x) for x in ns]
+        return lambda v: sum(c for x, c in zip(ns, costs) if x < v) + cost(v)
+
     if scenario == "lr":  # commutator growth builds no basis, operator or walk
-        return
-    # the limits on one N's basis, H, walks and states; each price is non-decreasing in N
-    sizes = [(lambda x: sector_size(d, x), MAX_BASIS_SIZE, "C(N+d-1, d-1) states"),
-             (lambda x: _BYTES_PER_CELL * sector_size(d, x) * width, MAX_OPERATOR_BYTES,
-              "the operator grid's 128 * D * (1 + moves) bytes")]
-    sizes += [(lambda x, k=k: walk_bytes(d, x, k), MAX_WALK_BYTES,
-               f"the order-{k} ladder walk's 16 * C(d+k-1, k)^2 * D(N-k) bytes")
-              for k in sorted(walks)]
-    sizes.append((lambda x: state_bytes(len(t), sector_size(d, x)), MAX_DENSE_BYTES,
-                  "the propagated states' 16 * (times + 6) * D bytes"))
-    for price, limit, what in sizes:
-        refuse(price, ns[-1], limit, f"n_values: {what}", "n_values[-1]")
+        checks = [(summed(lambda x: block_work(d, x, m + n, len(t), samples)), MAX_KERNEL_WORK,
+                   "commutator growth summed over N, its work")]
+    else:  # propagation dominates, H laid out once for every N: its terms per N, its cells x
+        # terms summed over N, then one N's basis, H, walks, states and occupation keys
+        width = grid_layout(spec)[1]
+        checks = [(lambda x: propagation_terms(spec, x, t), MAX_CHEBYSHEV_TERMS,
+                   "one N's propagation, summed in Chebyshev terms"),
+                  (summed(lambda x: propagation_work(spec, x, t) * width), MAX_MATVEC_WORK,
+                   "propagation summed over N, grid cells x Chebyshev terms"),
+                  (lambda x: sector_size(d, x), MAX_BASIS_SIZE, "C(N+d-1, d-1) states"),
+                  (lambda x: _BYTES_PER_CELL * sector_size(d, x) * width, MAX_OPERATOR_BYTES,
+                   "the operator grid's 128 * D * (1 + moves) bytes")]
+        checks += [(lambda x, k=k: walk_bytes(d, x, k), MAX_WALK_BYTES,
+                    f"the order-{k} ladder walk's 16 * C(d+k-1, k)^2 * D(N-k) bytes")
+                   for k in sorted(walks)]
+        checks += [(lambda x: state_bytes(len(t), sector_size(d, x)), MAX_DENSE_BYTES,
+                    "the propagated states' 16 * (times + 6) * D bytes"),
+                   (lambda x: (x + 1) ** d, MAX_OCCUPATION_KEY, "the occupation keys' (N+1)^d")]
+    # each price is non-decreasing in N, and the n_values[-1] a refusal names passes them all
+    fits = lambda v: all(price(v) <= limit for price, limit, _ in checks)
+    for price, limit, what in checks:
+        refuse(price, ns[-1], limit, f"n_values: {what}", "n_values[-1]", fits)
 
 
 def load_config(text, overrides=None):
@@ -356,15 +362,10 @@ def _observable_stacks(config, scenario):
     particles, sample s from substream s of "<scenario>:a" and ":b"; drawn
     once for every N."""
     m, n = config.obs_m, config.obs_n
-    return tuple(
-        np.array(
-            [
-                random_unit_hermitian(_substream(config.seed, purpose, s), config.spec.d**order)
-                for s in range(config.n_samples)
-            ]
-        )
-        for purpose, order in ((f"{scenario}:a", m), (f"{scenario}:b", n))
-    )
+    return tuple(np.array([random_unit_hermitian(_substream(config.seed, purpose, s),
+                                                 config.spec.d**order)
+                           for s in range(config.n_samples)])
+                 for purpose, order in ((f"{scenario}:a", m), (f"{scenario}:b", n)))
 
 
 def _fit_slope(ns, values):
@@ -511,34 +512,17 @@ def run_bounds(config):
     constants = {s: bound_constants(config.spec, s) for s in VTILDE_STRATEGIES}
     rows = [{"kind": "constants", "strategy": s, **asdict(c)} for s, c in constants.items()]
     selected = constants[config.vtilde_strategy]
-    for n_particles in config.n_values:
-        for t in config.time_grid:
-            rows.append(
-                {
-                    "kind": "curve",
-                    "strategy": config.vtilde_strategy,
-                    "N": n_particles,
-                    "t": t,
-                    "mean_field_error_bound": mean_field_error_bound(
-                        selected, n_particles, t
-                    ),
-                    "commutator_growth_bound": commutator_growth_bound(
-                        1, 1, selected, n_particles, t
-                    ),
-                    "correlation_gap_bound": correlation_gap_bound(
-                        1, 1, selected, n_particles, t
-                    ),
-                }
-            )
-    return rows
+    return rows + [{"kind": "curve", "strategy": config.vtilde_strategy, "N": n, "t": t,
+                    "mean_field_error_bound": mean_field_error_bound(selected, n, t),
+                    "commutator_growth_bound": commutator_growth_bound(1, 1, selected, n, t),
+                    "correlation_gap_bound": correlation_gap_bound(1, 1, selected, n, t)}
+                   for n in config.n_values for t in config.time_grid]
 
 
 def _cell(value):
     if value is None or value == "":
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")

@@ -21,6 +21,7 @@ bounds table reports both ends.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -112,6 +113,11 @@ class HamiltonianSpec:
     def max_order(self):
         """M, the largest order present; 1 for a spec with no terms."""
         return max(self.present_orders, default=1)
+
+    @cached_property
+    def extremes(self):
+        """Each order m with V^(m)'s lowest and highest eigenvalue, taken once."""
+        return [(m, *np.linalg.eigvalsh(v)[[0, -1]].tolist()) for m, v in self.terms.items()]
 
     @property
     def interaction_orders(self):

@@ -30,8 +30,8 @@ from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_OPERATOR_BYTES, MAX_WALK_BYTES,
-                      _dense_peak_bytes, refuse)
+from ._limits import (MAX_BASIS_SIZE, MAX_DENSE_BYTES, MAX_OCCUPATION_KEY, MAX_OPERATOR_BYTES,
+                      MAX_WALK_BYTES, _dense_peak_bytes, refuse)
 from .hartree import DENSITY_ATOL, DensityMatrix
 
 # The (1 + moves, D) grid of 24-byte cells is H's rows; with its hermitization
@@ -85,7 +85,7 @@ def enumerate_basis(d, n_particles):
         raise ValueError("n_particles must be >= 1")
     size = refuse(lambda n: sector_size(d, n), n_particles, MAX_BASIS_SIZE,
                   "refusing to enumerate C(N+d-1, d-1) states", f"N for d={d}")
-    if (n_particles + 1) ** d >= 2**62:
+    if (n_particles + 1) ** d > MAX_OCCUPATION_KEY:
         raise ValueError("occupation keys would overflow int64; sector too large")
     # stars and bars: N stars and d - 1 bars in N + d - 1 places, n_i the stars
     # between bars i - 1 and i; ascending bar positions give ascending vectors.
@@ -155,12 +155,16 @@ class SparseHermitian:
     """Hermitian D x D matrix as fixed-width rows stored slot-major: ``cols`` and
     ``values`` are (w, D) arrays, [s, r] slot s of row r, whose slot 0 holds each
     row's diagonal, stored even when 0; a slot that a row does not use holds (its
-    own index, 0).  ``np.asarray`` gives the dense matrix, for checks at small D."""
+    own index, 0).  ``interval`` holds the spectrum: :func:`spectral_interval` from
+    build_hamiltonian, else (-inf, inf).  ``np.asarray`` gives the dense matrix."""
 
     cols: np.ndarray
     values: np.ndarray
+    interval: tuple = (-math.inf, math.inf)
 
     def __post_init__(self):
+        object.__setattr__(self, "cols", np.asarray(self.cols))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
         if self.cols.ndim != 2 or self.cols.shape != self.values.shape or not len(self.cols):
             raise ValueError("cols and values must be (w, D) arrays of one shape, w >= 1")
         size = self.cols.shape[1]
@@ -278,6 +282,18 @@ def grid_layout(spec):
     return chains, 1 + int(np.count_nonzero(np.diff(np.sort(np.concatenate(keys)))))
 
 
+def spectral_interval(spec, n_particles):
+    """[lo, hi] holding the spectrum of H before it exists (Weyl): each of the C(N, m) subset
+    terms of H = sum_m N^(1-m) sum_{|S|=m} V^(m)_S has V^(m)'s spectrum, so lo and hi sum
+    C(N, m) N^(1-m) times its ends; (-inf, inf) once that passes the largest float."""
+    try:
+        ends = [(math.comb(n_particles, m) / max(n_particles, 1) ** (m - 1), low, high)
+                for m, low, high in spec.extremes]
+    except OverflowError:
+        return -math.inf, math.inf
+    return sum(c * low for c, low, _ in ends), sum(c * high for c, _, high in ends)
+
+
 def build_hamiltonian(spec, n_particles, basis=None):
     """Full fixed-N Hamiltonian: the symmetric sum of each order-m term, weighted 1/N^(m-1).
 
@@ -320,7 +336,7 @@ def build_hamiltonian(spec, n_particles, basis=None):
     # padding, whose transpose is a cell of its own row, stays 0
     transpose = np.r_[0, width - 1:0:-1][:, None] * size + cols
     values = np.where(stored, (values[transpose].conj() + values.reshape(width, size)) / 2, 0)
-    return SparseHermitian(cols, values)
+    return SparseHermitian(cols, values, spectral_interval(spec, n_particles))
 
 
 def _walk_rdm(state, k, ket):

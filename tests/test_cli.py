@@ -13,7 +13,7 @@ import pytest
 
 import bosonlab
 from bosonlab import cli as cli_module
-from bosonlab import experiments
+from bosonlab import exact_dynamics, experiments
 from bosonlab.cli import main
 from bosonlab.experiments import _KEYS, SCENARIOS, ConfigError, config_from_dict
 
@@ -216,29 +216,47 @@ def test_dense_rdm_work_priced_at_config_time(tmp_path, capsys, monkeypatch, sce
 
 
 @pytest.mark.parametrize("scenario", ["corr", "converge"])
-def test_unpriced_refusal_comes_at_the_largest_n_first(tmp_path, capsys, monkeypatch, scenario):
-    # t = 3e5 passes the config check, but evolve_exact's Chebyshev term limit,
-    # which it does not price, refuses the largest N; that N runs first, and the
-    # mean-field flow (about 4 minutes to its step limit here) only after it
-    def never(*args):
-        raise AssertionError("the mean-field flow must not start")
+def test_summed_terms_refused_at_config_time(tmp_path, capsys, monkeypatch, scenario):
+    # t = 3e5 once passed the config check, and evolve_exact's Chebyshev term limit refused
+    # it only once the largest N had been enumerated and built; the price is now the run's
+    # own term count, so each N's terms are checked with the rest of the config
+    def never(config):
+        raise AssertionError("the runner must not start")
 
-    built, build = [], experiments.build_hamiltonian
-
-    def build_logged(spec, n_particles, basis):
-        built.append(n_particles)
-        return build(spec, n_particles, basis)
-
-    monkeypatch.setattr(experiments, "hartree_evolve", never)
-    monkeypatch.setattr(experiments, "build_hamiltonian", build_logged)
+    monkeypatch.setattr(cli_module.SCENARIOS[scenario], "run", never)
     path = _shipped(tmp_path, scenario, time_grid=[0, 3e5])
     start = time.perf_counter()
     assert main([scenario, "--config", str(path)]) == 1
-    assert time.perf_counter() - start < 2.0
-    err = capsys.readouterr().err
-    assert err.startswith("error: propagation to R t = ") and "in Chebyshev terms = inf > 1000000" in err
-    assert built == [json.loads(path.read_text())["n_values"][-1]]
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: n_values: one N's propagation, summed in Chebyshev terms = inf > 1000000; "
+        "the largest workable n_values[-1] is 5\n")
+    cfg = json.loads(path.read_text())
+    config_from_dict({**cfg, "n_values": [4, 5]})
+    with pytest.raises(ConfigError, match=r"^n_values: one N's propagation, summed in Chebyshev"):
+        config_from_dict({**cfg, "n_values": [4, 6]})
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_every_admitted_grid_runs_without_a_library_refusal(tmp_path, monkeypatch):
+    # configs/corr.json with [0, T] across the term limit: each T the config check admits
+    # runs, and the first T past it is refused there.  Each interval takes one matvec in
+    # place of its K terms, so that the run is quick; every guard before it runs as it is
+    monkeypatch.setattr(exact_dynamics, "_chebyshev_coefficients",
+                        lambda x, k: np.array([1.0, 0.0]))
+    cfg = json.loads(_shipped(tmp_path, "corr").read_text())
+    admitted = []
+    for t in np.geomspace(1e4, 1e5, 21).tolist():
+        try:
+            config = config_from_dict({**cfg, "time_grid": [0.0, t]})
+        except ConfigError as exc:
+            assert str(exc).startswith("n_values: one N's propagation, summed in Chebyshev terms")
+            break
+        SCENARIOS["corr"].run(config)
+        admitted.append(t)
+    else:
+        pytest.fail("no T was refused")
+    assert len(admitted) >= 5
 
 
 def test_max_order_other_than_the_largest_order_exits_one(tmp_path, capsys):
@@ -324,12 +342,13 @@ def test_lr_blocks_priced_at_config_time(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "scenario, n_values, workable",
     [
-        ("converge", list(range(2, 3000)), 2161),
+        ("converge", list(range(2, 3000)), 1935),
         ("lr", list(range(8, 200)), 95),
-        ("converge", [4, 8, 16, 10**5], 58057),  # the named N replaces the last one
-        ("converge", [10**400], 58057),  # prices past the largest float read as inf
-        ("corr", [10**400], 58057),
-        ("bbgky", [10**400], 60972),
+        ("converge", [4, 8, 16, 10**5], 50974),  # the named N replaces the last one
+        # prices past the largest float read as inf; the N named passes every limit
+        ("converge", [10**400], 50974),
+        ("corr", [10**400], 50974),
+        ("bbgky", [10**400], 55572),
     ],
 )
 def test_runs_priced_whole_at_config_time(tmp_path, capsys, monkeypatch, scenario, n_values, workable):
@@ -417,8 +436,10 @@ def _one_body(scenario, d, **changes):
         (lambda: {**_one_body("converge", 2, n_values=[4, 15000]),
                   "time_grid": np.linspace(0.0, 0.1, 20000).tolist()},
          "the propagated states' 16 * (times + 6) * D bytes"),
+        # 820 states, but 3^40 passes int64's room for the occupation keys
+        (lambda: _one_body("converge", 40, n_values=[2]), "the occupation keys' (N+1)^d"),
     ],
-    ids=["basis", "operator", "corr-walk", "bbgky-walk", "states"],
+    ids=["basis", "operator", "corr-walk", "bbgky-walk", "states", "keys"],
 )
 def test_size_limits_priced_at_config_time(tmp_path, capsys, monkeypatch, document, what):
     # each refused the last N only once the earlier ones had run: 4.4 s for "operator"

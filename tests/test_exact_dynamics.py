@@ -185,6 +185,20 @@ class TestPropagation:
             assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("c", [0.0, 0.83, -2.5])
+    def test_scalar_hamiltonian_from_a_spec_gives_exact_phase(self, rng, c):
+        # H = c from orders 1 and 2 at N = 3: its Gershgorin and Weyl intervals agree only to
+        # rounding, so their intersection may be empty; R is then floored, not negative
+        spec = HamiltonianSpec(4, {1: (c - 0.7) / 3 * np.eye(4), 2: 0.7 * np.eye(16)})
+        state = embed_product_state(_unit_phi(rng, 4), 3)
+        h = build_hamiltonian(spec, 3)
+        radius, _, _ = exact_dynamics._interval_terms(exact_dynamics._enclosure(h)[1], [1.0])
+        assert radius >= np.finfo(float).tiny
+        for t, out in zip(self.TIMES, evolve_exact(h, state, self.TIMES)):
+            expected = np.exp(-1j * c * t) * state.amplitudes
+            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
+            assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+
     def test_subnormal_reach_gives_the_phase(self, rng):
         # H = c floors R at the smallest normal float, so R t is subnormal here
         state = embed_product_state(_unit_phi(rng, 2), 2)

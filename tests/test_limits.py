@@ -8,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonlab import HamiltonianSpec, _limits, build_hamiltonian, exact_dynamics
-from bosonlab._limits import MAX_KERNEL_WORK, refuse
-from bosonlab.exact_dynamics import _chebyshev_terms, _enclosure, _radius_ceiling, propagation_work
+from bosonlab import HamiltonianSpec, SparseHermitian, _limits, build_hamiltonian, exact_dynamics
+from bosonlab._limits import MAX_CHEBYSHEV_TERMS, MAX_KERNEL_WORK, refuse
+from bosonlab.exact_dynamics import (
+    _LOG_UNIT_ROUNDOFF, _chebyshev_terms, _enclosure, propagation_terms, propagation_work,
+)
 from bosonlab.experiments import SCENARIOS, config_from_dict
-from bosonlab.symmetric_space import grid_layout, sector_size
+from bosonlab.symmetric_space import grid_layout, sector_size, spectral_interval
 
-from .conftest import random_spec, substream
+from .conftest import SPEC_FAMILIES, random_spec, substream
 from .test_hartree import _workload
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -67,6 +69,27 @@ def test_bisection_matches_the_linear_scan(d, n_active, n_times, n_pairs, expect
             exact_dynamics._guard_blocks(d, n, n_active, n_times, n_pairs)
 
 
+def _linear_terms(x):
+    """_chebyshev_terms as a linear walk up from K = max(ceil(x), 1), the bound updated by
+    its ratio x / 2K at each step."""
+    if not x <= MAX_CHEBYSHEV_TERMS:
+        return math.inf
+    k = max(math.ceil(x), 1)
+    log_bound = k * (math.log(x) - math.log(2)) - math.lgamma(k + 1) if x > 0 else -math.inf
+    while log_bound >= _LOG_UNIT_ROUNDOFF and k <= MAX_CHEBYSHEV_TERMS:
+        k += 1
+        log_bound -= math.log(2 * k / x)
+    return k if k <= MAX_CHEBYSHEV_TERMS else math.inf
+
+
+def test_bisected_terms_match_the_linear_walk():
+    # past x = 7.36e5 both are inf: K would pass MAX_CHEBYSHEV_TERMS
+    xs = np.geomspace(1e-3, 1e6, 181).tolist() + [0.0, 7.35e5, 7.37e5, math.inf, math.nan]
+    got = [_chebyshev_terms(x) for x in xs]
+    assert got == [_linear_terms(x) for x in xs]
+    assert got[-5:] == [1, 998998, math.inf, math.inf, math.inf]
+
+
 def _draws():
     rng = substream(71, "ceilings")
     caps = {2: 40, 3: 20, 4: 10}  # N <= 40, and at d = 4 a sector small enough to assemble fast
@@ -83,6 +106,11 @@ def _summed_terms(radius, times):
     return sum(_chebyshev_terms(radius * dt) for dt in np.diff(times, prepend=0.0) if dt)
 
 
+def _gershgorin(h):
+    """The center and half-width of H's Gershgorin interval alone, as of rows given by hand."""
+    return _enclosure(SparseHermitian(h.cols, h.values))
+
+
 @pytest.mark.parametrize("d, orders, n, t, seed", _draws())
 def test_propagation_price_bounds_the_hamiltonian(d, orders, n, t, seed):
     rng = np.random.default_rng(seed)
@@ -90,13 +118,50 @@ def test_propagation_price_bounds_the_hamiltonian(d, orders, n, t, seed):
     h = build_hamiltonian(spec, n)
     radius = _enclosure(h)[1]
     width = grid_layout(spec)[1]
-    assert _radius_ceiling(spec, n) >= radius
+    lo, hi = spectral_interval(spec, n)
+    assert h.interval == (lo, hi)
+    assert radius <= min((hi - lo) / 2, _gershgorin(h)[1])  # never wider than either
     assert sector_size(d, n) * width >= h.cols.size  # each matvec touches every cell
     # one interval, a grid from 0, and one of uneven intervals ending at t
     for times in ([t], np.linspace(0.0, t, 9), np.append(np.sort(rng.uniform(0.0, t, 6)), t)):
         terms = _summed_terms(radius, times)
-        assert propagation_work(spec, n, times) / sector_size(d, n) >= terms
+        assert propagation_terms(spec, n, times) == _summed_terms((hi - lo) / 2, times) >= terms
         assert propagation_work(spec, n, times) * width >= h.cols.size * terms
+
+
+def _weyl_draws():
+    rng = substream(71, "weyl")
+    for i in range(30):
+        d = int(rng.integers(1, 4))
+        orders = tuple(m for m in (1, 2, 3) if rng.random() < 0.6) or (int(rng.integers(1, 4)),)
+        n = int(rng.integers(max(orders), 11))
+        yield pytest.param(d, orders, n, int(rng.integers(2**32)),
+                           id=f"{i}-d{d}-m{''.join(map(str, orders))}-N{n}")
+
+
+@pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+@pytest.mark.parametrize("d, orders, n, seed", _weyl_draws())
+def test_weyl_interval_holds_the_spectrum(d, orders, n, seed, family):
+    # to rounding: a one-body H reaches both ends, at the product states of V's extreme
+    # eigenvectors, so the dense eigenvalues may pass them by a few ulps
+    spec = SPEC_FAMILIES[family](np.random.default_rng(seed), d, orders)
+    h = build_hamiltonian(spec, n)
+    lo, hi = spectral_interval(spec, n)
+    eigenvalues = np.linalg.eigvalsh(np.asarray(h))
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    assert lo - slack <= eigenvalues[0] and eigenvalues[-1] <= hi + slack
+    center, radius = _enclosure(h)
+    assert lo - slack <= center - radius and center + radius <= hi + slack
+    g_center, g_radius = _gershgorin(h)
+    assert g_center - g_radius - slack <= center - radius
+    assert center + radius <= g_center + g_radius + slack
+
+
+def test_huge_n_reads_an_unbounded_interval():
+    spec = random_spec(np.random.default_rng(3), 2, (1, 2))
+    assert spectral_interval(spec, 10**400) == (-math.inf, math.inf)
+    assert propagation_work(spec, 10**400, [0.0, 1.0]) == math.inf
+    assert all(map(math.isfinite, spectral_interval(spec, 10**300)))
 
 
 def test_cells_of_an_operator_without_terms():
@@ -108,15 +173,15 @@ def test_cells_of_an_operator_without_terms():
 
 @pytest.mark.parametrize("x", [0.0, 1e-12, 0.3, 1.0, 7.0, 19.9, 20.0, 54.0, 1e3, 123456.7])
 @pytest.mark.parametrize("grid", ["one", "from 0", "halves", "many"])
-def test_term_ceiling_bounds_the_chebyshev_terms(x, grid):
-    # propagation_work's terms where the priced R is 1: one 1 x 1 order-1 term of norm 1
-    spec = random_spec(np.random.default_rng(0), 1, (1,))
+def test_priced_terms_are_the_chebyshev_terms(x, grid):
+    # the price's terms where the Weyl half-width is 1: one-body sigma_z at N = 1
+    spec = HamiltonianSpec(2, {1: np.diag([1.0, -1.0])})
     # at x = 0 no grid has an interval, and both sides are 0
     times = {"one": [x], "from 0": [0.0, x], "halves": [x / 2, x],
              "many": np.linspace(x / 40, x, 40)}[grid]
-    terms = propagation_work(spec, 1, times) / sector_size(1, 1)
-    assert _radius_ceiling(spec, 1) == 1.0
-    assert terms >= _summed_terms(1.0, times)
+    assert spectral_interval(spec, 1) == (-1.0, 1.0)
+    assert propagation_terms(spec, 1, times) == _summed_terms(1.0, times)
+    assert propagation_work(spec, 1, times) == sector_size(2, 1) * _summed_terms(1.0, times)
 
 
 def _shipped(name):
@@ -146,3 +211,24 @@ def _ladder_rung(workload, n):
 def test_workable_configs_are_admitted(cfg):
     # config validation only: nothing runs
     assert config_from_dict(cfg).scenario == cfg["scenario"]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [pytest.param(_shipped(name), id=name) for name in ("converge", "corr", "bbgky")]
+    + [pytest.param(_workload(w, seed), id=f"{w}-{seed}")
+       for w in ("converge_sector", "corr_rdm") for seed in range(20)],
+)
+def test_price_is_the_run(cfg):
+    # the cells x terms the config check prices against those evolve_exact runs, N by N:
+    # never fewer, at most 1.5x (1.0 to 1.18x measured); and Weyl never adds a term
+    config = config_from_dict(cfg)
+    width = grid_layout(config.spec)[1]
+    for n in config.n_values:
+        h = build_hamiltonian(config.spec, n)
+        radius = _enclosure(h)[1]
+        run = h.cols.size * _summed_terms(radius, config.time_grid)
+        price = propagation_work(config.spec, n, config.time_grid) * width
+        assert run <= price <= 1.5 * run
+        for dt in np.diff(config.time_grid, prepend=0.0):
+            assert _chebyshev_terms(radius * dt) <= _chebyshev_terms(_gershgorin(h)[1] * dt)

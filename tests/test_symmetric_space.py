@@ -376,6 +376,8 @@ class TestBuildHamiltonian:
     def test_columns_outside_the_rows_rejected(self, cols):
         with pytest.raises(ValueError, match=r"^cols must be integers in \[0, 3\)"):
             SparseHermitian(np.array(cols), np.ones((2, 3), dtype=complex))
+        with pytest.raises(ValueError, match=r"^cols must be integers in \[0, 3\)"):
+            SparseHermitian(cols, [[1, 1, 1], [0, 0, 0]])  # nested lists are converted
 
 
 class TestRdm:
