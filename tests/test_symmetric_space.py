@@ -362,6 +362,22 @@ class TestBuildHamiltonian:
             assert tuple(hashlib.sha1(a.tobytes()).hexdigest()[:16]
                          for a in (h.cols, h.values)) == digests, n
 
+    @pytest.mark.parametrize("d, orders, pins", [
+        ((3, (1, 2), {4: ("eb7b37a3c3f55f0f", "d6c02d597a2abab8"),
+                      7: ("a0d2a29c114aa66b", "e020a28c96b7eac2")})),
+        ((4, (3,), {6: ("9642b09b5c3defd1", "9fe4dba18b5adef3"),
+                    9: ("7519a9c31503d2b0", "88b61956c1d569d2")})),
+    ])
+    def test_hamiltonians_above_d_two_are_pinned(self, d, orders, pins):
+        # at d = 2 every move is (a, -a), ordered alike by any key, so the shipped pins cannot
+        # see the order of the slots; these pin it at N = 2M and 2M + 3
+        spec = random_spec(substream(61, f"pin:{d}:{orders}"), d, orders, unit_norm=False)
+        assert sorted(pins) == [2 * spec.max_order, 2 * spec.max_order + 3]
+        for n, digests in pins.items():
+            h = build_hamiltonian(spec, n)
+            assert tuple(hashlib.sha1(a.tobytes()).hexdigest()[:16]
+                         for a in (h.cols, h.values)) == digests, n
+
     def test_misplaced_diagonal_rejected(self):
         with pytest.raises(ValueError, match="slot 0"):
             SparseHermitian(np.array([[1, 0], [0, 1]]), np.ones((2, 2)))
