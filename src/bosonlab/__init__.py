@@ -45,7 +45,6 @@ from .operators import (
     BoundConstants,
     HamiltonianSpec,
     bound_constants,
-    operator_norm,
     permute_slots,
     slot_symmetrize,
     validate_potential,
@@ -88,7 +87,6 @@ __all__ = [
     "load_config",
     "mean_field_energy",
     "mean_field_error_bound",
-    "operator_norm",
     "permute_slots",
     "pure_state_density",
     "rdm",

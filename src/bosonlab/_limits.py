@@ -25,18 +25,25 @@ def _dense_peak_bytes(dim):
     return _LIVE_MATRICES * 16 * dim * dim
 
 
-def refuse(price, value, limit, what, name, fits=None):
+def workable(fits, value):
+    """The largest integer v below value with fits(v), by bisection (fits holds up to some v,
+    and not at value); -1 if none does."""
+    lo, hi = -1, value  # lo fits (-1: none does), hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def refuse(price, value, limit, what, name):
     """price(value), or a ValueError ``{what} = {price} > {limit}`` unless it is <= limit (NaN
     and inf are not); unless ``name`` is None, the message names the largest workable integer
-    below value, by bisection of ``fits`` (price(v) <= limit if None; true up to some v)."""
+    below value (price non-decreasing)."""
     cost = price(value)
     if cost <= limit:
         return cost
     message = f"{what} = {cost if isinstance(cost, int) else format(cost, '.6g')} > {limit}"
     if name is not None:
-        lo, hi = -1, value  # lo fits (-1: none does), hi does not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if (fits(mid) if fits else price(mid) <= limit) else (lo, mid)
+        lo = workable(lambda v: price(v) <= limit, value)
         message += f"; the largest workable {name} is {lo}" if lo >= 0 else f"; no {name} fits"
     raise ValueError(message)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._limits import (MAX_BASIS_SIZE, MAX_CHEBYSHEV_TERMS, MAX_DENSE_BYTES, MAX_KERNEL_WORK,
                       MAX_MATVEC_WORK, MAX_OCCUPATION_KEY, MAX_OPERATOR_BYTES, MAX_WALK_BYTES,
-                      _dense_peak_bytes, refuse)
+                      _dense_peak_bytes, refuse, workable)
 from ._tensor import partial_trace_last
 from ._version import __version__ as VERSION
 from .bounds import (
@@ -35,7 +35,7 @@ from .bounds import (
 from .exact_dynamics import bbgky_rhs, commutator_growth, correlation_gap, evolve_exact
 from .exact_dynamics import block_work, propagation_terms, propagation_work, state_bytes
 from .hartree import DENSITY_ATOL, _check_times, _guard_steps, hartree_evolve, pure_state_density
-from .operators import VTILDE_STRATEGIES, HamiltonianSpec, bound_constants, operator_norm
+from .operators import VTILDE_STRATEGIES, HamiltonianSpec, bound_constants
 from .symmetric_space import _BYTES_PER_CELL, build_hamiltonian, embed_product_state, grid_layout
 from .symmetric_space import rdm, rdm_derivative, sector_size, walk_bytes
 
@@ -327,10 +327,13 @@ def _price_run(values):
         checks += [(lambda x: state_bytes(len(t), sector_size(d, x)), MAX_DENSE_BYTES,
                     "the propagated states' 16 * (times + 6) * D bytes"),
                    (lambda x: (x + 1) ** d, MAX_OCCUPATION_KEY, "the occupation keys' (N+1)^d")]
-    # each price is non-decreasing in N, and the n_values[-1] a refusal names passes them all
+    # each price is non-decreasing in N, so the check that fails first past the largest N that
+    # passes them all binds, and its own bisection names that N
     fits = lambda v: all(price(v) <= limit for price, limit, _ in checks)
-    for price, limit, what in checks:
-        refuse(price, ns[-1], limit, f"n_values: {what}", "n_values[-1]", fits)
+    if not fits(ns[-1]):
+        past = workable(fits, ns[-1]) + 1
+        price, limit, what = next(check for check in checks if not check[0](past) <= check[1])
+        refuse(price, ns[-1], limit, f"n_values: {what}", "n_values[-1]")
 
 
 def load_config(text, overrides=None):
@@ -354,7 +357,7 @@ def random_unit_hermitian(rng, dim):
     """Hermitian with standard-normal re/im entries, unit spectral norm."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2
-    return h / operator_norm(h)
+    return h / np.linalg.norm(h, 2)
 
 
 def _observable_stacks(config, scenario):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._limits import MAX_STEPS, refuse
-from .operators import operator_norm
 
 DENSITY_ATOL = 1e-10
 
@@ -173,7 +172,7 @@ def _guard_steps(spec, t_end):
     """Refuse a last time t_end past the step budget: ||h(gamma)|| <= L = sum_m
     ||V^(m)|| / (m-1)!, and every measured run takes at least 2 steps per unit
     of L*t (8 to 33 at tol <= 1e-9), so past MAX_STEPS units it cannot suffice."""
-    rate = sum(operator_norm(v) / math.factorial(m - 1) for m, v in spec.terms.items())
+    rate = sum(norm / math.factorial(m - 1) for m, norm in spec.norms.items())
     refuse(lambda t: rate * t, t_end, MAX_STEPS, f"t = {t_end:.6g} is too long for the mean-field "
            f"integrator: with L = {rate:.3g} bounding ||h(gamma)||, L*t", None)
 
@@ -217,12 +216,10 @@ def hartree_evolve(gamma0, spec, times, tol=1e-9):
         if n_steps > MAX_STEPS:
             raise RuntimeError(f"integration exceeded {MAX_STEPS} steps at t={t:.6g} (tol={tol})")
         target = float(times[len(states)])
-        clipped = False
-        dt_try = dt
-        if t + dt_try >= target - 1e-14 * max(1.0, target):
-            dt_try = target - t
-            clipped = True
-        if dt_try <= 1e-15 * max(1.0, abs(t)):
+        clipped = t + dt >= target - 1e-14 * max(1.0, target)
+        dt_try = target - t if clipped else dt
+        # a step clipped onto a requested time is as short as the grid asks, never an underflow
+        if not clipped and dt_try <= 1e-15 * max(1.0, abs(t)):
             raise RuntimeError(
                 f"step size underflow at t={t:.6g} (dt={dt_try:.3e}, tol={tol}); "
                 "the problem may be too stiff for the requested tolerance"

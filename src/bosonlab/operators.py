@@ -34,11 +34,6 @@ HERMITIAN_ATOL = 1e-12
 VTILDE_STRATEGIES = ("canonical", "ceiling")  # the ends of the vtilde bracket, lower first
 
 
-def operator_norm(matrix):
-    """Spectral norm: the largest singular value."""
-    return float(np.linalg.norm(np.asarray(matrix), 2))
-
-
 def slot_symmetrize(matrix, d, order):
     """Project an operator onto its slot-permutation-symmetric part."""
     mat = np.asarray(matrix, dtype=np.complex128)
@@ -120,6 +115,11 @@ class HamiltonianSpec:
         return [(m, *np.linalg.eigvalsh(v)[[0, -1]].tolist()) for m, v in self.terms.items()]
 
     @property
+    def norms(self):
+        """Each order m with ||V^(m)|| = max(-lowest, highest eigenvalue), off ``extremes``."""
+        return {m: max(-low, high) for m, low, high in self.extremes}
+
+    @property
     def interaction_orders(self):
         """Orders >= 2 that actually carry a term."""
         return tuple(m for m in sorted(self.terms) if m >= 2)
@@ -159,11 +159,7 @@ class BoundConstants:
 def bound_constants(spec, strategy="ceiling"):
     """Assemble the bound constants of a spec, vtilde at the given end of its bracket."""
     vt = vtilde(spec, strategy)
-    s1 = 0.0
-    s2 = 0.0
-    for m in spec.interaction_orders:
-        norm = operator_norm(spec.terms[m])
-        s1 += m * norm
-        s2 += m * m * norm
+    norms = spec.norms
+    s1, s2 = (sum((m**p * norms[m] for m in spec.interaction_orders), 0.0) for p in (1, 2))
     lam = (16.0 * vt + s2) / s1 if s1 > 0.0 else 0.0
     return BoundConstants(s1, s2, vt, lam, spec.max_order)

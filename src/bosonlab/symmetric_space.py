@@ -253,33 +253,42 @@ def _compile_walk(basis, k):
 
 
 def _unmatched(a, b):
-    """Per row of the sorted (K, m) multisets a and b, the modes of a that b does not match,
-    as digits mode + 1 in descending order, 0 past the last."""
+    """Per row of the sorted (K, m) multisets a and b, whether b leaves each slot of a
+    unmatched: a mode's repeats in a past its count in b."""
     rank = np.tril(a[:, :, None] == a[:, None, :]).sum(axis=2)  # each mode's repeat in its row
-    return -np.sort(-np.where(rank > (a[:, :, None] == b[:, None, :]).sum(axis=2), a + 1, 0))
+    return rank > (a[:, :, None] == b[:, None, :]).sum(axis=2)
 
 
 def grid_layout(spec):
     """The spec's half of H's grid, the same at every N: per present order m, the orbit-summed
     weights of the multiset pairs (I, J) before 1/(m! N^(m-1)), the kept pairs (either of
-    (I, J) and (J, I) weighted) and the (P, m) multisets, P = C(d+m-1, m); and the width, 1 +
-    the distinct nonzero moves count(I) - count(J) of kept pairs.  A move is keyed by the at
-    most M modes it raises and the M it lowers, digits to the base d + 1, so the layout holds
-    O(P^2) numbers, no more than the spec's d^(2m) entries; the keys pass 2^57 only once
-    those pass 2^36, and at d = 1 all are 0.  H's keys have digits in [-M, M] to the base
-    N + 1: from N = 2M on its grid is D x width, below it at most that."""
-    d, top, chains, keys = spec.d, spec.max_order, [], [np.zeros(1, np.int64)]
-    base = (d + 1) ** np.arange(2 * top, dtype=np.int64)
+    (I, J) and (J, I) weighted) and each kept pair's slot; and the width, 1 + the distinct
+    nonzero moves delta = count(I) - count(J) of kept pairs.  Slot 0 holds delta = 0, slot
+    1 + i the i-th nonzero delta in lexicographic order, mode 0 first, so slots s and width - s
+    hold opposite moves.  A move is coded by the at most 2M modes it changes, +(d - mode) for
+    one raised and -(d - mode) for one lowered, mode ascending and padded with 0: the codes
+    order as the deltas do, and the layout holds O(P^2) numbers, P = C(d+m-1, m), never d."""
+    d, top, chains, codes = spec.d, spec.max_order, [], [np.zeros((1, 2 * spec.max_order), int)]
     for m in spec.present_orders:
         multisets, index = multiset_map(d, m)
         weights = np.zeros((len(multisets), len(multisets)), dtype=np.complex128)
         np.add.at(weights, (index[:, None], index[None, :]), spec.terms[m])
         keep = (weights != 0) | (weights.T != 0)
         sets, (i, j) = np.array(multisets), np.nonzero(keep)
-        keys.append(_unmatched(sets[i], sets[j]) @ base[:m]
-                    + _unmatched(sets[j], sets[i]) @ base[top:top + m])
-        chains.append((m, weights, keep, sets))
-    return chains, 1 + int(np.count_nonzero(np.diff(np.sort(np.concatenate(keys)))))
+        code = np.zeros((i.size, 2 * top), int)
+        code[:, :m] = np.where(_unmatched(sets[i], sets[j]), d - sets[i], 0)
+        code[:, m:2 * m] = np.where(_unmatched(sets[j], sets[i]), sets[j] - d, 0)
+        codes.append(np.take_along_axis(code, np.argsort(-np.abs(code), axis=1), axis=1))
+        chains.append((m, weights, keep, np.zeros(keep.shape, np.int64)))
+    codes = np.concatenate(codes)
+    order, ranks = np.lexsort(codes.T[::-1]), np.empty(len(codes), np.int64)  # rows ascending
+    ranks[order] = np.cumsum(np.r_[0, (np.diff(codes[order], axis=0) != 0).any(axis=1)])
+    # codes[0] is delta = 0, the middle move: it takes slot 0, the nonzero moves ascend from 1
+    slots, ends = np.where(ranks == ranks[0], 0, ranks + (ranks < ranks[0])), [1]
+    for *_, keep, slot in chains:
+        ends.append(ends[-1] + np.count_nonzero(keep))
+        slot[keep] = slots[ends[-2]:ends[-1]]
+    return chains, int(ranks.max()) + 1
 
 
 def spectral_interval(spec, n_particles):
@@ -297,7 +306,7 @@ def spectral_interval(spec, n_particles):
 def build_hamiltonian(spec, n_particles, basis=None):
     """Full fixed-N Hamiltonian: the symmetric sum of each order-m term, weighted 1/N^(m-1).
 
-    Keys are unique and a+_I a_J moves each by key(I) - key(J): a row meets one column per
+    a+_I a_J moves an occupation by delta = count(I) - count(J): a row meets one column per
     move, so each pair grid_layout keeps writes into its move's slot, and one J's pairs never
     collide.  The hermitized grid is H's rows: slot 0 the diagonal, each slot s >= 1 one move
     for every row, and (own index, 0) in a row that no column reaches by that move."""
@@ -307,24 +316,14 @@ def build_hamiltonian(spec, n_particles, basis=None):
         raise ValueError("basis does not match spec / particle number")
     if spec.max_order > n_particles:
         raise ValueError("interaction order exceeds particle number")
-    d, size, (layout, ceiling) = spec.d, basis.size, grid_layout(spec)
-    refuse(lambda n: _BYTES_PER_CELL * sector_size(d, n) * ceiling, n_particles,
+    d, size, (layout, width) = spec.d, basis.size, grid_layout(spec)
+    refuse(lambda n: _BYTES_PER_CELL * sector_size(d, n) * width, n_particles,
            MAX_OPERATOR_BYTES, "the operator grid's 128 * D * (1 + moves) bytes",
            f"N for d={d} and orders {list(spec.present_orders)}")
-    powers, chains = _key_powers(d, n_particles), []
-    for m, weights, keep, sets in layout:
-        keys = powers[sets].sum(axis=1)
-        weights = weights * (float(n_particles) ** (1 - m) / math.factorial(m))
-        chains.append((m, weights, keep, keys[:, None] - keys))
-    # keep is symmetric, so the moves lie symmetric about 0: slot 0 holds no move, the
-    # diagonal, and slot 1 + i moves[i], ascending with the column (a set, as a plain
-    # np.unique imports numpy.ma on first use, 10-17 ms)
-    moves = np.array(sorted(set().union(*(mv[k].tolist() for *_, k, mv in chains)) - {0}), np.int64)
-    width = 1 + moves.size
     cols = np.tile(np.arange(size), width)  # the grid, flat; a slot never written keeps its row
     values = np.zeros(cols.size, dtype=np.complex128)
-    for m, weights, keep, move in chains:
-        slots = np.where(move == 0, 0, 1 + np.searchsorted(moves, move))
+    for m, weights, keep, slots in layout:
+        weights = weights * (float(n_particles) ** (1 - m) / math.factorial(m))
         for j, rows, walk_cols, factor in ladder_walk(basis, m):
             flat = slots[keep[j], j][:, None] * size + rows[keep[j]]
             cols[flat] = walk_cols

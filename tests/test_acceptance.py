@@ -32,7 +32,6 @@ from bosonlab import (
     hartree_evolve,
     mean_field_energy,
     mean_field_error_bound,
-    operator_norm,
     pure_state_density,
     rdm,
     slot_symmetrize,
@@ -61,7 +60,7 @@ def _pinned_spec(max_order):
     if max_order >= 3:
         rng = substream(2026, "accept-threebody")
         v3 = slot_symmetrize(oracles.rand_herm(rng, 8), 2, 3)
-        terms[3] = v3 / operator_norm(v3)
+        terms[3] = v3 / np.linalg.norm(v3, 2)
     return HamiltonianSpec(2, terms)
 
 

@@ -339,19 +339,24 @@ def test_lr_blocks_priced_at_config_time(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: n_values: commutator growth summed over N")
 
 
+_MATVECS = "propagation summed over N, grid cells x Chebyshev terms = "
+
+
 @pytest.mark.parametrize(
-    "scenario, n_values, workable",
+    "scenario, n_values, workable, what",
     [
-        ("converge", list(range(2, 3000)), 1935),
-        ("lr", list(range(8, 200)), 95),
-        ("converge", [4, 8, 16, 10**5], 50974),  # the named N replaces the last one
-        # prices past the largest float read as inf; the N named passes every limit
-        ("converge", [10**400], 50974),
-        ("corr", [10**400], 50974),
-        ("bbgky", [10**400], 55572),
+        ("converge", list(range(2, 3000)), 1935, _MATVECS),
+        ("lr", list(range(8, 200)), 95, "commutator growth summed over N, its work = "),
+        ("converge", [4, 8, 16, 10**5], 50974, _MATVECS),  # the named N replaces the last one
+        # prices past the largest float read as inf; the N named passes every limit, and the
+        # check named is the one that binds there: one N's Chebyshev terms, also inf, is not
+        ("converge", [10**400], 50974, _MATVECS + "inf > "),
+        ("corr", [10**400], 50974, _MATVECS + "inf > "),
+        ("bbgky", [10**400], 55572, _MATVECS + "inf > "),
     ],
 )
-def test_runs_priced_whole_at_config_time(tmp_path, capsys, monkeypatch, scenario, n_values, workable):
+def test_runs_priced_whole_at_config_time(tmp_path, capsys, monkeypatch, scenario, n_values,
+                                          workable, what):
     # every N of the first two alone passes every guard; summed over n_values
     # the converge run would take minutes, the lr run (39x MAX_KERNEL_WORK) hours
     def never(config):
@@ -370,12 +375,12 @@ def test_runs_priced_whole_at_config_time(tmp_path, capsys, monkeypatch, scenari
     assert time.perf_counter() - start < 1.0
     assert peak < 2**20
     err = capsys.readouterr().err
-    assert err.startswith("error: n_values: ")
+    assert err.startswith(f"error: n_values: {what}")
     max_n = int(re.search(r"the largest workable n_values\[-1\] is (\d+)\n$", err).group(1))
     assert max_n == workable
     cfg = json.loads(path.read_text())
     config_from_dict({**cfg, "n_values": [x for x in n_values if x < max_n] + [max_n]})
-    with pytest.raises(ConfigError, match=r"^n_values: "):
+    with pytest.raises(ConfigError, match=r"^n_values: " + re.escape(what.split(" = ")[0])):
         config_from_dict({**cfg, "n_values": [x for x in n_values if x <= max_n] + [max_n + 1]})
     assert not (tmp_path / "out.csv").exists()
 
@@ -476,7 +481,8 @@ def test_large_one_body_spec_refused_without_dense_moves():
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=r"^n_values: propagation summed over N, grid cells"):
+        # at N = 1 its 300 x 89701 cells already pass the operator bytes: that check binds
+        with pytest.raises(ConfigError, match=r"^n_values: the operator grid's 128 \* D \*"):
             config_from_dict(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -276,6 +276,23 @@ class TestHartreeEvolve:
             with pytest.raises(ValueError, match="finite"):
                 hartree_evolve(gamma0, spec, [0.0, bad])
 
+    @pytest.mark.parametrize("grid, reference", [
+        ([0.0, 1e-20, 1.0], [0.0, 1.0]),
+        ([0.5, 0.5 + 1e-15, 1.0], [0.5, 1.0]),
+        ([1e-300, 1e-200], None),
+    ])
+    def test_steps_clipped_onto_close_times_never_underflow(self, rng, grid, reference):
+        # the config check and evolve_exact admit these grids; a step clipped onto a requested
+        # time is as short as the grid asks, so the underflow guard once refused them here
+        spec = random_spec(rng, 2, (1, 2))
+        gamma0 = pure_state_density(np.array([0.6, 0.8j]))
+        states = hartree_evolve(gamma0, spec, grid).states
+        assert len(states) == len(grid)
+        if reference is not None:  # the close time is one more clipped step on the way
+            expected = hartree_evolve(gamma0, spec, reference).states
+            for got, want in zip([states[0], states[-1]], expected):
+                np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-13)
+
     def test_step_budget_refuses_huge_time_up_front(self, rng):
         spec = random_spec(rng, 2, (1, 2))  # unit norms: L = 1 + 1/1! = 2
         gamma0 = DensityMatrix(1, 2, oracles.rand_density(rng, 2))

@@ -7,7 +7,6 @@ from bosonlab import (
     BoundConstants,
     HamiltonianSpec,
     bound_constants,
-    operator_norm,
     permute_slots,
     slot_symmetrize,
     validate_potential,
@@ -19,15 +18,25 @@ from .conftest import SX, SZ, random_spec, substream
 from . import oracles
 
 
-class TestOperatorNorm:
+class TestNorms:
+    # ||V^(m)|| is read off the eigenvalue extremes the spec takes once, not a second SVD
     def test_identity(self):
-        assert operator_norm(np.eye(5)) == pytest.approx(1.0)
+        assert HamiltonianSpec(5, {1: np.eye(5)}).norms == {1: pytest.approx(1.0)}
 
-    def test_diagonal_picks_largest_magnitude(self):
-        assert operator_norm(np.diag([3.0, -1.0])) == pytest.approx(3.0)
+    @pytest.mark.parametrize("diagonal", [[3.0, -1.0], [1.0, -3.0], [-3.0, -1.0]])
+    def test_diagonal_picks_largest_magnitude(self, diagonal):
+        assert HamiltonianSpec(2, {1: np.diag(diagonal)}).norms == {1: pytest.approx(3.0)}
 
     def test_zz_has_unit_norm(self):
-        assert operator_norm(np.kron(SZ, SZ)) == pytest.approx(1.0)
+        assert HamiltonianSpec(2, {2: np.kron(SZ, SZ)}).norms == {2: pytest.approx(1.0)}
+
+    @pytest.mark.parametrize("d, orders", [(2, (1, 2, 3)), (3, (1, 2, 3)), (5, (1, 2))])
+    def test_match_the_largest_singular_value(self, d, orders):
+        spec = random_spec(substream(67, "norms", d), d, orders, unit_norm=False)
+        norms = spec.norms
+        assert sorted(norms) == list(orders)
+        for m, v in spec.terms.items():
+            assert norms[m] == pytest.approx(np.linalg.norm(v, 2), rel=1e-14, abs=0)
 
 
 def test_permute_slots_swaps_kron_factors(rng):
@@ -221,8 +230,8 @@ class TestBoundConstants:
         spec = random_spec(rng, 2, (1, 2, 3), unit_norm=False)
         vt = vtilde(spec, strategy)
         consts = bound_constants(spec, strategy)
-        s1 = sum(m * operator_norm(spec.terms[m]) for m in (2, 3))
-        s2 = sum(m * m * operator_norm(spec.terms[m]) for m in (2, 3))
+        s1 = sum(m * np.linalg.norm(spec.terms[m], 2) for m in (2, 3))
+        s2 = sum(m * m * np.linalg.norm(spec.terms[m], 2) for m in (2, 3))
         assert consts.sum_l1_v == pytest.approx(s1, rel=1e-12)
         assert consts.sum_l2_v == pytest.approx(s2, rel=1e-12)
         assert consts.vtilde == vt

@@ -202,6 +202,22 @@ def test_m_is_read_from_the_spec_only():
     assert found == []
 
 
+def test_a_terms_spectrum_is_taken_in_operators_only():
+    # a term's spectrum has one home: HamiltonianSpec.extremes and the norms read off it, in
+    # operators.py; no other function both reads .terms and decomposes with np.linalg
+    found = [
+        f"{path.name}:{func.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "operators.py"
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, ast.Attribute) and n.attr == "terms" for n in ast.walk(func))
+        and any((isinstance(n, ast.Attribute) and n.attr in ("linalg", "operator_norm"))
+                or (isinstance(n, ast.Name) and n.id == "operator_norm") for n in ast.walk(func))
+    ]
+    assert found == []
+
+
 def _dataclass_fields(tree):
     """(class, field) for each annotated field of a ``@dataclass`` class."""
     for cls in ast.walk(tree):

@@ -267,13 +267,13 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("orders", [(1,), (2,), (3,), (1, 3), (1, 2, 3)])
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
-    def test_priced_width_is_the_grid_from_twice_m(self, family, d, orders):
-        # below N = 2M the keys of distinct moves may coincide and share a slot
+    def test_priced_width_is_the_grid_from_m(self, family, d, orders):
+        # grid_layout alone orders the moves, so H's grid is the priced one at every N, also
+        # below N = 2M, where base-(N + 1) keys of distinct moves may coincide
         spec = SPEC_FAMILIES[family](substream(59, f"width:{family}:{orders}", d), d, orders)
         width = grid_layout(spec)[1]
         for n in range(spec.max_order, 2 * spec.max_order + 2):
-            h = build_hamiltonian(spec, n)
-            assert width == h.cols.shape[0] if n >= 2 * spec.max_order else width >= h.cols.shape[0]
+            assert build_hamiltonian(spec, n).cols.shape[0] == width, n
 
     @pytest.mark.parametrize(
         "d, orders, n",
@@ -323,20 +323,24 @@ class TestBuildHamiltonian:
         assert (family == "structured" and d > 1) == (expected.diagonal() == 0).any()
         assert np.max(np.abs(np.asarray(h) - expected)) <= 1e-12
 
-        # slot 0 holds the diagonal, and each slot s >= 1 one move: key(row) - key(col)
-        # is the same in every row that stores s, nonzero and ascending with s; a row
-        # that does not store s holds (its own index, 0) there
-        own = np.arange(basis.size)
-        assert h.cols.shape == h.values.shape == (h.cols.shape[0], basis.size)  # (w, D)
+        # slot 0 holds the diagonal, and each slot s >= 1 one move: vectors[row] - vectors[col]
+        # is the same nonzero delta in every row that stores s, strictly ascending in
+        # lexicographic order (mode 0 first) with s, and slots s and width - s hold opposite
+        # moves; a row that does not store s holds (its own index, 0) there
+        own, width = np.arange(basis.size), h.cols.shape[0]
+        assert h.cols.shape == h.values.shape == (width, basis.size)  # (w, D)
         np.testing.assert_array_equal(h.cols[0], own)
-        padding = (h.cols == own) & (np.arange(h.cols.shape[0]) > 0)[:, None]
+        padding = (h.cols == own) & (np.arange(width) > 0)[:, None]
         assert not h.values[padding].any()
-        keys = basis.vectors @ (n + 1) ** np.arange(d - 1, -1, -1)
-        moves = [np.unique((keys - keys[h.cols[s]])[~padding[s]])
-                 for s in range(1, h.cols.shape[0])]
-        assert [move.size for move in moves] == [1] * len(moves)
-        moves = np.array([move[0] for move in moves], dtype=np.int64)
-        assert 0 not in moves and (np.diff(moves) > 0).all()
+        moves = [np.unique((basis.vectors - basis.vectors[h.cols[s]])[~padding[s]], axis=0)
+                 for s in range(1, width)]
+        assert [len(move) for move in moves] == [1] * (width - 1)
+        moves = [tuple(move[0].tolist()) for move in moves]
+        assert (0,) * d not in moves and moves == sorted(set(moves))
+        assert moves == [tuple(-x for x in move) for move in reversed(moves)]
+        if n >= 2 * spec.max_order:  # digits in [-M, M] < N + 1: base-(N + 1) keys order alike
+            keys = np.array(moves, dtype=np.int64).reshape(-1, d) @ (n + 1) ** np.arange(d)[::-1]
+            assert (np.diff(keys) > 0).all()
         pairs = (own * basis.size + h.cols)[~padding]
         assert h.nnz == pairs.size == np.unique(pairs).size  # each (row, col) stored once
         x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
